@@ -36,7 +36,7 @@ from .prdb import (
     expand_pr,
     integrate_pr,
 )
-from .probcalc import epr_distribution
+from .probcalc import _agrees_with, epr_distribution
 from .pwdb import (
     UncertainDB,
     check_prob_constraints,
@@ -329,11 +329,9 @@ def _cmd_check(args) -> int:
 
 
 def _check_single(args) -> int:
-    from .probcalc import cross_check
-
     q = _as_epr(load_document(args.a))
     result = epr_distribution(q, args.cap)
-    agreed = cross_check(q, cap=args.cap)
+    agreed = _agrees_with(q, result, args.cap)
     doc = {
         "components": [_component_doc(c) for c in result.components],
         "cross_check": agreed,

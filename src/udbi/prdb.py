@@ -35,7 +35,7 @@ from .logic import (
     rename_vars,
     to_text,
 )
-from .pwdb import Tuple, UncertainDB, World, format_tuple, validate_udb, world_key
+from .pwdb import Tuple, UncertainDB, World, format_tuple, format_world, validate_udb, world_key
 
 _NAME_FRAGMENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -167,7 +167,7 @@ class Distribution:
         bad = []
         for w, p in entries:
             if w in seen:
-                bad.append(f"duplicate world {_fmt_world(w)}")
+                bad.append(f"duplicate world {format_world(w)}")
             seen.add(w)
             if not 0 < p <= 1:
                 bad.append(f"probability {p} outside (0, 1]")
@@ -186,13 +186,6 @@ class Distribution:
 
     def as_dict(self) -> dict[World, Fraction]:
         return dict(self.entries)
-
-    def prob_of(self, world) -> Fraction:
-        return self.as_dict().get(frozenset(world), Fraction(0))
-
-
-def _fmt_world(w: World) -> str:
-    return "{" + ", ".join(format_tuple(t) for t in world_key(w)) + "}"
 
 
 # --- expansion ----------------------------------------------------------------

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decompose import PrPair, enumerate_pairs
-from .errors import MissingVarProb, ProbConstraintViolation
+from .errors import MissingVarProb
 from .logic import DEFAULT_VAR_CAP
 from .prdb import Distribution, EprRelation, expand_pr
 from .pwdb import (
     ComponentSummary,
     check_prob_constraints,
     compatibility_graph,
+    integrate_checked,
     integrate_pw_prob,
 )
 
@@ -50,12 +51,8 @@ def epr_distribution(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> IntegratedDi
     pair = enumerate_pairs(q, limit=1)[0]
     udb_r, _ = expand_pr(pair.r, cap)
     udb_s, _ = expand_pr(pair.s, cap)
-    graph = compatibility_graph(udb_r, udb_s)
-    checks = check_prob_constraints(udb_r, udb_s, graph)
-    failures = [(c, reason) for c, reason in checks if reason is not None]
-    if failures:
-        raise ProbConstraintViolation(failures)
-    joint = integrate_pw_prob(udb_r, udb_s)
+    checks = check_prob_constraints(udb_r, udb_s, compatibility_graph(udb_r, udb_s))
+    joint = integrate_checked(udb_r, udb_s, checks)
     distribution = Distribution.of(zip(joint.worlds, joint.probs))
     return IntegratedDistribution(distribution, tuple(c for c, _ in checks), pair)
 
@@ -75,8 +72,14 @@ def cross_check(
     """
     if var_probs is not None:
         q = EprRelation.of(q.rows, q.constraints, var_probs)
-    baseline = epr_distribution(q, cap).distribution.as_dict()
-    for pair in enumerate_pairs(q, limit):
+    return _agrees_with(q, epr_distribution(q, cap), cap, limit)
+
+
+def _agrees_with(q: EprRelation, result: IntegratedDistribution, cap: int, limit=None) -> bool:
+    """True iff pairs 1.. of enumerate_pairs(q, limit) give the distribution
+    that epr_distribution computed from pair 0 as ``result``."""
+    baseline = result.distribution.as_dict()
+    for pair in enumerate_pairs(q, limit)[1:]:
         udb_r, _ = expand_pr(pair.r, cap)
         udb_s, _ = expand_pr(pair.s, cap)
         joint = integrate_pw_prob(udb_r, udb_s)

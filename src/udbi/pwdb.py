@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyIntegration, ProbConstraintViolation, ValidationError
-from .unionfind import UnionFind
 
 Tuple = tuple[str, ...]
 World = frozenset[Tuple]
@@ -48,13 +47,6 @@ class UncertainDB:
             tuple(frozenset(tuple(t) for t in w) for w in worlds),
             None if probs is None else tuple(Fraction(p) for p in probs),
         )
-
-    def prob_of(self, world: World) -> Fraction:
-        total = Fraction(0)
-        for w, p in zip(self.worlds, self.probs):
-            if w == world:
-                total += p
-        return total
 
 
 def validate_udb(u: UncertainDB) -> list[str]:
@@ -103,23 +95,49 @@ def _prob_violations(u: UncertainDB) -> list[str]:
     return report
 
 
-def _require_valid(u: UncertainDB, role: str, with_probs: bool) -> None:
-    report = _structural_violations(u)
-    if with_probs:
-        if u.probs is None:
-            report = report + [f"{role} carries no probabilities"]
-        else:
-            report = report + _prob_violations(u)
-    if report:
-        raise ValidationError([f"{role}: {line}" for line in report])
+def _require_valid(s1: UncertainDB, s2: UncertainDB, structure=True, probs=False) -> None:
+    """Raise ValidationError for the first source, in order, that fails the checks."""
+    for u, role in ((s1, "first source"), (s2, "second source")):
+        report = _structural_violations(u) if structure else []
+        if probs and u.probs is None:
+            report.append(f"{role} carries no probabilities")
+        elif probs:
+            report += _prob_violations(u)
+        if report:
+            raise ValidationError([f"{role}: {line}" for line in report])
 
 
 def compatible(d_i: World, d_j: World, t1, t2) -> bool:
-    """True when the worlds agree on membership of every tuple in both tuple sets."""
+    """True when the worlds agree on membership of every tuple in both tuple sets.
+
+    The pairwise definition, kept as the tests' oracle for _trace_classes.
+    """
     for t in frozenset(t1) & frozenset(t2):
         if (t in d_i) != (t in d_j):
             return False
     return True
+
+
+def _trace_classes(s1: UncertainDB, s2: UncertainDB) -> tuple:
+    """Sorted components of the compatibility graph, in O(|W1| + |W2|).
+
+    Worlds are compatible exactly when their traces on the common tuples are
+    equal, so a trace class with worlds on both sides is one component; a
+    world whose trace the other side lacks is a component of its own.
+    """
+    common = s1.tuple_set & s2.tuple_set
+    classes: dict = {}
+    for side, u in enumerate((s1, s2)):
+        for i, w in enumerate(u.worlds):
+            classes.setdefault(w & common, ([], []))[side].append(i)
+    components = []
+    for left, right in classes.values():
+        if left and right:
+            components.append((tuple(left), tuple(right)))
+        else:
+            components.extend(((i,), ()) for i in left)
+            components.extend(((), (j,)) for j in right)
+    return tuple(sorted(components))
 
 
 def integrate_pw(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
@@ -129,18 +147,16 @@ def integrate_pw(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
     duplicate unions merged.  Raises EmptyIntegration if no pair of worlds
     is compatible.
     """
-    _require_valid(s1, "first source", with_probs=False)
-    _require_valid(s2, "second source", with_probs=False)
-    common = s1.tuple_set & s2.tuple_set
-    merged: dict = {}
-    for d_i in s1.worlds:
-        for d_j in s2.worlds:
-            if compatible(d_i, d_j, common, common):
-                union = d_i | d_j
-                merged.setdefault(world_key(union), union)
-    if not merged:
+    _require_valid(s1, s2)
+    unions = {
+        s1.worlds[i] | s2.worlds[j]
+        for left, right in _trace_classes(s1, s2)
+        for i in left
+        for j in right
+    }
+    if not unions:
         raise EmptyIntegration()
-    worlds = tuple(merged[k] for k in sorted(merged))
+    worlds = tuple(sorted(unions, key=world_key))
     return UncertainDB(s1.tuple_set | s2.tuple_set, worlds)
 
 
@@ -154,51 +170,30 @@ class CompatibilityGraph:
 
     n_left: int
     n_right: int
-    edges: frozenset[tuple[int, int]]
     components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
-    def is_complete_bipartite(self) -> bool:
-        """Every component carries all |left| * |right| edges."""
-        counts = [0] * len(self.components)
-        index = {}
-        for k, (left, right) in enumerate(self.components):
-            for i in left:
-                index[("L", i)] = k
-        for i, j in self.edges:
-            counts[index[("L", i)]] += 1
-        return all(
-            counts[k] == len(left) * len(right)
-            for k, (left, right) in enumerate(self.components)
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every compatible pair (i, j): all of left x right in each component."""
+        return frozenset(
+            (i, j) for left, right in self.components for i in left for j in right
         )
+
+    def is_complete_bipartite(self) -> bool:
+        """Every component carries all |left| * |right| edges.
+
+        Always true: compatibility is equality of traces on the common
+        tuples, so each component compatibility_graph returns is one trace
+        class and ``edges`` is read off the components.  The tests check
+        both against the pairwise definition, ``compatible()``.
+        """
+        return True
 
 
 def compatibility_graph(s1: UncertainDB, s2: UncertainDB) -> CompatibilityGraph:
-    """Edges join compatible world pairs; components come from a union-find pass."""
-    _require_valid(s1, "first source", with_probs=False)
-    _require_valid(s2, "second source", with_probs=False)
-    common = s1.tuple_set & s2.tuple_set
-    edges = set()
-    uf = UnionFind()
-    for i in range(len(s1.worlds)):
-        uf.add(("L", i))
-    for j in range(len(s2.worlds)):
-        uf.add(("R", j))
-    for i, d_i in enumerate(s1.worlds):
-        for j, d_j in enumerate(s2.worlds):
-            if compatible(d_i, d_j, common, common):
-                edges.add((i, j))
-                uf.union(("L", i), ("R", j))
-    groups = {}
-    for side, idx in list(uf.parent):
-        root = uf.find((side, idx))
-        groups.setdefault(root, ([], []))[0 if side == "L" else 1].append(idx)
-    components = sorted(
-        (tuple(sorted(left)), tuple(sorted(right)))
-        for left, right in groups.values()
-    )
-    return CompatibilityGraph(
-        len(s1.worlds), len(s2.worlds), frozenset(edges), tuple(components)
-    )
+    """Edges join compatible world pairs; components are the trace classes."""
+    _require_valid(s1, s2)
+    return CompatibilityGraph(len(s1.worlds), len(s2.worlds), _trace_classes(s1, s2))
 
 
 @dataclass(frozen=True)
@@ -228,10 +223,13 @@ def check_prob_constraints(
     Integration requires the sums to agree exactly; a world with no
     compatible partner strands its mass and is reported too.
     """
-    _require_valid(s1, "first source", with_probs=True)
-    _require_valid(s2, "second source", with_probs=True)
+    _require_valid(s1, s2, probs=True)
+    return _balance(s1, s2, graph.components)
+
+
+def _balance(s1: UncertainDB, s2: UncertainDB, components) -> list:
     out = []
-    for k, (left, right) in enumerate(graph.components):
+    for k, (left, right) in enumerate(components):
         left_sum = sum((s1.probs[i] for i in left), Fraction(0))
         right_sum = sum((s2.probs[j] for j in right), Fraction(0))
         summary = ComponentSummary(left, right, left_sum, right_sum)
@@ -262,33 +260,33 @@ def integrate_pw_prob(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
     Each compatible pair contributes P(D_i) * P(D'_j) / P, where P is the
     probability constant of the pair's component; duplicate union worlds
     accumulate.  Raises ProbConstraintViolation when any component is
-    unbalanced and EmptyIntegration when there are no compatible pairs.
+    unbalanced, which includes the case of no compatible pairs.
     """
-    graph = compatibility_graph(s1, s2)
-    checks = check_prob_constraints(s1, s2, graph)
+    # Both sources' structure before either's probabilities, so a structural
+    # fault in the second source is reported ahead of a probability fault in
+    # the first, as check_prob_constraints after compatibility_graph would.
+    _require_valid(s1, s2)
+    _require_valid(s1, s2, structure=False, probs=True)
+    return integrate_checked(s1, s2, _balance(s1, s2, _trace_classes(s1, s2)))
+
+
+def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
+    """integrate_pw_prob of two sources, given their check_prob_constraints.
+
+    Raises ProbConstraintViolation when any component is unbalanced, as
+    every component is when no pair of worlds is compatible.
+    """
     failures = [(c, reason) for c, reason in checks if reason is not None]
     if failures:
         raise ProbConstraintViolation(failures)
-    if not graph.edges:
-        raise EmptyIntegration()
-    constant = {}
+    merged: dict = {}
     for summary, _ in checks:
         for i in summary.left:
-            constant[i] = summary.constant
-    merged: dict = {}
-    for i, j in sorted(graph.edges):
-        union = s1.worlds[i] | s2.worlds[j]
-        key = world_key(union)
-        p = s1.probs[i] * s2.probs[j] / constant[i]
-        if key in merged:
-            merged[key] = (union, merged[key][1] + p)
-        else:
-            merged[key] = (union, p)
-    worlds = []
-    probs = []
-    for key in sorted(merged):
-        world, p = merged[key]
-        worlds.append(world)
-        probs.append(p)
+            share = s1.probs[i] / summary.constant
+            for j in summary.right:
+                union = s1.worlds[i] | s2.worlds[j]
+                merged[union] = merged.get(union, 0) + share * s2.probs[j]
+    worlds = tuple(sorted(merged, key=world_key))
+    probs = tuple(merged[w] for w in worlds)
     assert sum(probs, Fraction(0)) == 1
-    return UncertainDB(s1.tuple_set | s2.tuple_set, tuple(worlds), tuple(probs))
+    return UncertainDB(s1.tuple_set | s2.tuple_set, worlds, probs)

@@ -7,11 +7,12 @@ offices with exact rational uncertainty; integration yields six worlds
 whose probabilities are known in closed form.
 """
 
+from collections import deque
 from fractions import Fraction
 
 from udbi.logic import FALSE, Not, Or, Variable, parse_formula
 from udbi.prdb import EprRelation, PrRelation, PrTuple
-from udbi.pwdb import UncertainDB
+from udbi.pwdb import UncertainDB, compatible
 
 CS100 = ("Bob", "CS100")
 CS101 = ("Bob", "CS101")
@@ -127,3 +128,43 @@ def free_group_epr(var_probs=None) -> EprRelation:
 
 
 FREE_GROUP_PROBS = {"a": "1/3", "b": "2/5", "c": "1/3", "d": "1/2"}
+
+
+# --- pairwise oracle for the compatibility graph -----------------------------------
+
+def pairwise_graph(s1: UncertainDB, s2: UncertainDB):
+    """(components, edges) of the compatibility graph, from the definition.
+
+    Tests every |W1| * |W2| pair with compatible() and finds the connected
+    components by breadth-first search, so nothing here relies on
+    compatibility being an equivalence.  Components are sorted as
+    compatibility_graph sorts them.
+    """
+    edges = frozenset(
+        (i, j)
+        for i, d_i in enumerate(s1.worlds)
+        for j, d_j in enumerate(s2.worlds)
+        if compatible(d_i, d_j, s1.tuple_set, s2.tuple_set)
+    )
+    neighbours = {(0, i): [] for i in range(len(s1.worlds))}
+    neighbours.update({(1, j): [] for j in range(len(s2.worlds))})
+    for i, j in edges:
+        neighbours[(0, i)].append((1, j))
+        neighbours[(1, j)].append((0, i))
+    seen = set()
+    components = []
+    for start in neighbours:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        sides = ([], [])
+        while queue:
+            node = queue.popleft()
+            sides[node[0]].append(node[1])
+            for other in neighbours[node]:
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+        components.append((tuple(sorted(sides[0])), tuple(sorted(sides[1]))))
+    return tuple(sorted(components)), edges

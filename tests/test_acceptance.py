@@ -19,6 +19,7 @@ from conftest import (
     office_epr,
     office_pr_sources,
     office_pw_sources,
+    pairwise_graph,
     roster_pr_sources,
     roster_pw_sources,
     world,
@@ -204,6 +205,7 @@ def test_criterion_5_every_decomposition_yields_the_same_distribution(capsys):
 def assert_exact_integration_invariants(udb_r, udb_s, with_probs: bool) -> None:
     graph = compatibility_graph(udb_r, udb_s)
     assert graph.is_complete_bipartite()
+    assert (graph.components, graph.edges) == pairwise_graph(udb_r, udb_s)
     if with_probs:
         assert sum(udb_r.probs, Fraction(0)) == 1
         assert sum(udb_s.probs, Fraction(0)) == 1

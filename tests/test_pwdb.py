@@ -13,6 +13,7 @@ from conftest import (
     CS202,
     OFFICE_DISTRIBUTION,
     office_pw_sources,
+    pairwise_graph,
     roster_pw_sources,
     world,
 )
@@ -146,6 +147,14 @@ def test_graph_isolated_worlds_form_singleton_components():
     assert graph.edges == frozenset({(1, 0)})
     assert graph.components == (((), (1,)), ((0,), ()), ((1,), (0,)))
     assert graph.is_complete_bipartite()
+    # Both left worlds lack CS100, which the only right world holds: one
+    # trace, but no edges, so two components rather than one class.
+    s1 = UncertainDB.of([CS100, CS101], [world(CS101), world()])
+    s2 = UncertainDB.of([CS100], [world(CS100)])
+    graph = compatibility_graph(s1, s2)
+    assert graph.edges == frozenset()
+    assert graph.components == (((), (0,)), ((0,), ()), ((1,), ()))
+    assert (graph.components, graph.edges) == pairwise_graph(s1, s2)
 
 
 # --- probabilistic constraints --------------------------------------------------------
@@ -241,6 +250,7 @@ def test_consistent_pairs_integrate_exactly(seed):
     s1, s2 = gen_consistent_pw_pair(seed)
     graph = compatibility_graph(s1, s2)
     assert graph.is_complete_bipartite()
+    assert (graph.components, graph.edges) == pairwise_graph(s1, s2)
     checks = check_prob_constraints(s1, s2, graph)
     assert all(reason is None for _, reason in checks)
     result = integrate_pw_prob(s1, s2)
