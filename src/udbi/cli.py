@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .decompose import enumerate_pairs
@@ -193,8 +194,12 @@ def _component_lines(checks) -> list[str]:
     return lines
 
 
-def _emit(args, doc, table: str) -> None:
-    """Print the table or the JSON document; --out always writes the document."""
+def _emit(args, doc, table: Callable[[], str]) -> None:
+    """Print the table or the JSON document; --out always writes the document.
+
+    ``table`` renders the text table; it is called only when the table is
+    printed.
+    """
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -202,12 +207,12 @@ def _emit(args, doc, table: str) -> None:
     elif args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        print(table)
+        print(table())
 
 
 def _emit_value(args, value) -> None:
-    table = _udb_table(value) if isinstance(value, UncertainDB) else _relation_table(value)
-    _emit(args, document_of(value), table)
+    render = _udb_table if isinstance(value, UncertainDB) else _relation_table
+    _emit(args, document_of(value), lambda: render(value))
 
 
 # --- commands -------------------------------------------------------------------
@@ -270,13 +275,17 @@ def _cmd_prob(args) -> int:
             "s": document_of(result.pair_used.s),
         },
     }
-    lines = [_distribution_table(worlds, probs)]
-    lines.extend(_component_lines([(c, None) for c in result.components]))
-    lines.append("pair r:")
-    lines.extend("  " + line for line in _relation_table(result.pair_used.r).splitlines())
-    lines.append("pair s:")
-    lines.extend("  " + line for line in _relation_table(result.pair_used.s).splitlines())
-    _emit(args, doc, "\n".join(lines))
+
+    def table() -> str:
+        lines = [_distribution_table(worlds, probs)]
+        lines.extend(_component_lines([(c, None) for c in result.components]))
+        lines.append("pair r:")
+        lines.extend("  " + line for line in _relation_table(result.pair_used.r).splitlines())
+        lines.append("pair s:")
+        lines.extend("  " + line for line in _relation_table(result.pair_used.s).splitlines())
+        return "\n".join(lines)
+
+    _emit(args, doc, table)
     return EXIT_OK
 
 
@@ -309,20 +318,24 @@ def _cmd_check(args) -> int:
         if checks is None
         else [_component_doc(c, r) for c, r in checks],
     }
-    lines = []
-    if checks is None:
-        lines.append("components:")
-        lines.extend(
-            f"  {k}: left=[{','.join(map(str, left)) or '-'}]"
-            f" right=[{','.join(map(str, right)) or '-'}]"
-            for k, (left, right) in enumerate(graph.components)
-        )
-        lines.append("balance: not checked (sources carry no probabilities)")
-    else:
-        lines.extend(_component_lines(checks))
-        lines.append("balance: ok" if balanced else "balance: VIOLATED")
-    lines.append(f"complete-bipartite: {'yes' if complete else 'NO'}")
-    _emit(args, doc, "\n".join(lines))
+
+    def table() -> str:
+        lines = []
+        if checks is None:
+            lines.append("components:")
+            lines.extend(
+                f"  {k}: left=[{','.join(map(str, left)) or '-'}]"
+                f" right=[{','.join(map(str, right)) or '-'}]"
+                for k, (left, right) in enumerate(graph.components)
+            )
+            lines.append("balance: not checked (sources carry no probabilities)")
+        else:
+            lines.extend(_component_lines(checks))
+            lines.append("balance: ok" if balanced else "balance: VIOLATED")
+        lines.append(f"complete-bipartite: {'yes' if complete else 'NO'}")
+        return "\n".join(lines)
+
+    _emit(args, doc, table)
     if balanced is False:
         return EXIT_UNBALANCED
     return EXIT_OK if complete else EXIT_VERDICT_FAILED
@@ -336,13 +349,19 @@ def _check_single(args) -> int:
         "components": [_component_doc(c) for c in result.components],
         "cross_check": agreed,
     }
-    lines = _component_lines([(c, None) for c in result.components])
-    lines.append(f"cross-check: {'ok' if agreed else 'FAILED'}")
-    _emit(args, doc, "\n".join(lines))
+
+    def table() -> str:
+        lines = _component_lines([(c, None) for c in result.components])
+        lines.append(f"cross-check: {'ok' if agreed else 'FAILED'}")
+        return "\n".join(lines)
+
+    _emit(args, doc, table)
     return EXIT_OK if agreed else EXIT_VERDICT_FAILED
 
 
 def _cmd_decompose(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValidationError(f"--limit must be 0 or more, got {args.limit}")
     q = _as_epr(load_document(args.input))
     if args.all:
         limit = args.limit
@@ -352,13 +371,17 @@ def _cmd_decompose(args) -> int:
     doc = {
         "pairs": [{"r": document_of(p.r), "s": document_of(p.s)} for p in pairs]
     }
-    lines = []
-    for i, p in enumerate(pairs):
-        lines.append(f"pair {i} r:")
-        lines.extend("  " + line for line in _relation_table(p.r).splitlines())
-        lines.append(f"pair {i} s:")
-        lines.extend("  " + line for line in _relation_table(p.s).splitlines())
-    _emit(args, doc, "\n".join(lines))
+
+    def table() -> str:
+        lines = []
+        for i, p in enumerate(pairs):
+            lines.append(f"pair {i} r:")
+            lines.extend("  " + line for line in _relation_table(p.r).splitlines())
+            lines.append(f"pair {i} s:")
+            lines.extend("  " + line for line in _relation_table(p.s).splitlines())
+        return "\n".join(lines)
+
+    _emit(args, doc, table)
     return EXIT_OK
 
 
@@ -385,11 +408,15 @@ def _cmd_gen(args) -> int:
         )
     doc = {"a": document_of(a), "b": document_of(b)}
     render = _udb_table if isinstance(a, UncertainDB) else _relation_table
-    lines = ["source a:"]
-    lines.extend("  " + line for line in render(a).splitlines())
-    lines.append("source b:")
-    lines.extend("  " + line for line in render(b).splitlines())
-    _emit(args, doc, "\n".join(lines))
+
+    def table() -> str:
+        lines = ["source a:"]
+        lines.extend("  " + line for line in render(a).splitlines())
+        lines.append("source b:")
+        lines.extend("  " + line for line in render(b).splitlines())
+        return "\n".join(lines)
+
+    _emit(args, doc, table)
     return EXIT_OK
 
 

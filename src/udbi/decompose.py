@@ -49,7 +49,12 @@ class PrPair:
 
     @classmethod
     def of(cls, r: PrRelation, s: PrRelation) -> "PrPair":
-        shared = set(r.variables()) & set(s.variables())
+        return cls._checked(r, s, r.variables(), s.variables())
+
+    @classmethod
+    def _checked(cls, r: PrRelation, s: PrRelation, r_names, s_names) -> "PrPair":
+        """PrPair.of, given the variables of r and of s."""
+        shared = set(r_names) & set(s_names)
         if shared:
             raise ValidationError(
                 "pair sides share event variables: " + ", ".join(sorted(shared))
@@ -95,9 +100,11 @@ def _rows_by_event(q: EprRelation) -> dict[Formula, list[PrTuple]]:
     return index
 
 
-def _condition3(q: EprRelation, stats: dict | None = None) -> bool:
-    """Each constraint must match exactly one row's formula structurally."""
-    index = _rows_by_event(q)
+def _condition3(q: EprRelation, index, stats: dict | None = None) -> bool:
+    """Each constraint must match exactly one row's formula structurally.
+
+    ``index`` is _rows_by_event(q).
+    """
     if stats is not None:
         stats["ops"] = stats.get("ops", 0) + len(q.rows) + len(q.constraints)
     for lhs, rhs in q.constraints:
@@ -120,7 +127,7 @@ def partition(q: EprRelation, stats: dict | None = None) -> PartitionResult:
     groups = _variable_groups(q, stats)
     index = {name: k for k, group in enumerate(groups) for name in group}
     adjacency: dict[int, set[int]] = {k: set() for k in range(len(groups))}
-    condition3_ok = _condition3(q, stats)
+    condition3_ok = _condition3(q, _rows_by_event(q), stats)
     for lhs, rhs in q.constraints:
         if stats is not None:
             stats["ops"] = stats.get("ops", 0) + 1
@@ -164,32 +171,50 @@ def partition(q: EprRelation, stats: dict | None = None) -> PartitionResult:
     return PartitionResult(tuple(v1), tuple(w1), free, condition3_ok)
 
 
-def check_integrated(q: EprRelation, v, w) -> bool:
-    """Test the three recognition conditions for the given side split."""
-    v, w = frozenset(v), frozenset(w)
-    names = set(q.variables())
+def _formula_vars(q: EprRelation):
+    """Variable sets of each row formula and of each constraint's two sides."""
+    row_vars = [frozenset(iter_vars(row.event)) for row in q.rows]
+    constraint_vars = [
+        (frozenset(iter_vars(lhs)), frozenset(iter_vars(rhs))) for lhs, rhs in q.constraints
+    ]
+    return row_vars, constraint_vars
+
+
+def _sides_hold(v: frozenset, w: frozenset, row_vars, constraint_vars) -> bool:
+    """The first two recognition conditions, given _formula_vars(q).
+
+    Raises ValidationError unless v and w partition the variables.
+    """
+    names = set().union(*row_vars, *(lv | rv for lv, rv in constraint_vars))
     if (v & w) or (v | w) != names:
         raise ValidationError("v and w must partition the variables of the relation")
-    for row in q.rows:
-        used = set(iter_vars(row.event))
+    for used in row_vars:
         if not (used <= v or used <= w):
             return False
-    for lhs, rhs in q.constraints:
-        lv = set(iter_vars(lhs))
-        rv = set(iter_vars(rhs))
+    for lv, rv in constraint_vars:
         if not ((lv <= v and rv <= w) or (lv <= w and rv <= v)):
             return False
-    return _condition3(q)
+    return True
 
 
-def _constraint_partner(q: EprRelation, event: Formula) -> Formula | None:
-    """The opposite side of the first constraint one of whose sides equals event."""
-    for lhs, rhs in q.constraints:
-        if lhs == event:
-            return rhs
-        if rhs == event:
-            return lhs
-    return None
+def check_integrated(q: EprRelation, v, w) -> bool:
+    """Test the three recognition conditions for the given side split."""
+    if not _sides_hold(frozenset(v), frozenset(w), *_formula_vars(q)):
+        return False
+    return _condition3(q, _rows_by_event(q))
+
+
+def _partner_vars(q: EprRelation, constraint_vars) -> dict[Formula, frozenset[str]]:
+    """Each constraint side's formula mapped to the variables of its opposite side.
+
+    The first constraint one of whose sides equals a formula wins, and its
+    lhs is tested before its rhs.
+    """
+    partners: dict[Formula, frozenset[str]] = {}
+    for (lhs, rhs), (lv, rv) in zip(q.constraints, constraint_vars):
+        partners.setdefault(lhs, rv)
+        partners.setdefault(rhs, lv)
+    return partners
 
 
 def build_pair(q: EprRelation, v, w, stats: dict | None = None) -> PrPair:
@@ -198,42 +223,46 @@ def build_pair(q: EprRelation, v, w, stats: dict | None = None) -> PrPair:
     Rows route to r or s by which side owns their variables; then each
     constraint f = g adds the missing side's row: if t@f sits in r, t@g is
     added to s, and symmetrically.  Raises NotIntegrated when the
-    recognition conditions fail.
+    recognition conditions fail.  Each formula's variables are collected
+    once, and the work is linear in rows plus constraints.
     """
     v, w = frozenset(v), frozenset(w)
-    if not check_integrated(q, v, w):
+    row_vars, constraint_vars = _formula_vars(q)
+    index = _rows_by_event(q)
+    if not (_sides_hold(v, w, row_vars, constraint_vars) and _condition3(q, index)):
         raise NotIntegrated("the relation is not recognized as an integration result")
+    partners = _partner_vars(q, constraint_vars)
     sides: dict = {}
     rows = {"r": [], "s": []}
-    for row in q.rows:
+    held = {"r": set(), "s": set()}
+    names = {"r": set(), "s": set()}
+    for row, used in zip(q.rows, row_vars):
         if stats is not None:
             stats["ops"] = stats.get("ops", 0) + 1
-        used = set(iter_vars(row.event))
         if used:
             side = "r" if used <= v else "s"
         else:
-            partner = _constraint_partner(q, row.event)
-            partner_vars = set() if partner is None else set(iter_vars(partner))
-            if partner_vars and partner_vars <= v:
-                side = "s"
-            else:
-                side = "r"
+            partner_vars = partners.get(row.event)
+            side = "s" if partner_vars and partner_vars <= v else "r"
         sides[row.tuple] = side
         rows[side].append(row)
-    index = _rows_by_event(q)
-    for lhs, rhs in q.constraints:
+        held[side].add(row.tuple)
+        names[side] |= used
+    for (lhs, rhs), (lv, rv) in zip(q.constraints, constraint_vars):
         if stats is not None:
             stats["ops"] = stats.get("ops", 0) + 1
         match = index.get(lhs, []) + (index.get(rhs, []) if rhs != lhs else [])
         row = match[0]
-        other = rhs if row.event == lhs else lhs
+        other, other_vars = (rhs, rv) if row.event == lhs else (lhs, lv)
         target = "s" if sides[row.tuple] == "r" else "r"
-        if any(existing.tuple == row.tuple for existing in rows[target]):
+        if row.tuple in held[target]:
             raise NotIntegrated(
                 "two constraints resolve to the same tuple "
                 f"{row.tuple}; no source pair can produce that"
             )
         rows[target].append(PrTuple(row.tuple, other))
+        held[target].add(row.tuple)
+        names[target] |= other_vars
     r_rows = tuple(sorted(rows["r"], key=lambda row: row.tuple))
     s_rows = tuple(sorted(rows["s"], key=lambda row: row.tuple))
     if q.var_probs is None:
@@ -241,7 +270,12 @@ def build_pair(q: EprRelation, v, w, stats: dict | None = None) -> PrPair:
     else:
         r_probs = {n: p for n, p in q.var_probs.items() if n in v}
         s_probs = {n: p for n, p in q.var_probs.items() if n in w}
-    return PrPair.of(PrRelation.of(r_rows, r_probs), PrRelation.of(s_rows, s_probs))
+    return PrPair._checked(
+        PrRelation._checked(r_rows, r_probs, names["r"]),
+        PrRelation._checked(s_rows, s_probs, names["s"]),
+        names["r"],
+        names["s"],
+    )
 
 
 def enumerate_pairs(q: EprRelation, limit: int | None = None) -> list[PrPair]:

@@ -98,16 +98,23 @@ class PrRelation:
             row if isinstance(row, PrTuple) else PrTuple(tuple(row[0]), row[1])
             for row in rows
         )
+        return cls._checked(rows, var_probs, (n for row in rows for n in iter_vars(row.event)))
+
+    @classmethod
+    def _checked(cls, rows: tuple[PrTuple, ...], var_probs, names) -> "PrRelation":
+        """PrRelation.of for PrTuple rows whose formulas use the variables in names.
+
+        ``names`` is any iterable, read only when var_probs is given.
+        """
         _check_rows(rows)
         var_probs = _coerce_var_probs(var_probs)
-        rel = cls(rows, var_probs)
         if var_probs is not None:
-            missing = set(rel.variables()) - set(var_probs)
+            missing = set(names) - set(var_probs)
             if missing:
                 raise ValidationError(
                     "event variables without probabilities: " + ", ".join(sorted(missing))
                 )
-        return rel
+        return cls(rows, var_probs)
 
     def variables(self) -> tuple[str, ...]:
         """Variables occurring in row formulas, sorted."""
@@ -335,7 +342,9 @@ def encode_pw(u: UncertainDB, var_base: str = "x") -> PrRelation:
     P(xi) = P(Di) / (1 - P(D1) - .. - P(D(i-1))) so each selector's mass is
     exactly P(Di).  A tuple's event is the disjunction of the selectors of
     the worlds containing it.  Round-tripping through expand_pr recovers the
-    input distribution exactly.
+    input distribution exactly.  Raises ValidationError for an invalid
+    source, or if a selector probability falls outside (0, 1), which valid
+    world probabilities rule out.
     """
     if not _NAME_FRAGMENT.match(var_base):
         raise ValidationError(f"invalid variable base {var_base!r}")
@@ -350,7 +359,10 @@ def encode_pw(u: UncertainDB, var_base: str = "x") -> PrRelation:
     remaining = Fraction(1)
     for i, name in enumerate(names):
         p = u.probs[i] / remaining
-        assert 0 < p < 1
+        if not 0 < p < 1:
+            raise ValidationError(
+                f"selector probability of {name} is {p}, outside (0, 1)"
+            )
         var_probs[name] = p
         remaining -= u.probs[i]
     selectors = []

@@ -274,7 +274,9 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
     """integrate_pw_prob of two sources, given their check_prob_constraints.
 
     Raises ProbConstraintViolation when any component is unbalanced, as
-    every component is when no pair of worlds is compatible.
+    every component is when no pair of worlds is compatible, and
+    ValidationError when the integrated probabilities do not sum to 1, as
+    when ``checks`` leave out a component of the two sources.
     """
     failures = [(c, reason) for c, reason in checks if reason is not None]
     if failures:
@@ -288,5 +290,7 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
                 merged[union] = merged.get(union, 0) + share * s2.probs[j]
     worlds = tuple(sorted(merged, key=world_key))
     probs = tuple(merged[w] for w in worlds)
-    assert sum(probs, Fraction(0)) == 1
+    total = sum(probs, Fraction(0))
+    if total != 1:
+        raise ValidationError(f"integrated probabilities sum to {total} != 1")
     return UncertainDB(s1.tuple_set | s2.tuple_set, worlds, probs)

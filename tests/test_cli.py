@@ -321,6 +321,49 @@ def test_decompose_rejects_unrecognizable_relations(tmp_path, capsys):
     assert "not recognized as integrated" in err
 
 
+def test_decompose_rejects_a_negative_limit(tmp_path, capsys):
+    path = save(tmp_path, "q.json", free_group_epr(FREE_GROUP_PROBS))
+    code, out, err = run(capsys, "decompose", path, "--limit", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --limit must be 0 or more, got -1\n"
+    code, out, _ = run(capsys, "decompose", path, "--limit", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"pairs": []}
+
+
+def test_out_and_json_output_render_no_table(tmp_path, capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a text table was rendered")
+
+    monkeypatch.setattr("udbi.cli._relation_table", no_table)
+    monkeypatch.setattr("udbi.cli._distribution_table", no_table)
+    r1, r2 = office_pr_sources()
+    q_path, pairs_path = tmp_path / "q.json", tmp_path / "pairs.json"
+    code, out, _ = run(
+        capsys,
+        "integrate",
+        save(tmp_path, "r1.json", r1),
+        save(tmp_path, "r2.json", r2),
+        "--model",
+        "pr",
+        "--out",
+        str(q_path),
+    )
+    assert (code, out) == (0, "")
+    assert load_document(q_path) == office_epr()
+    code, out, _ = run(capsys, "decompose", str(q_path), "--out", str(pairs_path))
+    assert (code, out) == (0, "")
+    pairs = json.loads(pairs_path.read_text(encoding="utf-8"))
+    assert pairs == {"pairs": [{"r": document_of(r2), "s": document_of(r1)}]}
+    code, out, _ = run(capsys, "decompose", str(q_path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == pairs
+    code, out, _ = run(capsys, "prob", str(q_path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pair"] == pairs["pairs"][0]
+
+
 # --- exit codes ---------------------------------------------------------------------------
 
 def test_unreadable_input_exits_two(tmp_path, capsys):

@@ -19,8 +19,8 @@ from udbi.decompose import (
 )
 from udbi.errors import NotIntegrated, ValidationError
 from udbi.gen import gen_integrated_epr
-from udbi.logic import Not, Variable
-from udbi.prdb import EprRelation, PrRelation, integrate_pr
+from udbi.logic import FALSE, TRUE, Not, Variable
+from udbi.prdb import EprRelation, PrRelation, PrTuple, integrate_pr
 
 
 def canonical(q: EprRelation):
@@ -176,6 +176,31 @@ def test_two_constraints_on_one_tuple_are_rejected():
         enumerate_pairs(q)
 
 
+def test_variable_free_row_goes_opposite_a_v_side_partner():
+    a, b = Variable("a"), Variable("b")
+    q = EprRelation.of([(("t",), TRUE), (("u",), b)], [(a, TRUE)])
+    pair = build_pair(q, {"a"}, {"b"})
+    assert [str(row) for row in pair.r.rows] == ["(t)@a"]
+    assert [str(row) for row in pair.s.rows] == ["(t)@true", "(u)@b"]
+
+
+def test_variable_free_row_goes_opposite_a_w_side_partner():
+    a, b = Variable("a"), Variable("b")
+    q = EprRelation.of([(("t",), TRUE), (("u",), b)], [(TRUE, a)])
+    pair = build_pair(q, {"b"}, {"a"})
+    assert [str(row) for row in pair.r.rows] == ["(t)@true", "(u)@b"]
+    assert [str(row) for row in pair.s.rows] == ["(t)@a"]
+
+
+def test_variable_free_row_without_a_partner_goes_to_r():
+    b = Variable("b")
+    q = EprRelation.of([(("t",), FALSE), (("u",), b)])
+    for v, w in (({"b"}, set()), (set(), {"b"})):
+        pair = build_pair(q, v, w)
+        assert "(t)@false" in [str(row) for row in pair.r.rows]
+        assert "(t)@false" not in [str(row) for row in pair.s.rows]
+
+
 def test_pair_sides_must_not_share_variables():
     rel = PrRelation.of([(("t",), Variable("a"))])
     with pytest.raises(ValidationError, match="share event variables"):
@@ -295,3 +320,41 @@ def test_build_pair_work_grows_linearly():
     build_pair(q1, set(p1.v1) | {n for g in p1.free_groups for n in g}, set(p1.w1), small)
     build_pair(q2, set(p2.v1) | {n for g in p2.free_groups for n in g}, set(p2.w1), large)
     assert large["ops"] <= 2.5 * small["ops"]
+
+
+def tuple_tests_in_build_pair(n: int) -> int:
+    """Hash and equality tests build_pair makes on chain_relation(n)'s data tuples.
+
+    Counts the work of the duplicate-tuple check, which the loop counts of
+    test_build_pair_work_grows_linearly do not see.
+    """
+    tests = 0
+
+    class CountedTuple(tuple):
+        def __eq__(self, other):
+            nonlocal tests
+            tests += 1
+            return tuple.__eq__(self, other)
+
+        def __hash__(self):
+            nonlocal tests
+            tests += 1
+            return tuple.__hash__(self)
+
+    chain = chain_relation(n)
+    q = EprRelation.of(
+        [PrTuple(CountedTuple(row.tuple), row.event) for row in chain.rows],
+        chain.constraints,
+    )
+    part = partition(q)
+    v = set(part.v1) | {name for group in part.free_groups for name in group}
+    tests = 0
+    build_pair(q, v, set(part.w1))
+    return tests
+
+
+def test_build_pair_duplicate_tuple_check_grows_linearly():
+    small = tuple_tests_in_build_pair(1000)
+    large = tuple_tests_in_build_pair(2000)
+    assert small > 0
+    assert large <= 2.5 * small

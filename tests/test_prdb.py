@@ -316,6 +316,14 @@ def test_encoding_requires_probabilities():
         encode_pw(bare)
 
 
+def test_encoding_rejects_selector_probabilities_outside_the_open_interval(monkeypatch):
+    monkeypatch.setattr("udbi.prdb.validate_udb", lambda u: [])
+    heavy = UncertainDB.of([CS100], [world(CS100), world()], ["1", "1/2"])
+    with pytest.raises(ValidationError) as err:
+        encode_pw(heavy)
+    assert str(err.value) == "selector probability of x1 is 1, outside (0, 1)"
+
+
 def test_encoding_validates_the_variable_base():
     s1, _ = office_pw_sources()
     with pytest.raises(ValidationError, match="invalid variable base"):

@@ -24,6 +24,7 @@ from udbi.pwdb import (
     check_prob_constraints,
     compatibility_graph,
     compatible,
+    integrate_checked,
     integrate_pw,
     integrate_pw_prob,
     validate_udb,
@@ -190,6 +191,13 @@ def test_unbalanced_components_are_reported_with_both_sums():
     with pytest.raises(ProbConstraintViolation) as err:
         integrate_pw_prob(s1, s2)
     assert [reason for _, reason in err.value.failures] == reasons
+
+
+def test_integration_rejects_checks_that_leave_out_a_component():
+    s1, s2 = office_pw_sources()
+    checks = check_prob_constraints(s1, s2, compatibility_graph(s1, s2))
+    with pytest.raises(ValidationError, match="integrated probabilities sum to 4/5 != 1"):
+        integrate_checked(s1, s2, checks[:1])
 
 
 def test_stranded_mass_is_reported_as_partnerless():
