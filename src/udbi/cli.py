@@ -46,7 +46,6 @@ from .pwdb import (
     format_world,
     integrate_pw,
     integrate_pw_prob,
-    validate_udb,
 )
 
 EXIT_OK = 0
@@ -145,7 +144,7 @@ def _distribution_table(worlds, probs) -> str:
 def _relation_table(rel) -> str:
     lines = ["rows:"]
     lines.extend(f"  {format_tuple(row.tuple)} @ {to_text(row.event)}" for row in rel.rows)
-    if isinstance(rel, EprRelation) and rel.constraints:
+    if rel.constraints:
         lines.append("constraints:")
         lines.extend(
             f"  {to_text(lhs)}  =  {to_text(rhs)}" for lhs, rhs in rel.constraints
@@ -220,16 +219,12 @@ def _emit_value(args, value) -> None:
 def _cmd_expand(args) -> int:
     value = load_document(args.input)
     if isinstance(value, UncertainDB):
-        report = validate_udb(value)
-        if report:
-            raise ValidationError(report)
         expanded = value
-    elif isinstance(value, EprRelation):
+    elif isinstance(value, PrRelation):
+        expanded, _ = expand_pr(value, args.cap)
+    else:
         worlds = [w for w, _ in expand_epr(value, args.cap)]
         expanded = UncertainDB(value.tuples(), tuple(worlds))
-    else:
-        udb, _ = expand_pr(value, args.cap)
-        expanded = udb
     if args.worlds_only and expanded.probs is not None:
         expanded = UncertainDB(expanded.tuple_set, expanded.worlds)
     _emit_value(args, expanded)
@@ -254,16 +249,15 @@ def _cmd_integrate(args) -> int:
     return EXIT_OK
 
 
-def _as_epr(value) -> EprRelation:
-    if isinstance(value, EprRelation):
-        return value
-    if isinstance(value, PrRelation):
-        return EprRelation(value.rows, (), value.var_probs)
-    raise ValidationError("this command needs a pr or epr document")
+def _load_relation(path) -> EprRelation:
+    value = load_document(path)
+    if not isinstance(value, EprRelation):
+        raise ValidationError("this command needs a pr or epr document")
+    return value
 
 
 def _cmd_prob(args) -> int:
-    q = _as_epr(load_document(args.input))
+    q = _load_relation(args.input)
     result = epr_distribution(q, args.cap)
     worlds = tuple(w for w, _ in result.distribution)
     probs = tuple(p for _, p in result.distribution)
@@ -291,11 +285,8 @@ def _cmd_prob(args) -> int:
 
 def _to_udb(value, cap: int) -> UncertainDB:
     if isinstance(value, UncertainDB):
-        report = validate_udb(value)
-        if report:
-            raise ValidationError(report)
         return value
-    if isinstance(value, EprRelation):
+    if not isinstance(value, PrRelation):
         raise ValidationError("check between two sources takes pw or pr documents")
     udb, _ = expand_pr(value, cap)
     return udb
@@ -342,7 +333,7 @@ def _cmd_check(args) -> int:
 
 
 def _check_single(args) -> int:
-    q = _as_epr(load_document(args.a))
+    q = _load_relation(args.a)
     result = epr_distribution(q, args.cap)
     agreed = _agrees_with(q, result, args.cap)
     doc = {
@@ -362,7 +353,7 @@ def _check_single(args) -> int:
 def _cmd_decompose(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValidationError(f"--limit must be 0 or more, got {args.limit}")
-    q = _as_epr(load_document(args.input))
+    q = _load_relation(args.input)
     if args.all:
         limit = args.limit
     else:

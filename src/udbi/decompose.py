@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import NotIntegrated, ValidationError
 from .logic import Formula, iter_vars
@@ -62,23 +63,19 @@ class PrPair:
         return cls(r, s)
 
 
-def _formulas_of(q: EprRelation):
-    """Row formulas, then constraint sides, in relation order."""
-    for row in q.rows:
-        yield row.event
-    for lhs, rhs in q.constraints:
-        yield lhs
-        yield rhs
+def _variable_groups(formula_vars, stats: dict | None = None) -> list[VarSet]:
+    """Groups of variables co-occurring in some formula.
 
-
-def _variable_groups(q: EprRelation, stats: dict | None = None) -> list[VarSet]:
-    """Groups of variables co-occurring in some formula, ordered by first occurrence."""
-    first_seen: dict[str, int] = {}
+    ``formula_vars`` lists each formula's variable set.  Groups are ordered by
+    the first formula that uses them.  Each set is read in sorted order, so
+    the union-find's work count does not depend on set iteration order.
+    """
+    first_use: dict[str, int] = {}
     uf = UnionFind()
-    for f in _formulas_of(q):
+    for k, used in enumerate(formula_vars):
         anchor = None
-        for name in iter_vars(f):
-            first_seen.setdefault(name, len(first_seen))
+        for name in sorted(used):
+            first_use.setdefault(name, k)
             if anchor is None:
                 anchor = name
                 uf.add(name)
@@ -86,10 +83,10 @@ def _variable_groups(q: EprRelation, stats: dict | None = None) -> list[VarSet]:
                 uf.union(anchor, name)
     groups = sorted(
         (tuple(members) for members in uf.groups().values()),
-        key=lambda g: min(first_seen[name] for name in g),
+        key=lambda g: min(first_use[name] for name in g),
     )
     if stats is not None:
-        stats["ops"] = stats.get("ops", 0) + uf.ops + len(first_seen)
+        stats["ops"] = stats.get("ops", 0) + uf.ops + len(first_use)
     return groups
 
 
@@ -124,18 +121,17 @@ def partition(q: EprRelation, stats: dict | None = None) -> PartitionResult:
     reported as free.  ``stats`` (optional) accumulates an operation count
     under key "ops" for complexity assertions.
     """
-    groups = _variable_groups(q, stats)
+    row_vars, constraint_vars = _formula_vars(q)
+    groups = _variable_groups(chain(row_vars, *constraint_vars), stats)
     index = {name: k for k, group in enumerate(groups) for name in group}
     adjacency: dict[int, set[int]] = {k: set() for k in range(len(groups))}
     condition3_ok = _condition3(q, _rows_by_event(q), stats)
-    for lhs, rhs in q.constraints:
+    for lv, rv in constraint_vars:
         if stats is not None:
             stats["ops"] = stats.get("ops", 0) + 1
-        left_vars = list(iter_vars(lhs))
-        right_vars = list(iter_vars(rhs))
-        if not left_vars or not right_vars:
+        if not lv or not rv:
             continue
-        a, b = index[left_vars[0]], index[right_vars[0]]
+        a, b = index[next(iter(lv))], index[next(iter(rv))]
         if a == b:
             return PartitionResult(
                 (), (), (), condition3_ok,

@@ -184,15 +184,12 @@ def document_of(value) -> dict:
             worlds.append(entry)
         return {"model": "pw", "tuples": [list(t) for t in tuples], "worlds": worlds}
     if isinstance(value, EprRelation):
-        doc = {"model": "epr", "rows": _rows_doc(value.rows)}
-        doc["constraints"] = [
-            {"lhs": to_text(lhs), "rhs": to_text(rhs)} for lhs, rhs in value.constraints
-        ]
-        if value.var_probs is not None:
-            doc["var_probs"] = _var_probs_doc(value.var_probs)
-        return doc
-    if isinstance(value, PrRelation):
-        doc = {"model": "pr", "rows": _rows_doc(value.rows)}
+        is_pr = isinstance(value, PrRelation)
+        doc = {"model": "pr" if is_pr else "epr", "rows": _rows_doc(value.rows)}
+        if not is_pr:
+            doc["constraints"] = [
+                {"lhs": to_text(lhs), "rhs": to_text(rhs)} for lhs, rhs in value.constraints
+            ]
         if value.var_probs is not None:
             doc["var_probs"] = _var_probs_doc(value.var_probs)
         return doc

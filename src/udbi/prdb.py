@@ -6,6 +6,7 @@ assignment selects the set of tuples whose formulas hold, so a pr-relation
 denotes an uncertain database.  An epr-relation adds event constraints
 f = g that rule out assignments where the two sides disagree; constraints
 are what integrating two sources produces for their common tuples.
+PrRelation is the EprRelation subclass whose constraints are empty.
 """
 
 from __future__ import annotations
@@ -85,51 +86,17 @@ def _check_rows(rows: tuple[PrTuple, ...]) -> None:
         raise ValidationError(bad)
 
 
-@dataclass(frozen=True)
-class PrRelation:
-    """Rows plus the probability of each event variable being true."""
-
-    rows: tuple[PrTuple, ...]
-    var_probs: dict[str, Fraction] | None = None
-
-    @classmethod
-    def of(cls, rows, var_probs=None) -> "PrRelation":
-        rows = tuple(
-            row if isinstance(row, PrTuple) else PrTuple(tuple(row[0]), row[1])
-            for row in rows
-        )
-        return cls._checked(rows, var_probs, (n for row in rows for n in iter_vars(row.event)))
-
-    @classmethod
-    def _checked(cls, rows: tuple[PrTuple, ...], var_probs, names) -> "PrRelation":
-        """PrRelation.of for PrTuple rows whose formulas use the variables in names.
-
-        ``names`` is any iterable, read only when var_probs is given.
-        """
-        _check_rows(rows)
-        var_probs = _coerce_var_probs(var_probs)
-        if var_probs is not None:
-            missing = set(names) - set(var_probs)
-            if missing:
-                raise ValidationError(
-                    "event variables without probabilities: " + ", ".join(sorted(missing))
-                )
-        return cls(rows, var_probs)
-
-    def variables(self) -> tuple[str, ...]:
-        """Variables occurring in row formulas, sorted."""
-        names = set()
-        for row in self.rows:
-            names.update(iter_vars(row.event))
-        return tuple(sorted(names))
-
-    def tuples(self) -> frozenset[Tuple]:
-        return frozenset(row.tuple for row in self.rows)
+def _coerce_rows(rows) -> tuple[PrTuple, ...]:
+    """Rows given as PrTuples or (tuple, formula) pairs, as PrTuples."""
+    return tuple(
+        row if isinstance(row, PrTuple) else PrTuple(tuple(row[0]), row[1])
+        for row in rows
+    )
 
 
 @dataclass(frozen=True)
 class EprRelation:
-    """A pr-relation extended with event constraints lhs = rhs."""
+    """Rows, event constraints lhs = rhs, and each event variable's probability."""
 
     rows: tuple[PrTuple, ...]
     constraints: tuple[tuple[Formula, Formula], ...] = ()
@@ -137,10 +104,7 @@ class EprRelation:
 
     @classmethod
     def of(cls, rows, constraints=(), var_probs=None) -> "EprRelation":
-        rows = tuple(
-            row if isinstance(row, PrTuple) else PrTuple(tuple(row[0]), row[1])
-            for row in rows
-        )
+        rows = _coerce_rows(rows)
         _check_rows(rows)
         constraints = tuple((lhs, rhs) for lhs, rhs in constraints)
         return cls(rows, constraints, _coerce_var_probs(var_probs))
@@ -157,6 +121,37 @@ class EprRelation:
 
     def tuples(self) -> frozenset[Tuple]:
         return frozenset(row.tuple for row in self.rows)
+
+
+@dataclass(frozen=True)
+class PrRelation(EprRelation):
+    """An epr-relation with no constraints: rows plus the probability of
+    each event variable being true."""
+
+    def __post_init__(self):
+        if self.constraints:
+            raise ValidationError("a pr-relation has no constraints")
+
+    @classmethod
+    def of(cls, rows, var_probs=None) -> "PrRelation":
+        rows = _coerce_rows(rows)
+        return cls._checked(rows, var_probs, (n for row in rows for n in iter_vars(row.event)))
+
+    @classmethod
+    def _checked(cls, rows: tuple[PrTuple, ...], var_probs, names) -> "PrRelation":
+        """PrRelation.of for PrTuple rows whose formulas use the variables in names.
+
+        ``names`` is any iterable, read only when var_probs is given.
+        """
+        _check_rows(rows)
+        var_probs = _coerce_var_probs(var_probs)
+        if var_probs is not None:
+            missing = set(names) - set(var_probs)
+            if missing:
+                raise ValidationError(
+                    "event variables without probabilities: " + ", ".join(sorted(missing))
+                )
+        return cls(rows, var_probs=var_probs)
 
 
 @dataclass(frozen=True)
@@ -276,7 +271,7 @@ def _rename_relation(r: PrRelation, prefix: str) -> PrRelation:
     probs = None
     if r.var_probs is not None:
         probs = {f"{prefix}::{name}": p for name, p in r.var_probs.items()}
-    return PrRelation(rows, probs)
+    return PrRelation(rows, var_probs=probs)
 
 
 def integrate_pr(r: PrRelation, s: PrRelation) -> EprRelation:
@@ -313,9 +308,8 @@ def integrate_pr(r: PrRelation, s: PrRelation) -> EprRelation:
 def evf(rel, world) -> Formula:
     """The formula selecting exactly the assignments that yield this world.
 
-    Constraints (for epr-relations) contribute lhs <-> rhs conjuncts first,
-    then each row contributes its event or its negation depending on world
-    membership.
+    Constraints contribute lhs <-> rhs conjuncts first, then each row
+    contributes its event or its negation depending on world membership.
     """
     world = frozenset(tuple(t) for t in world)
     extra = world - rel.tuples()
@@ -324,9 +318,7 @@ def evf(rel, world) -> Formula:
             "world uses tuples absent from the relation: "
             + ", ".join(format_tuple(t) for t in sorted(extra))
         )
-    parts = []
-    if isinstance(rel, EprRelation):
-        parts.extend(Iff(lhs, rhs) for lhs, rhs in rel.constraints)
+    parts = [Iff(lhs, rhs) for lhs, rhs in rel.constraints]
     for row in rel.rows:
         parts.append(row.event if row.tuple in world else Not(row.event))
     return conjoin(parts)
@@ -377,4 +369,4 @@ def encode_pw(u: UncertainDB, var_base: str = "x") -> PrRelation:
         PrTuple(t, disjoin(selectors[i] for i in range(n) if t in u.worlds[i]))
         for t in sorted(u.tuple_set)
     )
-    return PrRelation(rows, var_probs)
+    return PrRelation(rows, var_probs=var_probs)

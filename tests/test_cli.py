@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CS100,
+    CS101,
     FREE_GROUP_PROBS,
     free_group_epr,
     office_epr,
@@ -26,6 +27,7 @@ from udbi.documents import (
 )
 from udbi.errors import ValidationError
 from udbi.gen import gen_pr_pair, gen_pw_db
+from udbi.prdb import EprRelation, PrRelation
 from udbi.pwdb import UncertainDB
 
 
@@ -163,6 +165,20 @@ def test_integrate_pr_writes_the_epr_document(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert load_document(out_path) == office_epr()
+    apart = PrRelation.of([row for row in r2.rows if row.tuple != CS100], r2.var_probs)
+    code, _, _ = run(
+        capsys,
+        "integrate",
+        save(tmp_path, "r1.json", r1),
+        save(tmp_path, "apart.json", apart),
+        "--model",
+        "pr",
+        "--out",
+        str(out_path),
+    )
+    assert code == 0
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert (doc["model"], doc["constraints"], len(doc["rows"])) == ("epr", [], 4)
 
 
 def test_integrate_pw_with_probabilities_is_exact(tmp_path, capsys):
@@ -214,6 +230,17 @@ def test_integrate_checks_the_model_flag(tmp_path, capsys):
     )
     assert code == 2
     assert "needs two pw documents" in err
+    bare = EprRelation.of(r1.rows, (), r1.var_probs)
+    code, _, err = run(
+        capsys,
+        "integrate",
+        save(tmp_path, "r1.json", r1),
+        save(tmp_path, "bare.json", bare),
+        "--model",
+        "pr",
+    )
+    assert code == 2
+    assert err == "error: --model pr needs two pr documents\n"
 
 
 # --- prob and check --------------------------------------------------------------------
@@ -244,6 +271,44 @@ def test_check_single_relation_cross_checks(tmp_path, capsys):
     code, out, _ = run(capsys, "check", save(tmp_path, "q.json", office_epr()))
     assert code == 0
     assert "cross-check: ok" in out
+
+
+def test_prob_of_a_pr_document_matches_the_epr_document_of_its_rows(tmp_path, capsys):
+    r1, _ = office_pr_sources()
+    bare = EprRelation.of(r1.rows, (), r1.var_probs)
+    outputs = []
+    for name, value in (("r1", r1), ("bare", bare)):
+        out_path = tmp_path / f"{name}.prob.json"
+        code, _, _ = run(
+            capsys, "prob", save(tmp_path, f"{name}.json", value), "--out", str(out_path)
+        )
+        assert code == 0
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    distribution = parse_document(json.loads(outputs[0])["distribution"])
+    assert dict(zip(distribution.worlds, distribution.probs)) == {
+        world(CS100): Fraction(3, 10),
+        world(CS100, CS101): Fraction(1, 2),
+        world(CS101): Fraction(1, 5),
+    }
+
+
+def test_relation_commands_reject_the_other_document_kinds(tmp_path, capsys):
+    s1, _ = office_pw_sources()
+    pw_path = save(tmp_path, "s1.json", s1)
+    for command in ("prob", "decompose", "check"):
+        code, out, err = run(capsys, command, pw_path)
+        assert (code, out) == (2, "")
+        assert err == "error: this command needs a pr or epr document\n"
+    r1, _ = office_pr_sources()
+    code, out, err = run(
+        capsys,
+        "check",
+        save(tmp_path, "r1.json", r1),
+        save(tmp_path, "q.json", office_epr()),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: check between two sources takes pw or pr documents\n"
 
 
 def test_check_two_balanced_sources(tmp_path, capsys):

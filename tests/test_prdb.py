@@ -85,6 +85,24 @@ def test_var_probs_must_lie_strictly_between_zero_and_one():
         PrRelation.of([(CS100, Variable("x"))], {"x": "1"})
 
 
+def test_pr_relations_reject_constraints():
+    a, b = Variable("a"), Variable("b")
+    with pytest.raises(ValidationError, match="no constraints"):
+        PrRelation((PrTuple(CS100, a),), constraints=((a, b),))
+
+
+def test_a_pr_relation_is_an_epr_relation_without_constraints():
+    r1, _ = office_pr_sources()
+    same = EprRelation.of(r1.rows, (), r1.var_probs)
+    assert isinstance(r1, EprRelation)
+    assert r1.constraints == ()
+    assert r1.variables() == same.variables() == ("c1", "c2")
+    assert r1.tuples() == same.tuples() == frozenset([CS100, CS101])
+    assert r1 != same
+    for w in (world(), world(CS100), world(CS101), world(CS100, CS101)):
+        assert evf(r1, w) == evf(same, w)
+
+
 def test_distribution_rejects_bad_entries():
     with pytest.raises(ValidationError, match="sum to 9/10"):
         Distribution.of([(world(CS100), "9/10")])
