@@ -8,7 +8,6 @@ binding strength, the constants ``true`` and ``false``, parentheses, and
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -290,18 +289,82 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def equivalent(f: Formula, g: Formula, cap: int = DEFAULT_VAR_CAP) -> bool:
-    """Decide logical equivalence by checking all assignments over the joint variables.
+def _negate(f: Formula) -> Formula:
+    if isinstance(f, Const):
+        return FALSE if f.value else TRUE
+    return Not(f)
 
+
+def _fold(kind: type, left: Formula, right: Formula) -> Formula:
+    """kind(left, right) simplified, where left or right is a constant."""
+    if isinstance(left, Const):
+        if kind is And:
+            return right if left.value else FALSE
+        if kind is Or:
+            return TRUE if left.value else right
+        if kind is Implies:
+            return right if left.value else TRUE
+        return right if left.value else _negate(right)
+    if kind is And:
+        return left if right.value else FALSE
+    if kind is Or:
+        return TRUE if right.value else left
+    if kind is Implies:
+        return TRUE if right.value else _negate(left)
+    return left if right.value else _negate(left)
+
+
+def restrict(f: Formula, name: str, value: bool) -> Formula:
+    """f with the variable ``name`` set to ``value``, constants folded.
+
+    Every constant operand is folded into its connective, so the result is
+    TRUE or FALSE when no variable is left, and contains no constant
+    otherwise.  Unchanged subformulas are shared with f.
+    """
+    if isinstance(f, Variable):
+        if f.name == name:
+            return TRUE if value else FALSE
+        return f
+    if isinstance(f, Const):
+        return f
+    if isinstance(f, Not):
+        child = restrict(f.child, name, value)
+        if isinstance(child, Const):
+            return _negate(child)
+        return f if child is f.child else Not(child)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        left = restrict(f.left, name, value)
+        right = restrict(f.right, name, value)
+        if isinstance(left, Const) or isinstance(right, Const):
+            return _fold(type(f), left, right)
+        if left is f.left and right is f.right:
+            return f
+        return type(f)(left, right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def equivalent(f: Formula, g: Formula, cap: int = DEFAULT_VAR_CAP) -> bool:
+    """Decide logical equivalence by Shannon expansion of f <-> g.
+
+    Branches on the first variable left in f <-> g and restricts it both
+    ways; a branch that restricts to false is a counterexample, and one that
+    restricts to true needs no further branching.  The work is at most
+    2^n restrictions over the n joint variables, and usually far fewer.
     Raises ExpansionTooLarge when the joint variable count exceeds the cap.
     """
-    names = sorted(set(iter_vars(f)) | set(iter_vars(g)))
+    names = set(iter_vars(f)) | set(iter_vars(g))
     if len(names) > cap:
         raise ExpansionTooLarge(len(names), cap)
-    for values in itertools.product((False, True), repeat=len(names)):
-        mu = dict(zip(names, values))
-        if evaluate(f, mu) != evaluate(g, mu):
-            return False
+    stack = [Iff(f, g)]
+    while stack:
+        h = stack.pop()
+        name = next(iter_vars(h), None)
+        if name is None:
+            if not evaluate(h, {}):
+                return False
+            continue
+        stack.append(restrict(h, name, True))
+        stack.append(restrict(h, name, False))
     return True
 
 

@@ -34,6 +34,7 @@ from .logic import (
     is_valid_name,
     iter_vars,
     rename_vars,
+    restrict,
     to_text,
 )
 from .pwdb import Tuple, UncertainDB, World, format_tuple, format_world, validate_udb, world_key
@@ -86,6 +87,16 @@ def _check_rows(rows: tuple[PrTuple, ...]) -> None:
         raise ValidationError(bad)
 
 
+def _require_probs(var_probs: dict[str, Fraction] | None, names) -> None:
+    """Every name must have a probability; ``names`` is read only when var_probs is given."""
+    if var_probs is not None:
+        missing = set(names) - set(var_probs)
+        if missing:
+            raise ValidationError(
+                "event variables without probabilities: " + ", ".join(sorted(missing))
+            )
+
+
 def _coerce_rows(rows) -> tuple[PrTuple, ...]:
     """Rows given as PrTuples or (tuple, formula) pairs, as PrTuples."""
     return tuple(
@@ -135,22 +146,21 @@ class PrRelation(EprRelation):
     @classmethod
     def of(cls, rows, var_probs=None) -> "PrRelation":
         rows = _coerce_rows(rows)
-        return cls._checked(rows, var_probs, (n for row in rows for n in iter_vars(row.event)))
+        _check_rows(rows)
+        var_probs = _coerce_var_probs(var_probs)
+        _require_probs(var_probs, (n for row in rows for n in iter_vars(row.event)))
+        return cls(rows, var_probs=var_probs)
 
     @classmethod
     def _checked(cls, rows: tuple[PrTuple, ...], var_probs, names) -> "PrRelation":
         """PrRelation.of for PrTuple rows whose formulas use the variables in names.
 
-        ``names`` is any iterable, read only when var_probs is given.
+        ``var_probs`` must already be valid, as an epr-relation's slice is:
+        None or a dict of checked names to Fractions in (0, 1).  ``names`` is
+        any iterable, read only when var_probs is given.
         """
         _check_rows(rows)
-        var_probs = _coerce_var_probs(var_probs)
-        if var_probs is not None:
-            missing = set(names) - set(var_probs)
-            if missing:
-                raise ValidationError(
-                    "event variables without probabilities: " + ", ".join(sorted(missing))
-                )
+        _require_probs(var_probs, names)
         return cls(rows, var_probs=var_probs)
 
 
@@ -192,21 +202,33 @@ class Distribution:
 
 # --- expansion ----------------------------------------------------------------
 
-def _assignment_mass(names, mu, var_probs) -> Fraction:
-    mass = Fraction(1)
-    for name in names:
-        p = var_probs[name]
-        mass *= p if mu[name] else 1 - p
-    return mass
+def _decide(chosen: tuple, rows) -> tuple[tuple, tuple]:
+    """Split (tuple, formula) rows into chosen tuples and still-open rows.
+
+    A row whose formula uses no variable is decided: its tuple joins
+    ``chosen`` when the formula holds and drops out otherwise.
+    """
+    chosen = list(chosen)
+    still_open = []
+    for t, f in rows:
+        if next(iter_vars(f), None) is not None:
+            still_open.append((t, f))
+        elif evaluate(f, {}):
+            chosen.append(t)
+    return tuple(chosen), tuple(still_open)
 
 
 def expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP) -> tuple[UncertainDB, Distribution]:
-    """Enumerate all assignments and collect each one's world and mass.
+    """Every world of r with its exact probability, by Shannon expansion.
 
-    The mass of an assignment is the product over variables of P(a) or
-    1 - P(a); assignments yielding the same world accumulate.  Raises
-    MissingVarProb if a row variable has no probability and
-    ExpansionTooLarge past the cap.
+    Branches on the first variable of the first open row, restricting every
+    open row's formula both ways: the false branch weighs 1 - P(a) and the
+    true branch P(a).  A row restricted to true joins the world and one
+    restricted to false drops out; once no row is open, the variables never
+    branched on sum out to mass 1.  Leaves reaching the same world
+    accumulate, so the cost follows the branch nodes times formula size,
+    not 2^n.  Raises MissingVarProb if a row variable has no probability
+    and ExpansionTooLarge when the variable count exceeds the cap.
     """
     names = r.variables()
     have = set() if r.var_probs is None else set(r.var_probs)
@@ -216,15 +238,22 @@ def expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP) -> tuple[UncertainDB, D
     if len(names) > cap:
         raise ExpansionTooLarge(len(names), cap)
     acc: dict = {}
-    for values in itertools.product((False, True), repeat=len(names)):
-        mu = dict(zip(names, values))
-        world = frozenset(row.tuple for row in r.rows if evaluate(row.event, mu))
-        mass = _assignment_mass(names, mu, r.var_probs or {})
-        key = world_key(world)
-        if key in acc:
-            acc[key] = (world, acc[key][1] + mass)
-        else:
-            acc[key] = (world, mass)
+    stack = [(*_decide((), ((row.tuple, row.event) for row in r.rows)), Fraction(1))]
+    while stack:
+        chosen, rows, mass = stack.pop()
+        if not rows:
+            world = frozenset(chosen)
+            key = world_key(world)
+            if key in acc:
+                acc[key] = (world, acc[key][1] + mass)
+            else:
+                acc[key] = (world, mass)
+            continue
+        name = next(iter_vars(rows[0][1]))
+        p = r.var_probs[name]
+        for value, weight in ((False, 1 - p), (True, p)):
+            restricted = ((t, restrict(f, name, value)) for t, f in rows)
+            stack.append((*_decide(chosen, restricted), mass * weight))
     ordered = [acc[key] for key in sorted(acc)]
     udb = UncertainDB(
         frozenset(row.tuple for row in r.rows),

@@ -7,12 +7,23 @@ offices with exact rational uncertainty; integration yields six worlds
 whose probabilities are known in closed form.
 """
 
+import itertools
 from collections import deque
 from fractions import Fraction
 
-from udbi.logic import FALSE, Not, Or, Variable, parse_formula
-from udbi.prdb import EprRelation, PrRelation, PrTuple
-from udbi.pwdb import UncertainDB, compatible
+from udbi.errors import ExpansionTooLarge, MissingVarProb
+from udbi.logic import (
+    DEFAULT_VAR_CAP,
+    FALSE,
+    Not,
+    Or,
+    Variable,
+    evaluate,
+    iter_vars,
+    parse_formula,
+)
+from udbi.prdb import Distribution, EprRelation, PrRelation, PrTuple
+from udbi.pwdb import UncertainDB, compatible, world_key
 
 CS100 = ("Bob", "CS100")
 CS101 = ("Bob", "CS101")
@@ -168,3 +179,65 @@ def pairwise_graph(s1: UncertainDB, s2: UncertainDB):
                     queue.append(other)
         components.append((tuple(sorted(sides[0])), tuple(sorted(sides[1]))))
     return tuple(sorted(components)), edges
+
+
+# --- brute-force oracles for expansion and equivalence ------------------------------
+
+def _assignment_mass(names, mu, var_probs) -> Fraction:
+    mass = Fraction(1)
+    for name in names:
+        p = var_probs[name]
+        mass *= p if mu[name] else 1 - p
+    return mass
+
+
+def brute_expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP):
+    """expand_pr by enumerating all 2^n assignments, with the same checks.
+
+    Each assignment's mass is the product over variables of P(a) or
+    1 - P(a); assignments yielding the same world accumulate.
+    """
+    names = r.variables()
+    have = set() if r.var_probs is None else set(r.var_probs)
+    missing = set(names) - have
+    if missing:
+        raise MissingVarProb(missing)
+    if len(names) > cap:
+        raise ExpansionTooLarge(len(names), cap)
+    acc: dict = {}
+    for values in itertools.product((False, True), repeat=len(names)):
+        mu = dict(zip(names, values))
+        world = frozenset(row.tuple for row in r.rows if evaluate(row.event, mu))
+        mass = _assignment_mass(names, mu, r.var_probs or {})
+        key = world_key(world)
+        if key in acc:
+            acc[key] = (world, acc[key][1] + mass)
+        else:
+            acc[key] = (world, mass)
+    ordered = [acc[key] for key in sorted(acc)]
+    udb = UncertainDB(
+        frozenset(row.tuple for row in r.rows),
+        tuple(w for w, _ in ordered),
+        tuple(p for _, p in ordered),
+    )
+    return udb, Distribution.of(ordered)
+
+
+def brute_equivalent(f, g, cap: int = DEFAULT_VAR_CAP) -> bool:
+    """equivalent by checking all assignments over the joint variables."""
+    names = sorted(set(iter_vars(f)) | set(iter_vars(g)))
+    if len(names) > cap:
+        raise ExpansionTooLarge(len(names), cap)
+    for values in itertools.product((False, True), repeat=len(names)):
+        mu = dict(zip(names, values))
+        if evaluate(f, mu) != evaluate(g, mu):
+            return False
+    return True
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or its exception's type and text, for exact comparison."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)

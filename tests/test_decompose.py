@@ -161,6 +161,16 @@ def test_pair_rows_and_probabilities_split_by_side():
     assert set(pair.s.var_probs) == {"c", "d"}
 
 
+def test_pair_sides_share_the_relations_probabilities():
+    q = free_group_epr(FREE_GROUP_PROBS)
+    pair = build_pair(q, {"a", "b"}, {"c", "d"})
+    for side in (pair.r, pair.s):
+        assert all(p is q.var_probs[name] for name, p in side.var_probs.items())
+    partial = free_group_epr({n: p for n, p in FREE_GROUP_PROBS.items() if n != "d"})
+    with pytest.raises(ValidationError, match="^event variables without probabilities: d$"):
+        build_pair(partial, {"a", "b"}, {"c", "d"})
+
+
 def test_build_pair_rejects_unrecognizable_partitions():
     with pytest.raises(NotIntegrated, match="not recognized"):
         build_pair(office_epr(), {"b1", "b2", "b3", "c1"}, {"c2"})

@@ -1,8 +1,12 @@
 """Formula parsing, printing, evaluation and equivalence checking."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import brute_equivalent, outcome
 from udbi.errors import ExpansionTooLarge, ParseError, UnboundVariable
 from udbi.logic import (
     FALSE,
@@ -20,9 +24,11 @@ from udbi.logic import (
     evaluate,
     parse_formula,
     rename_vars,
+    restrict,
     to_text,
     variables,
 )
+from udbi.gen import gen_formula
 
 
 def v(name):
@@ -277,3 +283,51 @@ def test_rename_preserves_meaning_under_renamed_assignment(f):
         mu = {n: bool(bits >> i & 1) for i, n in enumerate(variables(f))}
         nu = {f"src::{n}": val for n, val in mu.items()}
         assert evaluate(f, mu) == evaluate(g, nu)
+
+
+@given(formulas(), names, st.booleans())
+@settings(max_examples=200)
+def test_restriction_agrees_with_evaluation_and_folds_every_constant(f, name, value):
+    g = restrict(f, name, value)
+    rest = [n for n in variables(f) if n != name]
+    assert name not in variables(g)
+    for values in itertools.product((False, True), repeat=len(rest)):
+        mu = dict(zip(rest, values))
+        assert evaluate(g, mu) == evaluate(f, {**mu, name: value})
+    if variables(g):
+        assert not _has_constant(g)
+    else:
+        assert g in (TRUE, FALSE)
+
+
+def _has_constant(f) -> bool:
+    if isinstance(f, Const):
+        return True
+    if isinstance(f, Variable):
+        return False
+    if isinstance(f, Not):
+        return _has_constant(f.child)
+    return _has_constant(f.left) or _has_constant(f.right)
+
+
+def test_restriction_shares_unchanged_subformulas():
+    f = parse_formula("(a | b) & c")
+    assert restrict(f, "d", True) is f
+    assert restrict(f, "c", True) is f.left
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_equivalence_matches_brute_force(seed):
+    rng = random.Random(seed)
+    names_ = [f"v{i}" for i in range(rng.randint(1, 8))]
+    f = gen_formula(rng, names_, rng.randint(0, 4))
+    g = rng.choice([
+        gen_formula(rng, names_, rng.randint(0, 4)),
+        Not(Not(f)),
+        Or(f, And(f, gen_formula(rng, names_, 2))),
+        Implies(Not(f), FALSE),
+        Iff(f, TRUE),
+    ])
+    cap = rng.choice((20, rng.randint(0, 8)))
+    assert outcome(equivalent, f, g, cap) == outcome(brute_equivalent, f, g, cap)

@@ -1,6 +1,7 @@
 """pr/epr-relations: expansion, integration, event formulas, encoding."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,11 @@ from conftest import (
     CS201,
     CS202,
     OFFICE_DISTRIBUTION,
+    brute_expand_pr,
     office_epr,
     office_pr_sources,
     office_pw_sources,
+    outcome,
     roster_pr_sources,
     roster_pw_sources,
     world,
@@ -26,7 +29,15 @@ from udbi.errors import (
     NoValidAssignment,
     ValidationError,
 )
-from udbi.gen import gen_pw_db
+from udbi.decompose import enumerate_pairs
+from udbi.gen import (
+    gen_consistent_pw_pair,
+    gen_formula,
+    gen_integrated_epr,
+    gen_pr_pair,
+    gen_prob,
+    gen_pw_db,
+)
 from udbi.logic import (
     FALSE,
     TRUE,
@@ -159,6 +170,95 @@ def test_expansion_respects_the_variable_cap():
     with pytest.raises(ExpansionTooLarge) as err:
         expand_pr(r2, cap=2)
     assert (err.value.num_vars, err.value.cap) == (3, 2)
+
+
+def test_semantic_tautologies_and_contradictions_are_decided():
+    rows = [
+        (("or",), parse_formula("x | !x")),
+        (("and",), parse_formula("x & !x")),
+        (("iff",), parse_formula("x <-> x")),
+        (("implies",), parse_formula("x -> x")),
+        (("true",), TRUE),
+        (("false",), FALSE),
+        (("y",), parse_formula("y")),
+    ]
+    rel = PrRelation.of(rows, {"x": "1/3", "y": "1/4"})
+    always = world(("or",), ("iff",), ("implies",), ("true",))
+    udb, dist = expand_pr(rel)
+    assert udb.worlds == (always, always | {("y",)})
+    assert udb.probs == (Fraction(3, 4), Fraction(1, 4))
+    assert (udb, dist) == brute_expand_pr(rel)
+
+
+def test_a_relation_without_rows_expands_to_one_empty_world():
+    udb, dist = expand_pr(PrRelation.of([]))
+    assert (udb.tuple_set, udb.worlds, udb.probs) == (frozenset(), (world(),), (Fraction(1),))
+    assert dist.entries == ((world(), Fraction(1)),)
+
+
+def test_unused_probabilities_change_nothing():
+    r1, _ = office_pr_sources()
+    padded = PrRelation.of(r1.rows, {**r1.var_probs, "unused": "1/3"})
+    assert expand_pr(padded) == expand_pr(r1)
+    assert expand_pr(padded, cap=2) == expand_pr(r1, cap=2)
+
+
+def test_missing_probabilities_are_reported_before_the_cap():
+    _, r2 = office_pr_sources()
+    partial = PrRelation(r2.rows, var_probs={"b1": Fraction(1, 2)})
+    with pytest.raises(MissingVarProb) as err:
+        expand_pr(partial, cap=1)
+    assert err.value.names == ("b2", "b3")
+
+
+def test_a_twenty_variable_chain_encoding_expands_to_its_source():
+    tuples = [(f"t{i}",) for i in range(5)]
+    worlds = sorted(
+        (frozenset(itertools.compress(tuples, bits))
+         for bits in itertools.product((0, 1), repeat=5)),
+        key=lambda w: tuple(sorted(w)),
+    )[:21]
+    probs = tuple(Fraction(k, 231) for k in range(1, 22))
+    src = UncertainDB(frozenset(tuples), tuple(worlds), probs)
+    encoded = encode_pw(src)
+    assert len(encoded.variables()) == 20
+    udb, dist = expand_pr(encoded)
+    assert udb == src
+    assert dict(dist) == dict(zip(src.worlds, src.probs))
+
+
+def _random_relation(rng: random.Random) -> PrRelation:
+    """Rows over 1-9 variables using every connective and constant; a few
+    variables lack a probability and a few probabilities name no variable."""
+    names = [f"v{i}" for i in range(rng.randint(1, 9))]
+    rows = tuple(
+        PrTuple((f"t{i}",), gen_formula(rng, names, rng.randint(0, 4)))
+        for i in range(rng.randint(0, 5))
+    )
+    probs = {name: gen_prob(rng) for name in names if rng.random() < 0.97}
+    if rng.random() < 0.1:
+        probs["unused"] = gen_prob(rng)
+    return PrRelation(rows, var_probs=probs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_expansion_matches_brute_force_on_random_relations(seed):
+    rng = random.Random(seed)
+    rel = _random_relation(rng)
+    cap = rng.choice((20, rng.randint(0, 9)))
+    assert outcome(expand_pr, rel, cap) == outcome(brute_expand_pr, rel, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_expansion_matches_brute_force_on_generated_sources(seed):
+    rels = list(gen_pr_pair(seed))
+    rels += [encode_pw(src) for src in gen_consistent_pw_pair(seed, max_scenarios=8)]
+    for pair in enumerate_pairs(gen_integrated_epr(seed), limit=4):
+        rels += [pair.r, pair.s]
+    for rel in rels:
+        assert outcome(expand_pr, rel) == outcome(brute_expand_pr, rel)
 
 
 def test_constrained_expansion_keeps_only_valid_assignments():
