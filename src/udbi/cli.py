@@ -259,10 +259,9 @@ def _load_relation(path) -> EprRelation:
 def _cmd_prob(args) -> int:
     q = _load_relation(args.input)
     result = epr_distribution(q, args.cap)
-    worlds = tuple(w for w, _ in result.distribution)
-    probs = tuple(p for _, p in result.distribution)
+    joint = result.distribution
     doc = {
-        "distribution": document_of(UncertainDB(q.tuples(), worlds, probs)),
+        "distribution": document_of(joint),
         "components": [_component_doc(c) for c in result.components],
         "pair": {
             "r": document_of(result.pair_used.r),
@@ -271,7 +270,7 @@ def _cmd_prob(args) -> int:
     }
 
     def table() -> str:
-        lines = [_distribution_table(worlds, probs)]
+        lines = [_udb_table(joint)]
         lines.extend(_component_lines([(c, None) for c in result.components]))
         lines.append("pair r:")
         lines.extend("  " + line for line in _relation_table(result.pair_used.r).splitlines())
@@ -298,12 +297,12 @@ def _cmd_check(args) -> int:
     u1 = _to_udb(load_document(args.a), args.cap)
     u2 = _to_udb(load_document(args.b), args.cap)
     graph = compatibility_graph(u1, u2)
-    complete = graph.is_complete_bipartite()
     have_probs = u1.probs is not None and u2.probs is not None
     checks = check_prob_constraints(u1, u2, graph) if have_probs else None
     balanced = None if checks is None else all(r is None for _, r in checks)
     doc = {
-        "complete_bipartite": complete,
+        # Always true: each component is one trace class (see CompatibilityGraph).
+        "complete_bipartite": True,
         "balanced": balanced,
         "components": None
         if checks is None
@@ -323,13 +322,11 @@ def _cmd_check(args) -> int:
         else:
             lines.extend(_component_lines(checks))
             lines.append("balance: ok" if balanced else "balance: VIOLATED")
-        lines.append(f"complete-bipartite: {'yes' if complete else 'NO'}")
+        lines.append("complete-bipartite: yes")
         return "\n".join(lines)
 
     _emit(args, doc, table)
-    if balanced is False:
-        return EXIT_UNBALANCED
-    return EXIT_OK if complete else EXIT_VERDICT_FAILED
+    return EXIT_UNBALANCED if balanced is False else EXIT_OK
 
 
 def _check_single(args) -> int:
@@ -424,6 +421,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.cap < 0:
+            raise ValidationError(f"--cap must be 0 or more, got {args.cap}")
         return _COMMANDS[args.command](args)
     except (ParseError, ValidationError, UnboundVariable, MissingVarProb) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -343,29 +343,80 @@ def restrict(f: Formula, name: str, value: bool) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _closed(f: Formula) -> Formula:
+    """f, or the constant it evaluates to when it uses no variable."""
+    if next(iter_vars(f), None) is None:
+        return TRUE if evaluate(f, {}) else FALSE
+    return f
+
+
+def _settle(chosen: tuple, rows, constraints) -> tuple | None:
+    """Decide the formulas that are constants; (chosen, open rows, open constraints).
+
+    restrict leaves a formula constant exactly when no variable is left, so
+    once _closed has run at the root, the constants are the decided formulas.
+    A row that holds adds its tag to ``chosen`` and one that fails drops
+    out; a constraint that holds is dropped.  None when a constraint fails.
+    """
+    constraints = list(constraints)
+    if any(isinstance(c, Const) and not c.value for c in constraints):
+        return None
+    rows = list(rows)
+    return (
+        chosen + tuple(tag for tag, f in rows if isinstance(f, Const) and f.value),
+        tuple((tag, f) for tag, f in rows if not isinstance(f, Const)),
+        tuple(c for c in constraints if not isinstance(c, Const)),
+    )
+
+
+def shannon_leaves(rows, constraints=()) -> Iterator[tuple[tuple, tuple]]:
+    """The leaves of a depth-first Shannon expansion of rows under constraints.
+
+    ``rows`` are (tag, formula) pairs and ``constraints`` are formulas that
+    must hold.  Each node branches on the first variable of the first open
+    row, or of the first open constraint once every row is decided, and
+    restricts every open formula both ways, false first.  A row restricted
+    to true selects its tag and one restricted to false drops out; a
+    constraint restricted to false ends its branch, and one restricted to
+    true is dropped.  A leaf is a node with nothing open.
+
+    Yields (tags, path) per leaf: the tags of the rows that hold, in the
+    order they were decided, and the (name, value) pairs branched on, root
+    first.  Every assignment extending ``path`` satisfies the constraints
+    and selects exactly ``tags``; the leaves' paths are disjoint and cover
+    every satisfying assignment.  The work follows the nodes reached times
+    the size of the open formulas, not 2^n.
+    """
+    node = _settle((), ((tag, _closed(f)) for tag, f in rows), map(_closed, constraints))
+    stack = [] if node is None else [(*node, ())]
+    while stack:
+        chosen, rows, constraints, path = stack.pop()
+        if not rows and not constraints:
+            yield chosen, path
+            continue
+        name = next(iter_vars(rows[0][1] if rows else constraints[0]))
+        for value in (True, False):
+            node = _settle(
+                chosen,
+                ((tag, restrict(f, name, value)) for tag, f in rows),
+                (restrict(c, name, value) for c in constraints),
+            )
+            if node is not None:
+                stack.append((*node, path + ((name, value),)))
+
+
 def equivalent(f: Formula, g: Formula, cap: int = DEFAULT_VAR_CAP) -> bool:
     """Decide logical equivalence by Shannon expansion of f <-> g.
 
-    Branches on the first variable left in f <-> g and restricts it both
-    ways; a branch that restricts to false is a counterexample, and one that
-    restricts to true needs no further branching.  The work is at most
-    2^n restrictions over the n joint variables, and usually far fewer.
+    f <-> g is the one row of shannon_leaves; a leaf where it restricts to
+    false is a counterexample and ends the walk.  The work is at most 2^n
+    restrictions over the n joint variables, and usually far fewer.
     Raises ExpansionTooLarge when the joint variable count exceeds the cap.
     """
     names = set(iter_vars(f)) | set(iter_vars(g))
     if len(names) > cap:
         raise ExpansionTooLarge(len(names), cap)
-    stack = [Iff(f, g)]
-    while stack:
-        h = stack.pop()
-        name = next(iter_vars(h), None)
-        if name is None:
-            if not evaluate(h, {}):
-                return False
-            continue
-        stack.append(restrict(h, name, True))
-        stack.append(restrict(h, name, False))
-    return True
+    return all(chosen for chosen, _ in shannon_leaves([(True, Iff(f, g))]))
 
 
 def rename_vars(f: Formula, prefix: str) -> Formula:

@@ -11,10 +11,10 @@ PrRelation is the EprRelation subclass whose constraints are empty.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     ExpansionTooLarge,
@@ -30,11 +30,10 @@ from .logic import (
     Variable,
     conjoin,
     disjoin,
-    evaluate,
     is_valid_name,
     iter_vars,
     rename_vars,
-    restrict,
+    shannon_leaves,
     to_text,
 )
 from .pwdb import Tuple, UncertainDB, World, format_tuple, format_world, validate_udb, world_key
@@ -193,68 +192,38 @@ class Distribution:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def as_dict(self) -> dict[World, Fraction]:
-        return dict(self.entries)
-
 
 # --- expansion ----------------------------------------------------------------
 
-def _decide(chosen: tuple, rows) -> tuple[tuple, tuple]:
-    """Split (tuple, formula) rows into chosen tuples and still-open rows.
-
-    A row whose formula uses no variable is decided: its tuple joins
-    ``chosen`` when the formula holds and drops out otherwise.
-    """
-    chosen = list(chosen)
-    still_open = []
-    for t, f in rows:
-        if next(iter_vars(f), None) is not None:
-            still_open.append((t, f))
-        elif evaluate(f, {}):
-            chosen.append(t)
-    return tuple(chosen), tuple(still_open)
+def require_var_probs(rel: EprRelation, names) -> None:
+    """Raise MissingVarProb for the names in ``names`` that rel gives no probability."""
+    missing = set(names) - set(rel.var_probs or ())
+    if missing:
+        raise MissingVarProb(missing)
 
 
 def expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP) -> tuple[UncertainDB, Distribution]:
     """Every world of r with its exact probability, by Shannon expansion.
 
-    Branches on the first variable of the first open row, restricting every
-    open row's formula both ways: the false branch weighs 1 - P(a) and the
-    true branch P(a).  A row restricted to true joins the world and one
-    restricted to false drops out; once no row is open, the variables never
+    Walks logic.shannon_leaves over the rows: a leaf's mass is the product of
+    P(a) or 1 - P(a) over the variables on its path, and the variables never
     branched on sum out to mass 1.  Leaves reaching the same world
     accumulate, so the cost follows the branch nodes times formula size,
     not 2^n.  Raises MissingVarProb if a row variable has no probability
     and ExpansionTooLarge when the variable count exceeds the cap.
     """
     names = r.variables()
-    have = set() if r.var_probs is None else set(r.var_probs)
-    missing = set(names) - have
-    if missing:
-        raise MissingVarProb(missing)
+    require_var_probs(r, names)
     if len(names) > cap:
         raise ExpansionTooLarge(len(names), cap)
+    weights = {name: (1 - r.var_probs[name], r.var_probs[name]) for name in names}
     acc: dict = {}
-    stack = [(*_decide((), ((row.tuple, row.event) for row in r.rows)), Fraction(1))]
-    while stack:
-        chosen, rows, mass = stack.pop()
-        if not rows:
-            world = frozenset(chosen)
-            key = world_key(world)
-            if key in acc:
-                acc[key] = (world, acc[key][1] + mass)
-            else:
-                acc[key] = (world, mass)
-            continue
-        name = next(iter_vars(rows[0][1]))
-        p = r.var_probs[name]
-        for value, weight in ((False, 1 - p), (True, p)):
-            restricted = ((t, restrict(f, name, value)) for t, f in rows)
-            stack.append((*_decide(chosen, restricted), mass * weight))
-    ordered = [acc[key] for key in sorted(acc)]
+    for chosen, path in shannon_leaves((row.tuple, row.event) for row in r.rows):
+        factors = [weights[name][value] for name, value in path]
+        mass = Fraction(prod(f.numerator for f in factors), prod(f.denominator for f in factors))
+        world = frozenset(chosen)
+        acc[world] = acc.get(world, 0) + mass
+    ordered = sorted(acc.items(), key=lambda e: world_key(e[0]))
     udb = UncertainDB(
         frozenset(row.tuple for row in r.rows),
         tuple(w for w, _ in ordered),
@@ -266,24 +235,26 @@ def expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP) -> tuple[UncertainDB, D
 def expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> list[tuple[World, dict[str, bool]]]:
     """Worlds reachable by constraint-respecting assignments, with one witness each.
 
-    Assignments are enumerated in binary-counter order over the sorted
-    variables (false first), and the first valid assignment reaching a world
-    is kept as its witness.  Raises NoValidAssignment when the constraints
+    Walks logic.shannon_leaves over the rows under the constraints lhs <-> rhs.
+    The witness of a world is its first valid assignment in binary-counter
+    order over the sorted variables (false first): each leaf's least
+    assignment sets the variables off its path to false, and the world keeps
+    the least of its leaves'.  Raises NoValidAssignment when the constraints
     rule out every assignment.
     """
     names = q.variables()
     if len(names) > cap:
         raise ExpansionTooLarge(len(names), cap)
     found: dict = {}
-    for values in itertools.product((False, True), repeat=len(names)):
-        mu = dict(zip(names, values))
-        if not all(evaluate(lhs, mu) == evaluate(rhs, mu) for lhs, rhs in q.constraints):
-            continue
-        world = frozenset(row.tuple for row in q.rows if evaluate(row.event, mu))
-        found.setdefault(world_key(world), (world, mu))
+    rows = ((row.tuple, row.event) for row in q.rows)
+    for chosen, path in shannon_leaves(rows, [Iff(lhs, rhs) for lhs, rhs in q.constraints]):
+        branched = dict(path)
+        values = tuple(branched.get(name, False) for name in names)
+        world = frozenset(chosen)
+        found[world] = min(found.get(world, values), values)
     if not found:
         raise NoValidAssignment()
-    return [found[key] for key in sorted(found)]
+    return [(w, dict(zip(names, found[w]))) for w in sorted(found, key=world_key)]
 
 
 # --- integration ---------------------------------------------------------------

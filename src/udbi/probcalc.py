@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decompose import PrPair, enumerate_pairs
-from .errors import MissingVarProb
 from .logic import DEFAULT_VAR_CAP
-from .prdb import Distribution, EprRelation, expand_pr
+from .prdb import EprRelation, expand_pr, require_var_probs
 from .pwdb import (
     ComponentSummary,
-    check_prob_constraints,
+    UncertainDB,
+    _balance,
     compatibility_graph,
     integrate_checked,
     integrate_pw_prob,
@@ -26,18 +26,15 @@ from .pwdb import (
 
 @dataclass(frozen=True)
 class IntegratedDistribution:
-    """Distribution plus the component balance report and the pair that produced it."""
+    """Distribution plus the component balance report and the pair that produced it.
 
-    distribution: Distribution
+    The distribution is integrate_checked's UncertainDB: worlds in canonical
+    order, probabilities summing to 1.
+    """
+
+    distribution: UncertainDB
     components: tuple[ComponentSummary, ...]
     pair_used: PrPair
-
-
-def _require_var_probs(q: EprRelation) -> None:
-    have = set() if q.var_probs is None else set(q.var_probs)
-    missing = set(q.variables()) - have
-    if missing:
-        raise MissingVarProb(missing)
 
 
 def epr_distribution(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> IntegratedDistribution:
@@ -46,15 +43,16 @@ def epr_distribution(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> IntegratedDi
     Pipeline: decompose with the default partition, expand both sides,
     check the per-component probability balance, then weight each
     compatible world pair by P(D_i) * P(D'_j) / P and merge duplicates.
+    compatibility_graph validates both sides' structure once; expand_pr
+    already guarantees their probabilities.
     """
-    _require_var_probs(q)
+    require_var_probs(q, q.variables())
     pair = enumerate_pairs(q, limit=1)[0]
     udb_r, _ = expand_pr(pair.r, cap)
     udb_s, _ = expand_pr(pair.s, cap)
-    checks = check_prob_constraints(udb_r, udb_s, compatibility_graph(udb_r, udb_s))
+    checks = _balance(udb_r, udb_s, compatibility_graph(udb_r, udb_s).components)
     joint = integrate_checked(udb_r, udb_s, checks)
-    distribution = Distribution.of(zip(joint.worlds, joint.probs))
-    return IntegratedDistribution(distribution, tuple(c for c, _ in checks), pair)
+    return IntegratedDistribution(joint, tuple(c for c, _ in checks), pair)
 
 
 def cross_check(
@@ -78,11 +76,8 @@ def cross_check(
 def _agrees_with(q: EprRelation, result: IntegratedDistribution, cap: int, limit=None) -> bool:
     """True iff pairs 1.. of enumerate_pairs(q, limit) give the distribution
     that epr_distribution computed from pair 0 as ``result``."""
-    baseline = result.distribution.as_dict()
-    for pair in enumerate_pairs(q, limit)[1:]:
-        udb_r, _ = expand_pr(pair.r, cap)
-        udb_s, _ = expand_pr(pair.s, cap)
-        joint = integrate_pw_prob(udb_r, udb_s)
-        if dict(zip(joint.worlds, joint.probs)) != baseline:
-            return False
-    return True
+    return all(
+        integrate_pw_prob(expand_pr(pair.r, cap)[0], expand_pr(pair.s, cap)[0])
+        == result.distribution
+        for pair in enumerate_pairs(q, limit)[1:]
+    )

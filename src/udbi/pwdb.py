@@ -107,17 +107,6 @@ def _require_valid(s1: UncertainDB, s2: UncertainDB, structure=True, probs=False
             raise ValidationError([f"{role}: {line}" for line in report])
 
 
-def compatible(d_i: World, d_j: World, t1, t2) -> bool:
-    """True when the worlds agree on membership of every tuple in both tuple sets.
-
-    The pairwise definition, kept as the tests' oracle for _trace_classes.
-    """
-    for t in frozenset(t1) & frozenset(t2):
-        if (t in d_i) != (t in d_j):
-            return False
-    return True
-
-
 def _trace_classes(s1: UncertainDB, s2: UncertainDB) -> tuple:
     """Sorted components of the compatibility graph, in O(|W1| + |W2|).
 
@@ -165,7 +154,10 @@ class CompatibilityGraph:
     """Bipartite graph over the two sources' world indices.
 
     ``components`` lists each connected component as (left indices, right
-    indices), both sorted; isolated worlds form their own components.
+    indices), both sorted; isolated worlds form their own components.  Every
+    component is complete bipartite: compatibility is equality of traces on
+    the common tuples, so each component is one trace class.  The tests
+    check components and edges against the pairwise definition.
     """
 
     n_left: int
@@ -178,16 +170,6 @@ class CompatibilityGraph:
         return frozenset(
             (i, j) for left, right in self.components for i in left for j in right
         )
-
-    def is_complete_bipartite(self) -> bool:
-        """Every component carries all |left| * |right| edges.
-
-        Always true: compatibility is equality of traces on the common
-        tuples, so each component compatibility_graph returns is one trace
-        class and ``edges`` is read off the components.  The tests check
-        both against the pairwise definition, ``compatible()``.
-        """
-        return True
 
 
 def compatibility_graph(s1: UncertainDB, s2: UncertainDB) -> CompatibilityGraph:

@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from udbi.errors import ExpansionTooLarge, MissingVarProb
+from udbi.errors import ExpansionTooLarge, MissingVarProb, NoValidAssignment
 from udbi.logic import (
     DEFAULT_VAR_CAP,
     FALSE,
@@ -23,7 +23,7 @@ from udbi.logic import (
     parse_formula,
 )
 from udbi.prdb import Distribution, EprRelation, PrRelation, PrTuple
-from udbi.pwdb import UncertainDB, compatible, world_key
+from udbi.pwdb import UncertainDB, world_key
 
 CS100 = ("Bob", "CS100")
 CS101 = ("Bob", "CS101")
@@ -143,6 +143,17 @@ FREE_GROUP_PROBS = {"a": "1/3", "b": "2/5", "c": "1/3", "d": "1/2"}
 
 # --- pairwise oracle for the compatibility graph -----------------------------------
 
+def compatible(d_i, d_j, t1, t2) -> bool:
+    """True when the worlds agree on membership of every tuple in both tuple sets.
+
+    The pairwise definition of compatibility.
+    """
+    for t in frozenset(t1) & frozenset(t2):
+        if (t in d_i) != (t in d_j):
+            return False
+    return True
+
+
 def pairwise_graph(s1: UncertainDB, s2: UncertainDB):
     """(components, edges) of the compatibility graph, from the definition.
 
@@ -221,6 +232,28 @@ def brute_expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP):
         tuple(p for _, p in ordered),
     )
     return udb, Distribution.of(ordered)
+
+
+def brute_expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP):
+    """expand_epr by enumerating all 2^n assignments, with the same checks.
+
+    Assignments run in binary-counter order over the sorted variables (false
+    first); the first one satisfying every constraint and reaching a world
+    is kept as its witness.
+    """
+    names = q.variables()
+    if len(names) > cap:
+        raise ExpansionTooLarge(len(names), cap)
+    found: dict = {}
+    for values in itertools.product((False, True), repeat=len(names)):
+        mu = dict(zip(names, values))
+        if not all(evaluate(lhs, mu) == evaluate(rhs, mu) for lhs, rhs in q.constraints):
+            continue
+        world = frozenset(row.tuple for row in q.rows if evaluate(row.event, mu))
+        found.setdefault(world_key(world), (world, mu))
+    if not found:
+        raise NoValidAssignment()
+    return [found[key] for key in sorted(found)]
 
 
 def brute_equivalent(f, g, cap: int = DEFAULT_VAR_CAP) -> bool:

@@ -397,6 +397,16 @@ def test_decompose_rejects_a_negative_limit(tmp_path, capsys):
     assert json.loads(out) == {"pairs": []}
 
 
+def test_a_negative_cap_is_rejected_for_every_document_kind(tmp_path, capsys):
+    r1, _ = office_pr_sources()
+    s1, _ = office_pw_sources()
+    for path in (save(tmp_path, "r1.json", r1), save(tmp_path, "s1.json", s1)):
+        for argv in (("--cap", "-1", "expand", path), ("expand", path, "--cap", "-1")):
+            assert run(capsys, *argv) == (2, "", "error: --cap must be 0 or more, got -1\n")
+    code, out, _ = run(capsys, "--cap", "0", "expand", save(tmp_path, "s1.json", s1))
+    assert code == 0 and out
+
+
 def test_out_and_json_output_render_no_table(tmp_path, capsys, monkeypatch):
     def no_table(*args):
         raise AssertionError("a text table was rendered")

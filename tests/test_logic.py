@@ -25,6 +25,7 @@ from udbi.logic import (
     parse_formula,
     rename_vars,
     restrict,
+    shannon_leaves,
     to_text,
     variables,
 )
@@ -331,3 +332,23 @@ def test_equivalence_matches_brute_force(seed):
     ])
     cap = rng.choice((20, rng.randint(0, 8)))
     assert outcome(equivalent, f, g, cap) == outcome(brute_equivalent, f, g, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_shannon_leaves_partition_the_satisfying_assignments(seed):
+    # Every assignment satisfying the constraints extends exactly one leaf's
+    # path, and that leaf's tags are the rows the assignment makes true; no
+    # other assignment extends any leaf's path.
+    rng = random.Random(seed)
+    names_ = [f"v{i}" for i in range(rng.randint(1, 6))]
+    rows = [(k, gen_formula(rng, names_, rng.randint(0, 3))) for k in range(rng.randint(0, 4))]
+    constraints = [gen_formula(rng, names_, rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
+    leaves = list(shannon_leaves(rows, constraints))
+    for values in itertools.product((False, True), repeat=len(names_)):
+        mu = dict(zip(names_, values))
+        extended = [sorted(tags) for tags, path in leaves if all(mu[n] == b for n, b in path)]
+        if all(evaluate(c, mu) for c in constraints):
+            assert extended == [[k for k, f in rows if evaluate(f, mu)]]
+        else:
+            assert extended == []

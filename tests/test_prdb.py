@@ -14,6 +14,7 @@ from conftest import (
     CS201,
     CS202,
     OFFICE_DISTRIBUTION,
+    brute_expand_epr,
     brute_expand_pr,
     office_epr,
     office_pr_sources,
@@ -38,6 +39,7 @@ from udbi.gen import (
     gen_prob,
     gen_pw_db,
 )
+from udbi import logic
 from udbi.logic import (
     FALSE,
     TRUE,
@@ -61,7 +63,7 @@ from udbi.prdb import (
     expand_pr,
     integrate_pr,
 )
-from udbi.pwdb import UncertainDB
+from udbi.pwdb import UncertainDB, integrate_pw
 
 
 def formula_prob(f, var_probs) -> Fraction:
@@ -297,6 +299,80 @@ def test_unsatisfiable_constraints_raise():
     q = EprRelation.of([(CS100, TRUE)], [(TRUE, FALSE)])
     with pytest.raises(NoValidAssignment):
         expand_epr(q)
+
+
+def exactly(result):
+    """expand_epr's outcome with each witness as its list of items, so that
+    key order is compared too."""
+    if isinstance(result, list):
+        return [(w, list(witness.items())) for w, witness in result]
+    return result
+
+
+def _with_extra_constraints(rng: random.Random, q: EprRelation) -> EprRelation:
+    """q plus 0-3 random constraints over its variables, using every
+    connective and constant."""
+    names = q.variables()
+    extra = tuple(
+        (gen_formula(rng, names, rng.randint(0, 3)), gen_formula(rng, names, rng.randint(0, 3)))
+        for _ in range(rng.randint(0, 3))
+    )
+    return EprRelation(q.rows, q.constraints + extra, q.var_probs)
+
+
+def test_constrained_expansion_matches_brute_force_on_pr_integrations():
+    kinds = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        q = _with_extra_constraints(rng, integrate_pr(*gen_pr_pair(seed)))
+        cap = 20 if rng.random() < 0.9 else rng.randint(0, 6)
+        result = exactly(outcome(expand_epr, q, cap))
+        assert result == exactly(outcome(brute_expand_epr, q, cap)), seed
+        kinds.add(result[0] if isinstance(result, tuple) else list)
+    assert kinds == {list, NoValidAssignment, ExpansionTooLarge}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_constrained_expansion_matches_brute_force_on_integrated_relations(seed):
+    q = gen_integrated_epr(seed)
+    assert exactly(outcome(expand_epr, q)) == exactly(outcome(brute_expand_epr, q))
+
+
+def _chain_integration(max_scenarios: int):
+    a, b = gen_consistent_pw_pair(random.Random(5), 6, 6, max_scenarios=max_scenarios)
+    return a, b, integrate_pr(encode_pw(a, "x"), encode_pw(b, "y"))
+
+
+def test_constrained_expansion_work_follows_the_worlds(monkeypatch):
+    # Doubling the chain variables multiplies 2^n by 256; the restrictions
+    # done must grow far less.
+    calls = []
+    restrict = logic.restrict
+
+    def counting(*args):
+        calls.append(None)
+        return restrict(*args)
+
+    monkeypatch.setattr(logic, "restrict", counting)
+    work = {}
+    for m in (8, 16):
+        a, b, q = _chain_integration(m)
+        assert len(q.variables()) == m
+        calls.clear()
+        assert [w for w, _ in expand_epr(q, cap=40)] == list(integrate_pw(a, b).worlds)
+        work[m] = len(calls)
+    assert 0 < work[16] < 16 * work[8]
+
+
+def test_a_thirty_two_variable_integration_expands_to_the_pw_integration():
+    a, b, q = _chain_integration(32)
+    assert len(q.variables()) == 32
+    expanded = expand_epr(q, cap=40)
+    assert [w for w, _ in expanded] == list(integrate_pw(a, b).worlds)
+    for w, witness in expanded:
+        assert all(evaluate(lhs, witness) == evaluate(rhs, witness) for lhs, rhs in q.constraints)
+        assert frozenset(row.tuple for row in q.rows if evaluate(row.event, witness)) == w
 
 
 # --- integration ------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from udbi.probcalc import cross_check, epr_distribution
 
 
 def test_office_distribution_is_exact():
-    result = epr_distribution(office_epr())
-    assert dict(result.distribution) == OFFICE_DISTRIBUTION
-    assert sum((p for _, p in result.distribution), Fraction(0)) == 1
+    joint = epr_distribution(office_epr()).distribution
+    assert dict(zip(joint.worlds, joint.probs)) == OFFICE_DISTRIBUTION
+    assert sum(joint.probs, Fraction(0)) == 1
 
 
 def test_office_components_and_pair_are_reported():
@@ -37,7 +37,7 @@ def test_office_components_and_pair_are_reported():
 
 def test_distribution_support_equals_the_valid_assignment_worlds():
     q = office_epr()
-    assert [w for w, _ in epr_distribution(q).distribution] == [
+    assert list(epr_distribution(q).distribution.worlds) == [
         w for w, _ in expand_epr(q)
     ]
 
@@ -46,7 +46,8 @@ def test_constraint_free_relations_reduce_to_plain_expansion():
     r1, _ = office_pr_sources()
     q = EprRelation.of(r1.rows, (), r1.var_probs)
     _, expanded = expand_pr(r1)
-    assert dict(epr_distribution(q).distribution) == dict(expanded)
+    joint = epr_distribution(q).distribution
+    assert dict(zip(joint.worlds, joint.probs)) == dict(expanded)
 
 
 def test_free_groups_do_not_change_the_answer():
@@ -103,5 +104,5 @@ def test_generated_integrations_cross_check(seed):
 def test_generated_distributions_sum_to_one(seed):
     q = gen_integrated_epr(seed)
     result = epr_distribution(q)
-    assert sum((p for _, p in result.distribution), Fraction(0)) == 1
+    assert sum(result.distribution.probs, Fraction(0)) == 1
     assert all(c.balanced for c in result.components)

@@ -12,6 +12,7 @@ from conftest import (
     CS201,
     CS202,
     OFFICE_DISTRIBUTION,
+    compatible,
     office_pw_sources,
     pairwise_graph,
     roster_pw_sources,
@@ -23,7 +24,6 @@ from udbi.pwdb import (
     UncertainDB,
     check_prob_constraints,
     compatibility_graph,
-    compatible,
     integrate_checked,
     integrate_pw,
     integrate_pw_prob,
@@ -139,7 +139,7 @@ def test_graph_of_the_office_sources():
     graph = compatibility_graph(s1, s2)
     assert graph.edges == frozenset({(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3)})
     assert graph.components == (((0, 1), (0, 1)), ((2,), (2, 3)))
-    assert graph.is_complete_bipartite()
+    assert (graph.components, graph.edges) == pairwise_graph(s1, s2)
 
 
 def test_graph_isolated_worlds_form_singleton_components():
@@ -147,7 +147,7 @@ def test_graph_isolated_worlds_form_singleton_components():
     graph = compatibility_graph(s1, s2)
     assert graph.edges == frozenset({(1, 0)})
     assert graph.components == (((), (1,)), ((0,), ()), ((1,), (0,)))
-    assert graph.is_complete_bipartite()
+    assert (graph.components, graph.edges) == pairwise_graph(s1, s2)
     # Both left worlds lack CS100, which the only right world holds: one
     # trace, but no edges, so two components rather than one class.
     s1 = UncertainDB.of([CS100, CS101], [world(CS101), world()])
@@ -257,7 +257,6 @@ def tuple_prob(u: UncertainDB, t) -> Fraction:
 def test_consistent_pairs_integrate_exactly(seed):
     s1, s2 = gen_consistent_pw_pair(seed)
     graph = compatibility_graph(s1, s2)
-    assert graph.is_complete_bipartite()
     assert (graph.components, graph.edges) == pairwise_graph(s1, s2)
     checks = check_prob_constraints(s1, s2, graph)
     assert all(reason is None for _, reason in checks)
