@@ -5,6 +5,9 @@ Commands: expand, integrate, prob, check, decompose, gen.  Global flags
 before or after the subcommand.  Exit codes: 0 ok, 1 failed verdict,
 2 parse/validation error, 3 expansion cap exceeded, 4 empty integration,
 5 probabilistic-constraint violation, 6 not recognized as integrated.
+Input nested deeper than Python's recursion limit (JSON arrays, formulas)
+also exits 2, with "error: input nested too deeply"; this stands in until
+the traversals are iterative.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .prdb import (
     expand_pr,
     integrate_pr,
 )
-from .probcalc import _agrees_with, epr_distribution
+from .probcalc import _distribution_and_agreement, epr_distribution
 from .pwdb import (
     UncertainDB,
     check_prob_constraints,
@@ -331,8 +334,7 @@ def _cmd_check(args) -> int:
 
 def _check_single(args) -> int:
     q = _load_relation(args.a)
-    result = epr_distribution(q, args.cap)
-    agreed = _agrees_with(q, result, args.cap)
+    result, agreed = _distribution_and_agreement(q, args.cap, None)
     doc = {
         "components": [_component_doc(c) for c in result.components],
         "cross_check": agreed,
@@ -441,6 +443,9 @@ def main(argv=None) -> int:
     except NotIntegrated as err:
         print(f"error: not recognized as integrated: {err}", file=sys.stderr)
         return EXIT_NOT_INTEGRATED
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

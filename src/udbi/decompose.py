@@ -10,13 +10,12 @@ either side works, and every choice yields the same distribution.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import NotIntegrated, ValidationError
 from .logic import Formula, iter_vars
 from .prdb import EprRelation, PrRelation, PrTuple
-from .unionfind import UnionFind
 
 VarSet = tuple[str, ...]
 
@@ -27,7 +26,8 @@ class PartitionResult:
 
     v1/w1 are the side labels forced by constraints; free_groups are variable
     groups no constraint touches.  On failure only ``failure`` and
-    ``condition3_ok`` are meaningful.
+    ``condition3_ok`` are meaningful.  ``scan`` is _scan(q), kept on success
+    so that enumerate_pairs builds every pair without scanning q again.
     """
 
     v1: VarSet
@@ -35,6 +35,7 @@ class PartitionResult:
     free_groups: tuple[VarSet, ...]
     condition3_ok: bool
     failure: str | None = None
+    scan: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -63,72 +64,86 @@ class PrPair:
         return cls(r, s)
 
 
-def _variable_groups(formula_vars, stats: dict | None = None) -> list[VarSet]:
-    """Groups of variables co-occurring in some formula.
+def _variable_groups(formula_vars) -> list[VarSet]:
+    """Groups of variables co-occurring in some formula, each sorted.
 
-    ``formula_vars`` lists each formula's variable set.  Groups are ordered by
-    the first formula that uses them.  Each set is read in sorted order, so
-    the union-find's work count does not depend on set iteration order.
+    ``formula_vars`` lists each formula's variable set.  The groups are the
+    connected components of the formula-variable incidence, found by one
+    walk each; a walk starts at the first formula with variables that no
+    earlier walk reached, so groups come out ordered by first use.
     """
-    first_use: dict[str, int] = {}
-    uf = UnionFind()
+    formula_vars = list(formula_vars)
+    uses: dict[str, list[int]] = {}
     for k, used in enumerate(formula_vars):
-        anchor = None
-        for name in sorted(used):
-            first_use.setdefault(name, k)
-            if anchor is None:
-                anchor = name
-                uf.add(name)
-            else:
-                uf.union(anchor, name)
-    groups = sorted(
-        (tuple(members) for members in uf.groups().values()),
-        key=lambda g: min(first_use[name] for name in g),
-    )
-    if stats is not None:
-        stats["ops"] = stats.get("ops", 0) + uf.ops + len(first_use)
+        for name in used:
+            uses.setdefault(name, []).append(k)
+    reached = [False] * len(formula_vars)
+    grouped: set[str] = set()
+    groups = []
+    for start, used in enumerate(formula_vars):
+        if reached[start] or not used:
+            continue
+        reached[start] = True
+        stack, members = [start], []
+        while stack:
+            for name in formula_vars[stack.pop()]:
+                if name not in grouped:
+                    grouped.add(name)
+                    members.append(name)
+                    for k in uses[name]:
+                        if not reached[k]:
+                            reached[k] = True
+                            stack.append(k)
+        groups.append(tuple(sorted(members)))
     return groups
 
 
-def _rows_by_event(q: EprRelation) -> dict[Formula, list[PrTuple]]:
-    index: dict[Formula, list[PrTuple]] = {}
-    for row in q.rows:
-        index.setdefault(row.event, []).append(row)
-    return index
-
-
-def _condition3(q: EprRelation, index, stats: dict | None = None) -> bool:
+def _condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
     """Each constraint must match exactly one row's formula structurally.
 
-    ``index`` is _rows_by_event(q).
+    Returns, per constraint, the position in q.rows of the row it matches and
+    whether that row's formula is the lhs; None when some constraint matches
+    no row or several.
     """
-    if stats is not None:
-        stats["ops"] = stats.get("ops", 0) + len(q.rows) + len(q.constraints)
+    index: dict[Formula, list[int]] = {}
+    for k, row in enumerate(q.rows):
+        index.setdefault(row.event, []).append(k)
+    matches = []
     for lhs, rhs in q.constraints:
-        matches = len(index.get(lhs, ()))
-        if rhs != lhs:
-            matches += len(index.get(rhs, ()))
-        if matches != 1:
-            return False
-    return True
+        on_lhs = index.get(lhs, ())
+        on_rhs = index.get(rhs, ()) if rhs != lhs else ()
+        if len(on_lhs) + len(on_rhs) != 1:
+            return None
+        matches.append((on_lhs[0], True) if on_lhs else (on_rhs[0], False))
+    return matches
 
 
-def partition(q: EprRelation, stats: dict | None = None) -> PartitionResult:
+def _scan(q: EprRelation):
+    """The one pass over q's formulas that partition and every pair build share.
+
+    Returns the variable sets of each row formula and of each constraint's
+    two sides, and _condition3(q).
+    """
+    row_vars = [frozenset(iter_vars(row.event)) for row in q.rows]
+    constraint_vars = [
+        (frozenset(iter_vars(lhs)), frozenset(iter_vars(rhs))) for lhs, rhs in q.constraints
+    ]
+    return row_vars, constraint_vars, _condition3(q)
+
+
+def partition(q: EprRelation) -> PartitionResult:
     """Group co-occurring variables and 2-color the groups across constraints.
 
     Groups linked by a constraint must take opposite side labels; a group
     forced onto both sides is a failure.  Groups no constraint touches are
-    reported as free.  ``stats`` (optional) accumulates an operation count
-    under key "ops" for complexity assertions.
+    reported as free.
     """
-    row_vars, constraint_vars = _formula_vars(q)
-    groups = _variable_groups(chain(row_vars, *constraint_vars), stats)
+    scan = row_vars, constraint_vars, matches = _scan(q)
+    groups = _variable_groups(chain(row_vars, *constraint_vars))
     index = {name: k for k, group in enumerate(groups) for name in group}
     adjacency: dict[int, set[int]] = {k: set() for k in range(len(groups))}
-    condition3_ok = _condition3(q, _rows_by_event(q), stats)
+    condition3_ok = matches is not None
     for lv, rv in constraint_vars:
-        if stats is not None:
-            stats["ops"] = stats.get("ops", 0) + 1
         if not lv or not rv:
             continue
         a, b = index[next(iter(lv))], index[next(iter(rv))]
@@ -150,8 +165,6 @@ def partition(q: EprRelation, stats: dict | None = None) -> PartitionResult:
             node = queue.popleft()
             want = "W" if labels[node] == "V" else "V"
             for nxt in sorted(adjacency[node]):
-                if stats is not None:
-                    stats["ops"] = stats.get("ops", 0) + 1
                 if nxt not in labels:
                     labels[nxt] = want
                     queue.append(nxt)
@@ -164,20 +177,11 @@ def partition(q: EprRelation, stats: dict | None = None) -> PartitionResult:
     v1 = sorted(n for k, g in enumerate(groups) if labels.get(k) == "V" for n in g)
     w1 = sorted(n for k, g in enumerate(groups) if labels.get(k) == "W" for n in g)
     free = tuple(g for k, g in enumerate(groups) if k not in labels)
-    return PartitionResult(tuple(v1), tuple(w1), free, condition3_ok)
-
-
-def _formula_vars(q: EprRelation):
-    """Variable sets of each row formula and of each constraint's two sides."""
-    row_vars = [frozenset(iter_vars(row.event)) for row in q.rows]
-    constraint_vars = [
-        (frozenset(iter_vars(lhs)), frozenset(iter_vars(rhs))) for lhs, rhs in q.constraints
-    ]
-    return row_vars, constraint_vars
+    return PartitionResult(tuple(v1), tuple(w1), free, condition3_ok, scan=scan)
 
 
 def _sides_hold(v: frozenset, w: frozenset, row_vars, constraint_vars) -> bool:
-    """The first two recognition conditions, given _formula_vars(q).
+    """The first two recognition conditions, given the variable sets of _scan(q).
 
     Raises ValidationError unless v and w partition the variables.
     """
@@ -195,25 +199,12 @@ def _sides_hold(v: frozenset, w: frozenset, row_vars, constraint_vars) -> bool:
 
 def check_integrated(q: EprRelation, v, w) -> bool:
     """Test the three recognition conditions for the given side split."""
-    if not _sides_hold(frozenset(v), frozenset(w), *_formula_vars(q)):
-        return False
-    return _condition3(q, _rows_by_event(q))
+    row_vars, constraint_vars, matches = _scan(q)
+    sides_ok = _sides_hold(frozenset(v), frozenset(w), row_vars, constraint_vars)
+    return sides_ok and matches is not None
 
 
-def _partner_vars(q: EprRelation, constraint_vars) -> dict[Formula, frozenset[str]]:
-    """Each constraint side's formula mapped to the variables of its opposite side.
-
-    The first constraint one of whose sides equals a formula wins, and its
-    lhs is tested before its rhs.
-    """
-    partners: dict[Formula, frozenset[str]] = {}
-    for (lhs, rhs), (lv, rv) in zip(q.constraints, constraint_vars):
-        partners.setdefault(lhs, rv)
-        partners.setdefault(rhs, lv)
-    return partners
-
-
-def build_pair(q: EprRelation, v, w, stats: dict | None = None) -> PrPair:
+def build_pair(q: EprRelation, v, w) -> PrPair:
     """Rebuild a source pair (r, s) with integrate_pr(r, s) equal to q.
 
     Rows route to r or s by which side owns their variables; then each
@@ -223,34 +214,40 @@ def build_pair(q: EprRelation, v, w, stats: dict | None = None) -> PrPair:
     once, and the work is linear in rows plus constraints.
     """
     v, w = frozenset(v), frozenset(w)
-    row_vars, constraint_vars = _formula_vars(q)
-    index = _rows_by_event(q)
-    if not (_sides_hold(v, w, row_vars, constraint_vars) and _condition3(q, index)):
+    scan = row_vars, constraint_vars, matches = _scan(q)
+    if not (_sides_hold(v, w, row_vars, constraint_vars) and matches is not None):
         raise NotIntegrated("the relation is not recognized as an integration result")
-    partners = _partner_vars(q, constraint_vars)
-    sides: dict = {}
+    return _build(q, scan, v, w)
+
+
+def _build(q: EprRelation, scan, v: frozenset, w: frozenset) -> PrPair:
+    """build_pair for a side split known to meet the three conditions.
+
+    ``scan`` is _scan(q).  A variable-free row goes opposite the other side
+    of the first constraint that matches it, or to r when none does.
+    """
+    row_vars, constraint_vars, matches = scan
+    partners: dict[int, frozenset[str]] = {}
+    for (k, on_lhs), (lv, rv) in zip(matches, constraint_vars):
+        partners.setdefault(k, rv if on_lhs else lv)
+    sides = []
     rows = {"r": [], "s": []}
     held = {"r": set(), "s": set()}
     names = {"r": set(), "s": set()}
-    for row, used in zip(q.rows, row_vars):
-        if stats is not None:
-            stats["ops"] = stats.get("ops", 0) + 1
+    for k, (row, used) in enumerate(zip(q.rows, row_vars)):
         if used:
             side = "r" if used <= v else "s"
         else:
-            partner_vars = partners.get(row.event)
+            partner_vars = partners.get(k)
             side = "s" if partner_vars and partner_vars <= v else "r"
-        sides[row.tuple] = side
+        sides.append(side)
         rows[side].append(row)
         held[side].add(row.tuple)
         names[side] |= used
-    for (lhs, rhs), (lv, rv) in zip(q.constraints, constraint_vars):
-        if stats is not None:
-            stats["ops"] = stats.get("ops", 0) + 1
-        match = index.get(lhs, []) + (index.get(rhs, []) if rhs != lhs else [])
-        row = match[0]
-        other, other_vars = (rhs, rv) if row.event == lhs else (lhs, lv)
-        target = "s" if sides[row.tuple] == "r" else "r"
+    for (lhs, rhs), (lv, rv), (k, on_lhs) in zip(q.constraints, constraint_vars, matches):
+        row = q.rows[k]
+        other, other_vars = (rhs, rv) if on_lhs else (lhs, lv)
+        target = "s" if sides[k] == "r" else "r"
         if row.tuple in held[target]:
             raise NotIntegrated(
                 "two constraints resolve to the same tuple "
@@ -279,7 +276,8 @@ def enumerate_pairs(q: EprRelation, limit: int | None = None) -> list[PrPair]:
 
     Pair k sends free group i to the V side iff bit i of k is set, so pair 0
     (every free group on the W side) is the deterministic default.  Raises
-    NotIntegrated when recognition fails.
+    NotIntegrated when recognition fails.  Every pair is built from the
+    one scan that partition made.
     """
     part = partition(q)
     if part.failure is not None:
@@ -294,5 +292,5 @@ def enumerate_pairs(q: EprRelation, limit: int | None = None) -> list[PrPair]:
         w = set(part.w1)
         for i, group in enumerate(part.free_groups):
             (v if k >> i & 1 else w).update(group)
-        pairs.append(build_pair(q, v, w))
+        pairs.append(_build(q, part.scan, frozenset(v), frozenset(w)))
     return pairs

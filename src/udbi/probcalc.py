@@ -46,13 +46,7 @@ def epr_distribution(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> IntegratedDi
     compatibility_graph validates both sides' structure once; expand_pr
     already guarantees their probabilities.
     """
-    require_var_probs(q, q.variables())
-    pair = enumerate_pairs(q, limit=1)[0]
-    udb_r, _ = expand_pr(pair.r, cap)
-    udb_s, _ = expand_pr(pair.s, cap)
-    checks = _balance(udb_r, udb_s, compatibility_graph(udb_r, udb_s).components)
-    joint = integrate_checked(udb_r, udb_s, checks)
-    return IntegratedDistribution(joint, tuple(c for c, _ in checks), pair)
+    return _distribution_and_agreement(q, cap, 1)[0]
 
 
 def cross_check(
@@ -70,14 +64,26 @@ def cross_check(
     """
     if var_probs is not None:
         q = EprRelation.of(q.rows, q.constraints, var_probs)
-    return _agrees_with(q, epr_distribution(q, cap), cap, limit)
+    return _distribution_and_agreement(q, cap, limit)[1]
 
 
-def _agrees_with(q: EprRelation, result: IntegratedDistribution, cap: int, limit=None) -> bool:
-    """True iff pairs 1.. of enumerate_pairs(q, limit) give the distribution
-    that epr_distribution computed from pair 0 as ``result``."""
-    return all(
-        integrate_pw_prob(expand_pr(pair.r, cap)[0], expand_pr(pair.s, cap)[0])
-        == result.distribution
-        for pair in enumerate_pairs(q, limit)[1:]
+def _distribution_and_agreement(
+    q: EprRelation, cap: int, limit: int | None
+) -> tuple[IntegratedDistribution, bool]:
+    """epr_distribution(q, cap), and whether pairs 1.. of
+    enumerate_pairs(q, limit) all give its distribution.
+
+    q is decomposed once; pair 0 is always built, even when limit is 0.
+    """
+    require_var_probs(q, q.variables())
+    pairs = enumerate_pairs(q, None if limit is None else max(limit, 1))
+    pair = pairs[0]
+    udb_r, _ = expand_pr(pair.r, cap)
+    udb_s, _ = expand_pr(pair.s, cap)
+    checks = _balance(udb_r, udb_s, compatibility_graph(udb_r, udb_s).components)
+    joint = integrate_checked(udb_r, udb_s, checks)
+    agreed = all(
+        integrate_pw_prob(expand_pr(other.r, cap)[0], expand_pr(other.s, cap)[0]) == joint
+        for other in pairs[1:]
     )
+    return IntegratedDistribution(joint, tuple(c for c, _ in checks), pair), agreed

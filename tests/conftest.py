@@ -8,6 +8,7 @@ whose probabilities are known in closed form.
 """
 
 import itertools
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -274,3 +275,30 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def lines_run(module, fn, *args) -> int:
+    """Line events run in ``module``'s source file while fn(*args) runs.
+
+    Measures work from outside the code under test, through sys.settrace;
+    the tracer that was installed before is restored afterwards.
+    """
+    path = module.__file__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        return local if frame.f_code.co_filename == path else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count

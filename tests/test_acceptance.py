@@ -17,6 +17,7 @@ from conftest import (
     OFFICE_DISTRIBUTION,
     compatible,
     free_group_epr,
+    lines_run,
     office_epr,
     office_pr_sources,
     office_pw_sources,
@@ -25,6 +26,7 @@ from conftest import (
     roster_pw_sources,
     world,
 )
+from udbi import prdb
 from udbi.cli import main
 from udbi.decompose import enumerate_pairs
 from udbi.documents import parse_document, write_document
@@ -347,3 +349,10 @@ def test_criterion_9_integration_scales_near_linearithmically(capsys):
             f"ratios {times[50_000] / times[25_000]:.2f} and "
             f"{times[100_000] / times[50_000]:.2f}, total {elapsed:.2f}s)"
         )
+
+
+def test_criterion_9_integration_line_count_grows_near_linearly():
+    """The wall-clock test above, counted in lines run instead of seconds."""
+    small = lines_run(prdb, integrate_pr, *synthetic_relations(2_000))
+    large = lines_run(prdb, integrate_pr, *synthetic_relations(4_000))
+    assert large <= 2.5 * small, (small, large)

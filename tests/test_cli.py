@@ -17,7 +17,9 @@ from conftest import (
     roster_pr_sources,
     world,
 )
+from udbi import decompose
 from udbi.cli import main
+from udbi.decompose import PrPair
 from udbi.documents import (
     document_of,
     dumps_document,
@@ -273,6 +275,27 @@ def test_check_single_relation_cross_checks(tmp_path, capsys):
     assert "cross-check: ok" in out
 
 
+def test_single_relation_check_decomposes_once(tmp_path, capsys, monkeypatch):
+    calls = {}
+    partition, checked = decompose.partition, PrPair._checked.__func__
+
+    def counted_partition(q):
+        calls["partition"] += 1
+        return partition(q)
+
+    def counted_checked(cls, *args):
+        calls["pairs"] += 1
+        return checked(cls, *args)
+
+    monkeypatch.setattr(decompose, "partition", counted_partition)
+    monkeypatch.setattr(PrPair, "_checked", classmethod(counted_checked))
+    for q, pairs in ((office_epr(), 1), (free_group_epr(FREE_GROUP_PROBS), 2)):
+        calls.update(partition=0, pairs=0)
+        code, out, _ = run(capsys, "check", save(tmp_path, "q.json", q))
+        assert code == 0 and "cross-check: ok" in out
+        assert calls == {"partition": 1, "pairs": pairs}
+
+
 def test_prob_of_a_pr_document_matches_the_epr_document_of_its_rows(tmp_path, capsys):
     r1, _ = office_pr_sources()
     bare = EprRelation.of(r1.rows, (), r1.var_probs)
@@ -460,6 +483,31 @@ def test_bad_formula_text_exits_two(tmp_path, capsys):
     )
     code, _, err = run(capsys, "expand", str(path))
     assert code == 2 and "expected" in err
+
+
+DEEP_INPUTS = {
+    "or_chain.json": json.dumps({
+        "model": "pr",
+        "rows": [{"tuple": ["t"], "event": " | ".join(f"x{i}" for i in range(2_000))}],
+        "var_probs": {f"x{i}": "1/2" for i in range(2_000)},
+    }),
+    "parentheses.json": json.dumps({
+        "model": "pr",
+        "rows": [{"tuple": ["t"], "event": "(" * 3_000 + "x" + ")" * 3_000}],
+        "var_probs": {"x": "1/2"},
+    }),
+    "json_arrays.json": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_input_nested_too_deeply_exits_two(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(DEEP_INPUTS[name], encoding="utf-8")
+    for command in ("expand", "prob", "decompose"):
+        code, out, err = run(capsys, command, str(path))
+        assert "Traceback" not in err
+        assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 
 def test_cap_flag_exits_three_in_both_positions(tmp_path, capsys):

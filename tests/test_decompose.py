@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     FREE_GROUP_PROBS,
     free_group_epr,
+    lines_run,
     office_epr,
     office_pr_sources,
     roster_pr_sources,
 )
+from udbi import decompose
 from udbi.decompose import (
     PrPair,
     build_pair,
@@ -315,21 +317,20 @@ def chain_relation(n: int) -> EprRelation:
 
 
 def test_partition_work_grows_linearly():
-    small: dict = {}
-    large: dict = {}
-    assert partition(chain_relation(1000), small).ok
-    assert partition(chain_relation(2000), large).ok
-    assert large["ops"] <= 2.5 * small["ops"]
+    q1, q2 = chain_relation(1000), chain_relation(2000)
+    assert partition(q1).ok and partition(q2).ok
+    small = lines_run(decompose, partition, q1)
+    large = lines_run(decompose, partition, q2)
+    assert large <= 2.5 * small
 
 
 def test_build_pair_work_grows_linearly():
-    small: dict = {}
-    large: dict = {}
-    q1, q2 = chain_relation(1000), chain_relation(2000)
-    p1, p2 = partition(q1), partition(q2)
-    build_pair(q1, set(p1.v1) | {n for g in p1.free_groups for n in g}, set(p1.w1), small)
-    build_pair(q2, set(p2.v1) | {n for g in p2.free_groups for n in g}, set(p2.w1), large)
-    assert large["ops"] <= 2.5 * small["ops"]
+    work = []
+    for q in (chain_relation(1000), chain_relation(2000)):
+        part = partition(q)
+        v = set(part.v1) | {n for g in part.free_groups for n in g}
+        work.append(lines_run(decompose, build_pair, q, v, set(part.w1)))
+    assert work[1] <= 2.5 * work[0]
 
 
 def tuple_tests_in_build_pair(n: int) -> int:

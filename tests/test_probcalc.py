@@ -14,7 +14,7 @@ from conftest import (
     roster_pr_sources,
 )
 from udbi.decompose import PrPair
-from udbi.errors import MissingVarProb, ProbConstraintViolation
+from udbi.errors import MissingVarProb, NotIntegrated, ProbConstraintViolation
 from udbi.gen import gen_integrated_epr
 from udbi.logic import Variable
 from udbi.prdb import EprRelation, expand_epr, expand_pr, integrate_pr
@@ -61,6 +61,23 @@ def test_cross_check_accepts_the_office_relation():
 
 def test_cross_check_can_supply_probabilities():
     assert cross_check(free_group_epr(), var_probs=FREE_GROUP_PROBS)
+
+
+def test_cross_check_with_no_other_pair_accepts_a_recognized_relation():
+    for q in (office_epr(), free_group_epr(FREE_GROUP_PROBS)):
+        assert cross_check(q, limit=0) is True
+        assert cross_check(q, limit=1) is True
+
+
+def test_missing_probabilities_are_reported_before_recognition_fails():
+    a, b = Variable("a"), Variable("b")
+    rows, self_loop = [(("t",), a), (("u",), b)], [(a, a & b)]
+    with pytest.raises(NotIntegrated):
+        cross_check(EprRelation.of(rows, self_loop, {"a": "1/2", "b": "1/2"}))
+    q = EprRelation.of(rows, self_loop, {"a": "1/2"})
+    for run in (epr_distribution, cross_check):
+        with pytest.raises(MissingVarProb):
+            run(q)
 
 
 def test_unbalanced_probabilities_raise_for_every_pair():
