@@ -5,9 +5,11 @@ Commands: expand, integrate, prob, check, decompose, gen.  Global flags
 before or after the subcommand.  Exit codes: 0 ok, 1 failed verdict,
 2 parse/validation error, 3 expansion cap exceeded, 4 empty integration,
 5 probabilistic-constraint violation, 6 not recognized as integrated.
-Input nested deeper than Python's recursion limit (JSON arrays, formulas)
-also exits 2, with "error: input nested too deeply"; this stands in until
-the traversals are iterative.
+Parentheses in formula text nest without limit.  Deeply nested JSON, and
+formula trees deeper than Python's recursion limit (a long chain of one
+connective, or of "!"), exit 2 with "error: input nested too deeply" until
+the remaining formula and document traversals are iterative.  A result
+with a number too long to print also exits 2.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def _decimal(p: Fraction) -> str:
     return f"{p.numerator / p.denominator:.6f}"
 
 
-def _distribution_table(worlds, probs) -> str:
+def _distribution_table(u: UncertainDB) -> str:
+    worlds, probs = u.worlds, u.probs
     names = [format_world(w) for w in worlds]
     width = max([len(n) for n in names] + [5])
     lines = []
@@ -160,8 +163,15 @@ def _relation_table(rel) -> str:
     return "\n".join(lines)
 
 
-def _udb_table(u: UncertainDB) -> str:
-    return _distribution_table(u.worlds, u.probs)
+def _table(value) -> str:
+    if isinstance(value, UncertainDB):
+        return _distribution_table(value)
+    return _relation_table(value)
+
+
+def _titled(title: str, table: str) -> list[str]:
+    """The table's lines indented by two spaces, under the title."""
+    return [title, *("  " + line for line in table.splitlines())]
 
 
 def _component_doc(summary, reason=None) -> dict:
@@ -213,8 +223,7 @@ def _emit(args, doc, table: Callable[[], str]) -> None:
 
 
 def _emit_value(args, value) -> None:
-    render = _udb_table if isinstance(value, UncertainDB) else _relation_table
-    _emit(args, document_of(value), lambda: render(value))
+    _emit(args, document_of(value), lambda: _table(value))
 
 
 # --- commands -------------------------------------------------------------------
@@ -273,12 +282,10 @@ def _cmd_prob(args) -> int:
     }
 
     def table() -> str:
-        lines = [_udb_table(joint)]
+        lines = [_distribution_table(joint)]
         lines.extend(_component_lines([(c, None) for c in result.components]))
-        lines.append("pair r:")
-        lines.extend("  " + line for line in _relation_table(result.pair_used.r).splitlines())
-        lines.append("pair s:")
-        lines.extend("  " + line for line in _relation_table(result.pair_used.s).splitlines())
+        lines.extend(_titled("pair r:", _relation_table(result.pair_used.r)))
+        lines.extend(_titled("pair s:", _relation_table(result.pair_used.s)))
         return "\n".join(lines)
 
     _emit(args, doc, table)
@@ -365,10 +372,8 @@ def _cmd_decompose(args) -> int:
     def table() -> str:
         lines = []
         for i, p in enumerate(pairs):
-            lines.append(f"pair {i} r:")
-            lines.extend("  " + line for line in _relation_table(p.r).splitlines())
-            lines.append(f"pair {i} s:")
-            lines.extend("  " + line for line in _relation_table(p.s).splitlines())
+            lines.extend(_titled(f"pair {i} r:", _relation_table(p.r)))
+            lines.extend(_titled(f"pair {i} s:", _relation_table(p.s)))
         return "\n".join(lines)
 
     _emit(args, doc, table)
@@ -397,14 +402,9 @@ def _cmd_gen(args) -> int:
             args.seed, max_common=min(args.max_tuples, 4)
         )
     doc = {"a": document_of(a), "b": document_of(b)}
-    render = _udb_table if isinstance(a, UncertainDB) else _relation_table
 
     def table() -> str:
-        lines = ["source a:"]
-        lines.extend("  " + line for line in render(a).splitlines())
-        lines.append("source b:")
-        lines.extend("  " + line for line in render(b).splitlines())
-        return "\n".join(lines)
+        return "\n".join(_titled("source a:", _table(a)) + _titled("source b:", _table(b)))
 
     _emit(args, doc, table)
     return EXIT_OK
@@ -445,6 +445,13 @@ def main(argv=None) -> int:
         return EXIT_NOT_INTEGRATED
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
+    except ValueError as err:
+        # Only Python's int-to-str digit limit: inputs are bounded when read,
+        # but a computed probability can still outgrow it.
+        if "integer string conversion" not in str(err):
+            raise
+        print("error: a result is too long to print", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -10,6 +10,7 @@ strings; numbers are rejected since binary floats are not exact.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -17,12 +18,25 @@ from .logic import parse_formula, to_text
 from .prdb import EprRelation, PrRelation, PrTuple
 from .pwdb import UncertainDB, validate_udb
 
+# A larger exponent gives a numerator or denominator longer than Python prints
+# by default (4,300 digits), and a far larger one keeps Fraction() busy
+# without bound.
+_MAX_EXPONENT = 4300
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)")
+
 
 def _parse_prob(value, where: str) -> Fraction:
     if not isinstance(value, str):
         raise ValidationError(
             f"{where}: probabilities must be strings like \"0.3\" or \"9/13\", got {value!r}"
         )
+    exponent = _EXPONENT_RE.search(value)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValidationError(
+                f"{where}: probability {value!r} has an exponent beyond {_MAX_EXPONENT}"
+            )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -166,7 +180,7 @@ def load_document(path) -> UncertainDB | PrRelation | EprRelation:
             obj = json.load(handle)
     except OSError as err:
         raise ValidationError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON or UTF-8, or a number too long to convert
         raise ValidationError(f"{path} is not valid JSON: {err}") from None
     return parse_document(obj)
 

@@ -1,9 +1,8 @@
 """Propositional event formulas: syntax tree, parser, printer, evaluation.
 
-The concrete syntax uses ``!``, ``&``, ``|``, ``->`` and ``<->`` in decreasing
-binding strength, the constants ``true`` and ``false``, parentheses, and
-``#`` line comments.  ``&``, ``|`` and ``<->`` associate to the left,
-``->`` to the right.
+The concrete syntax is the connectives of the ``_PREFIX`` and ``_INFIX``
+tables below, the constants ``true`` and ``false``, parentheses, and ``#``
+line comments.
 """
 
 from __future__ import annotations
@@ -96,157 +95,117 @@ class Iff(Formula):
     right: Formula
 
 
-# --- parsing -----------------------------------------------------------------
+# --- syntax ------------------------------------------------------------------
+
+# Operator symbol -> (node type, binding level, right-associative); a higher
+# level binds tighter.  "(" is a sentinel: at level 0, only its ")" pops it.
+_PREFIX = {"(": (None, 0, False), "!": (Not, 5, True)}
+_INFIX = {
+    "&": (And, 4, False),
+    "|": (Or, 3, False),
+    "->": (Implies, 2, True),
+    "<->": (Iff, 1, False),
+}
+_SYNTAX = {node: (symbol, *rest) for symbol, (node, *rest) in {**_PREFIX, **_INFIX}.items()}
+_SYMBOLS = "|".join(map(re.escape, [*_PREFIX, *_INFIX, ")"]))  # none is a prefix of another
 
 _TOKEN_RE = re.compile(
     rf"""
       (?P<skip>\s+|\#[^\n]*)
     | (?P<name>{_SEGMENT}(?:::{_SEGMENT})*)
-    | (?P<iff><->)
-    | (?P<implies>->)
-    | (?P<not>!)
-    | (?P<and>&)
-    | (?P<or>\|)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
+    | (?P<symbol>{_SYMBOLS})
+    | (?P<end>\Z)
+    | (?P<bad>.)  # any other character
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
+_CONSTANTS = {"true": TRUE, "false": FALSE}
 _ATOM_EXPECTED = ("!", "(", "identifier", "true", "false")
-_INFIX_EXPECTED = ("&", "|", "->", "<->", "end of input")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "name" and value in _RESERVED:
-            kind = value
-        if kind != "skip":
-            tokens.append((kind, value, pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def formula(self) -> Formula:
-        node = self.iff()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected input {value!r}", pos, _INFIX_EXPECTED)
-        return node
-
-    def iff(self) -> Formula:
-        node = self.implication()
-        while self.peek()[0] == "iff":
-            self.advance()
-            node = Iff(node, self.implication())
-        return node
-
-    def implication(self) -> Formula:
-        node = self.disjunction()
-        if self.peek()[0] == "implies":
-            self.advance()
-            node = Implies(node, self.implication())
-        return node
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek()[0] == "or":
-            self.advance()
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
-        node = self.unary()
-        while self.peek()[0] == "and":
-            self.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        if self.peek()[0] == "not":
-            self.advance()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.advance()
-        if kind == "name":
-            return Variable(value)
-        if kind == "true":
-            return TRUE
-        if kind == "false":
-            return FALSE
-        if kind == "lparen":
-            node = self.iff()
-            kind, value, pos = self.advance()
-            if kind != "rparen":
-                raise ParseError(f"unexpected input {value!r}", pos, (")",))
-            return node
-        raise ParseError(f"unexpected input {value!r}", pos, _ATOM_EXPECTED)
+_INFIX_EXPECTED = (*_INFIX, "end of input")
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse formula text into a syntax tree.  Raises ParseError on bad input."""
-    return _Parser(_tokenize(text)).formula()
+    """Parse formula text into a syntax tree.  Raises ParseError on bad input.
+
+    Shunting-yard: an infix operator first applies the stacked operators that
+    may stand unparenthesized as its left operand.  Nothing recurses.
+    """
+    operands: list[Formula] = []
+    operators: list[tuple] = []
+    want_operand = True
+    tokens = _TOKEN_RE.finditer(text)
+    for m in tokens:
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        value = m.group()
+        if want_operand:
+            if kind == "name":
+                operands.append(_CONSTANTS[value] if value in _CONSTANTS else Variable(value))
+                want_operand = False
+            elif value in _PREFIX:
+                operators.append(_PREFIX[value])
+            else:
+                raise _unexpected(m, tokens, _ATOM_EXPECTED)
+        elif value in _INFIX:
+            entry = _INFIX[value]
+            _reduce(operands, operators, entry[1] + entry[2])
+            operators.append(entry)
+            want_operand = True
+        else:
+            _reduce(operands, operators, 1)  # leaves only the open "(" sentinels
+            if value == ")" and operators:
+                operators.pop()
+            elif kind == "end" and not operators:
+                break
+            else:
+                raise _unexpected(m, tokens, (")",) if operators else _INFIX_EXPECTED)
+    return operands[0]
 
 
-# --- printing ----------------------------------------------------------------
+def _reduce(operands: list[Formula], operators: list[tuple], min_level: int) -> None:
+    """Apply the stacked operators down to the first that binds looser than min_level."""
+    while operators and operators[-1][1] >= min_level:
+        node = operators.pop()[0]
+        if node is Not:
+            operands[-1] = Not(operands[-1])
+        else:
+            right = operands.pop()
+            operands[-1] = node(operands[-1], right)
 
-_LEVEL_ATOM = 6
-_LEVEL_NOT = 5
-_LEVEL_AND = 4
-_LEVEL_OR = 3
-_LEVEL_IMPLIES = 2
-_LEVEL_IFF = 1
+
+def _unexpected(m: re.Match, rest, expected: tuple[str, ...]) -> ParseError:
+    """The error for token m, unless a bad character comes at or after it: that one wins."""
+    for token in (m, *rest):
+        if token.lastgroup == "bad":
+            return ParseError(f"unexpected character {token.group()!r}", token.start())
+    return ParseError(f"unexpected input {m.group()!r}", m.start(), expected)
 
 
-def _render(f: Formula) -> tuple[str, int]:
+def _render(f: Formula, min_level: int = 0) -> str:
+    """f's text, parenthesized when f binds looser than min_level.
+
+    The operand on the side an operator associates to may bind as loosely as
+    the operator; the other must bind tighter.
+    """
     if isinstance(f, Variable):
-        return f.name, _LEVEL_ATOM
+        return f.name
     if isinstance(f, Const):
-        return ("true" if f.value else "false"), _LEVEL_ATOM
+        return "true" if f.value else "false"
+    if type(f) not in _SYNTAX:
+        raise TypeError(f"not a formula: {f!r}")
+    symbol, level, right = _SYNTAX[type(f)]
     if isinstance(f, Not):
-        return "!" + _wrap(f.child, _LEVEL_NOT), _LEVEL_NOT
-    if isinstance(f, And):
-        return _wrap(f.left, _LEVEL_AND) + " & " + _wrap(f.right, _LEVEL_AND + 1), _LEVEL_AND
-    if isinstance(f, Or):
-        return _wrap(f.left, _LEVEL_OR) + " | " + _wrap(f.right, _LEVEL_OR + 1), _LEVEL_OR
-    if isinstance(f, Implies):
-        return _wrap(f.left, _LEVEL_IMPLIES + 1) + " -> " + _wrap(f.right, _LEVEL_IMPLIES), _LEVEL_IMPLIES
-    if isinstance(f, Iff):
-        return _wrap(f.left, _LEVEL_IFF) + " <-> " + _wrap(f.right, _LEVEL_IFF + 1), _LEVEL_IFF
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _wrap(f: Formula, min_level: int) -> str:
-    text, level = _render(f)
+        text = symbol + _render(f.child, level)
+    else:
+        text = f"{_render(f.left, level + right)} {symbol} {_render(f.right, level + (not right))}"
     return f"({text})" if level < min_level else text
 
 
 def to_text(f: Formula) -> str:
     """Render a formula with the minimal parentheses needed to parse back identically."""
-    return _render(f)[0]
+    return _render(f)
 
 
 # --- semantics ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Document serialization and the command-line surface."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -471,6 +472,9 @@ def test_unreadable_input_exits_two(tmp_path, capsys):
     assert code == 2 and "not valid JSON" in err
     code, _, err = run(capsys, "expand", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read" in err
+    path.write_bytes(b'{"model": "pw\xff"}')
+    code, _, err = run(capsys, "expand", str(path))
+    assert code == 2 and "not valid JSON" in err and "Traceback" not in err
 
 
 def test_bad_formula_text_exits_two(tmp_path, capsys):
@@ -485,17 +489,16 @@ def test_bad_formula_text_exits_two(tmp_path, capsys):
     assert code == 2 and "expected" in err
 
 
+def pr_event_doc(event: str, var_probs: dict) -> str:
+    rows = [{"tuple": ["t"], "event": event}]
+    return json.dumps({"model": "pr", "rows": rows, "var_probs": var_probs})
+
+
 DEEP_INPUTS = {
-    "or_chain.json": json.dumps({
-        "model": "pr",
-        "rows": [{"tuple": ["t"], "event": " | ".join(f"x{i}" for i in range(2_000))}],
-        "var_probs": {f"x{i}": "1/2" for i in range(2_000)},
-    }),
-    "parentheses.json": json.dumps({
-        "model": "pr",
-        "rows": [{"tuple": ["t"], "event": "(" * 3_000 + "x" + ")" * 3_000}],
-        "var_probs": {"x": "1/2"},
-    }),
+    "or_chain.json": pr_event_doc(
+        " | ".join(f"x{i}" for i in range(2_000)), {f"x{i}": "1/2" for i in range(2_000)}
+    ),
+    "not_chain.json": pr_event_doc("!" * 3_000 + "x", {"x": "1/2"}),
     "json_arrays.json": "[" * 100_000 + "]" * 100_000,
 }
 
@@ -508,6 +511,52 @@ def test_input_nested_too_deeply_exits_two(tmp_path, capsys, name):
         code, out, err = run(capsys, command, str(path))
         assert "Traceback" not in err
         assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
+def test_nested_parentheses_read_like_the_bare_formula(tmp_path, capsys):
+    deep, bare = tmp_path / "deep.json", tmp_path / "bare.json"
+    deep.write_text(pr_event_doc("(" * 3_000 + "x" + ")" * 3_000, {"x": "1/2"}), encoding="utf-8")
+    bare.write_text(pr_event_doc("x", {"x": "1/2"}), encoding="utf-8")
+    for command in ("expand", "prob", "decompose"):
+        code, out, err = run(capsys, command, str(deep))
+        assert (code, err) == (0, "")
+        assert run(capsys, command, str(bare)) == (0, out, "")
+
+
+LONG_NUMBER_INPUTS = {
+    "tiny_prob.json": (
+        pr_event_doc("x", {"x": "1e-5000"}),
+        "error: var_probs.x: probability '1e-5000' has an exponent beyond 4300\n",
+    ),
+    "huge_exponent.json": (
+        pr_event_doc("x", {"x": "1e100000000"}),
+        "error: var_probs.x: probability '1e100000000' has an exponent beyond 4300\n",
+    ),
+    "tiny_product.json": (
+        pr_event_doc("x & y", {"x": "1e-3000", "y": "1e-3000"}),
+        "error: a result is too long to print\n",
+    ),
+    "long_integer.json": (
+        '{"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [' + "1" * 5_000 + "]}]}",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_NUMBER_INPUTS))
+def test_numbers_too_long_to_read_or_print_exit_two(tmp_path, capsys, name):
+    text, message = LONG_NUMBER_INPUTS[name]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", str(path))
+    assert time.perf_counter() - start < 1
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert (code, out) == (2, "")
+    if message is None:
+        assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit")
+    else:
+        assert err == message
 
 
 def test_cap_flag_exits_three_in_both_positions(tmp_path, capsys):

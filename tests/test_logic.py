@@ -106,6 +106,47 @@ def test_parse_error_on_bad_character():
     assert exc.value.position == 2
 
 
+ATOM = ("!", "(", "identifier", "true", "false")
+INFIX = ("&", "|", "->", "<->", "end of input")
+AT_ATOM = " (expected !, (, identifier, true, false)"
+AT_INFIX = " (expected &, |, ->, <->, end of input)"
+
+
+@pytest.mark.parametrize(
+    "text, message, position, expected",
+    [
+        ("", "unexpected input '' at position 0" + AT_ATOM, 0, ATOM),
+        ("!", "unexpected input '' at position 1" + AT_ATOM, 1, ATOM),
+        ("()", "unexpected input ')' at position 1" + AT_ATOM, 1, ATOM),
+        ("a)", "unexpected input ')' at position 1" + AT_INFIX, 1, INFIX),
+        ("(a", "unexpected input '' at position 2 (expected ))", 2, (")",)),
+        ("(a b", "unexpected input 'b' at position 3 (expected ))", 3, (")",)),
+        ("a b", "unexpected input 'b' at position 2" + AT_INFIX, 2, INFIX),
+        ("a & | b", "unexpected input '|' at position 4" + AT_ATOM, 4, ATOM),
+        ("a @ b", "unexpected character '@' at position 2", 2, ()),
+        # A bad character wins over an earlier syntax error.
+        ("a & | b @", "unexpected character '@' at position 8", 8, ()),
+    ],
+)
+def test_parse_errors_name_the_token_position_and_expected(text, message, position, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    error = exc.value
+    assert (str(error), error.position, error.expected) == (message, position, expected)
+
+
+def test_parentheses_nest_without_limit():
+    assert parse_formula("(" * 100_000 + "x" + ")" * 100_000) == v("x")
+
+
+def test_a_long_chain_of_negations_parses():
+    f = parse_formula("!" * 100_000 + "x")
+    depth = 0
+    while isinstance(f, Not):  # iterative: == on this tree would recurse
+        f, depth = f.child, depth + 1
+    assert (depth, f) == (100_000, v("x"))
+
+
 def test_parse_qualified_names_round_trip():
     f = parse_formula("s1::x & s2::x")
     assert f == And(v("s1::x"), v("s2::x"))
