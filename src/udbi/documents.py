@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import ValidationError
 from .logic import parse_formula, to_text
 from .prdb import EprRelation, PrRelation, PrTuple
-from .pwdb import UncertainDB, validate_udb
+from .pwdb import UncertainDB
 
 # A larger exponent gives a numerator or denominator longer than Python prints
 # by default (4,300 digits), and a far larger one keeps Fraction() busy
@@ -94,15 +94,11 @@ def _parse_pw(obj: dict) -> UncertainDB:
             probs.append(None)
     if any(p is None for p in probs) and any(p is not None for p in probs):
         raise ValidationError("pw document: either every world has a prob or none does")
-    udb = UncertainDB(
+    return UncertainDB(
         frozenset(tuples),
         tuple(worlds),
         None if not probs or probs[0] is None else tuple(probs),
     )
-    report = validate_udb(udb)
-    if report:
-        raise ValidationError(report)
-    return udb
 
 
 def _parse_rows(obj: dict, where: str) -> tuple[PrTuple, ...]:

@@ -57,6 +57,13 @@ class Variable(Formula):
             raise ValueError(f"invalid variable name {self.name!r}")
 
 
+def _variable(name: str) -> Variable:
+    """Variable(name) for a name already known to be valid, without matching it again."""
+    v = object.__new__(Variable)
+    object.__setattr__(v, "name", name)
+    return v
+
+
 @dataclass(frozen=True)
 class Const(Formula):
     value: bool
@@ -142,7 +149,7 @@ def parse_formula(text: str) -> Formula:
         value = m.group()
         if want_operand:
             if kind == "name":
-                operands.append(_CONSTANTS[value] if value in _CONSTANTS else Variable(value))
+                operands.append(_CONSTANTS[value] if value in _CONSTANTS else _variable(value))
                 want_operand = False
             elif value in _PREFIX:
                 operators.append(_PREFIX[value])
@@ -387,7 +394,7 @@ def rename_vars(f: Formula, prefix: str) -> Formula:
 
 def _rename(f: Formula, prefix: str) -> Formula:
     if isinstance(f, Variable):
-        return Variable(f"{prefix}::{f.name}")
+        return _variable(f"{prefix}::{f.name}")
     if isinstance(f, Const):
         return f
     if isinstance(f, Not):

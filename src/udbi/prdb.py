@@ -36,7 +36,7 @@ from .logic import (
     shannon_leaves,
     to_text,
 )
-from .pwdb import Tuple, UncertainDB, World, format_tuple, format_world, validate_udb, world_key
+from .pwdb import Tuple, UncertainDB, World, format_tuple, format_world, world_key
 
 _NAME_FRAGMENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -229,7 +229,7 @@ def expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP) -> tuple[UncertainDB, D
         tuple(w for w, _ in ordered),
         tuple(p for _, p in ordered),
     )
-    return udb, Distribution.of(ordered)
+    return udb, Distribution(tuple(zip(udb.worlds, udb.probs)))
 
 
 def expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> list[tuple[World, dict[str, bool]]]:
@@ -334,17 +334,15 @@ def encode_pw(u: UncertainDB, var_base: str = "x") -> PrRelation:
     P(xi) = P(Di) / (1 - P(D1) - .. - P(D(i-1))) so each selector's mass is
     exactly P(Di).  A tuple's event is the disjunction of the selectors of
     the worlds containing it.  Round-tripping through expand_pr recovers the
-    input distribution exactly.  Raises ValidationError for an invalid
-    source, or if a selector probability falls outside (0, 1), which valid
-    world probabilities rule out.
+    input distribution exactly.  u is valid once built, so the checks made
+    are the variable base, that u carries probabilities, and that each
+    selector probability falls in (0, 1), which valid world probabilities
+    guarantee; each failure raises ValidationError.
     """
     if not _NAME_FRAGMENT.match(var_base):
         raise ValidationError(f"invalid variable base {var_base!r}")
-    report = validate_udb(u)
     if u.probs is None:
-        report.append("source carries no probabilities")
-    if report:
-        raise ValidationError(report)
+        raise ValidationError("source carries no probabilities")
     n = len(u.worlds)
     names = [f"{var_base}{i}" for i in range(1, n)]
     var_probs = {}

@@ -17,7 +17,7 @@ from .prdb import EprRelation, expand_pr, require_var_probs
 from .pwdb import (
     ComponentSummary,
     UncertainDB,
-    _balance,
+    check_prob_constraints,
     compatibility_graph,
     integrate_checked,
     integrate_pw_prob,
@@ -43,8 +43,7 @@ def epr_distribution(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> IntegratedDi
     Pipeline: decompose with the default partition, expand both sides,
     check the per-component probability balance, then weight each
     compatible world pair by P(D_i) * P(D'_j) / P and merge duplicates.
-    compatibility_graph validates both sides' structure once; expand_pr
-    already guarantees their probabilities.
+    Both expanded sides are UncertainDBs, valid once built.
     """
     return _distribution_and_agreement(q, cap, 1)[0]
 
@@ -80,7 +79,7 @@ def _distribution_and_agreement(
     pair = pairs[0]
     udb_r, _ = expand_pr(pair.r, cap)
     udb_s, _ = expand_pr(pair.s, cap)
-    checks = _balance(udb_r, udb_s, compatibility_graph(udb_r, udb_s).components)
+    checks = check_prob_constraints(udb_r, udb_s, compatibility_graph(udb_r, udb_s))
     joint = integrate_checked(udb_r, udb_s, checks)
     agreed = all(
         integrate_pw_prob(expand_pr(other.r, cap)[0], expand_pr(other.s, cap)[0]) == joint

@@ -5,6 +5,10 @@ possible worlds (subsets of the tuple set), optionally weighted with exact
 rational probabilities.  Two worlds from different sources are compatible
 when they agree on every tuple both sources know about; integration keeps
 exactly the unions of compatible world pairs.
+
+An UncertainDB checks its own invariants when it is built (validate_udb
+lists them), so the functions below take their arguments as valid; the
+probabilistic ones check only that both sources carry probabilities.
 """
 
 from __future__ import annotations
@@ -33,11 +37,20 @@ def format_world(world: World) -> str:
 
 @dataclass(frozen=True)
 class UncertainDB:
-    """A tuple set, its possible worlds, and optional world probabilities."""
+    """A tuple set, its possible worlds, and optional world probabilities.
+
+    Valid once built: the constructor raises ValidationError carrying
+    validate_udb's report, so every function here trusts its arguments.
+    """
 
     tuple_set: frozenset[Tuple]
     worlds: tuple[World, ...]
     probs: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self):
+        report = validate_udb(self)
+        if report:
+            raise ValidationError(report)
 
     @classmethod
     def of(cls, tuple_set, worlds, probs=None) -> "UncertainDB":
@@ -50,24 +63,20 @@ class UncertainDB:
 
 
 def validate_udb(u: UncertainDB) -> list[str]:
-    """Check every invariant and report violations as strings, never raising."""
-    return _structural_violations(u) + _prob_violations(u)
+    """Every invariant u breaks, as strings, never raising.
 
-
-def _structural_violations(u: UncertainDB) -> list[str]:
+    UncertainDB's constructor raises this report, so a built value gives [].
+    """
     report = []
-    for t in u.tuple_set:
-        if len(t) == 0:
-            report.append("tuple set contains an empty tuple")
-            break
-    if len(u.worlds) == 0:
+    if any(len(t) == 0 for t in u.tuple_set):
+        report.append("tuple set contains an empty tuple")
+    if not u.worlds:
         report.append("database has no possible worlds")
     for i, w in enumerate(u.worlds):
-        extra = w - u.tuple_set
-        if extra:
+        if not w <= u.tuple_set:
             report.append(
                 f"world {i} uses tuples outside the tuple set: "
-                + ", ".join(format_tuple(t) for t in sorted(extra))
+                + ", ".join(format_tuple(t) for t in sorted(w - u.tuple_set))
             )
     seen = {}
     for i, w in enumerate(u.worlds):
@@ -75,17 +84,10 @@ def _structural_violations(u: UncertainDB) -> list[str]:
             report.append(f"worlds {seen[w]} and {i} are identical")
         else:
             seen[w] = i
-    return report
-
-
-def _prob_violations(u: UncertainDB) -> list[str]:
     if u.probs is None:
-        return []
-    report = []
+        return report
     if len(u.probs) != len(u.worlds):
-        report.append(
-            f"{len(u.probs)} probabilities given for {len(u.worlds)} worlds"
-        )
+        report.append(f"{len(u.probs)} probabilities given for {len(u.worlds)} worlds")
     for i, p in enumerate(u.probs):
         if not 0 < p <= 1:
             report.append(f"probability of world {i} is {p}, outside (0, 1]")
@@ -95,16 +97,11 @@ def _prob_violations(u: UncertainDB) -> list[str]:
     return report
 
 
-def _require_valid(s1: UncertainDB, s2: UncertainDB, structure=True, probs=False) -> None:
-    """Raise ValidationError for the first source, in order, that fails the checks."""
+def _require_probs(s1: UncertainDB, s2: UncertainDB) -> None:
+    """Raise ValidationError naming the first source that carries no probabilities."""
     for u, role in ((s1, "first source"), (s2, "second source")):
-        report = _structural_violations(u) if structure else []
-        if probs and u.probs is None:
-            report.append(f"{role} carries no probabilities")
-        elif probs:
-            report += _prob_violations(u)
-        if report:
-            raise ValidationError([f"{role}: {line}" for line in report])
+        if u.probs is None:
+            raise ValidationError(f"{role} carries no probabilities")
 
 
 def _trace_classes(s1: UncertainDB, s2: UncertainDB) -> tuple:
@@ -134,9 +131,8 @@ def integrate_pw(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
 
     The result has tuple set T1 | T2 and one world per compatible pair,
     duplicate unions merged.  Raises EmptyIntegration if no pair of worlds
-    is compatible.
+    is compatible.  Checks nothing: both sources are valid once built.
     """
-    _require_valid(s1, s2)
     unions = {
         s1.worlds[i] | s2.worlds[j]
         for left, right in _trace_classes(s1, s2)
@@ -173,8 +169,10 @@ class CompatibilityGraph:
 
 
 def compatibility_graph(s1: UncertainDB, s2: UncertainDB) -> CompatibilityGraph:
-    """Edges join compatible world pairs; components are the trace classes."""
-    _require_valid(s1, s2)
+    """Edges join compatible world pairs; components are the trace classes.
+
+    Checks nothing: both sources are valid once built.
+    """
     return CompatibilityGraph(len(s1.worlds), len(s2.worlds), _trace_classes(s1, s2))
 
 
@@ -203,9 +201,10 @@ def check_prob_constraints(
     """Per component, compare the two sides' probability mass.
 
     Integration requires the sums to agree exactly; a world with no
-    compatible partner strands its mass and is reported too.
+    compatible partner strands its mass and is reported too.  The only
+    check made is that both sources carry probabilities (ValidationError).
     """
-    _require_valid(s1, s2, probs=True)
+    _require_probs(s1, s2)
     return _balance(s1, s2, graph.components)
 
 
@@ -242,13 +241,10 @@ def integrate_pw_prob(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
     Each compatible pair contributes P(D_i) * P(D'_j) / P, where P is the
     probability constant of the pair's component; duplicate union worlds
     accumulate.  Raises ProbConstraintViolation when any component is
-    unbalanced, which includes the case of no compatible pairs.
+    unbalanced, which includes the case of no compatible pairs.  The only
+    check made is that both sources carry probabilities (ValidationError).
     """
-    # Both sources' structure before either's probabilities, so a structural
-    # fault in the second source is reported ahead of a probability fault in
-    # the first, as check_prob_constraints after compatibility_graph would.
-    _require_valid(s1, s2)
-    _require_valid(s1, s2, structure=False, probs=True)
+    _require_probs(s1, s2)
     return integrate_checked(s1, s2, _balance(s1, s2, _trace_classes(s1, s2)))
 
 
@@ -256,9 +252,9 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
     """integrate_pw_prob of two sources, given their check_prob_constraints.
 
     Raises ProbConstraintViolation when any component is unbalanced, as
-    every component is when no pair of worlds is compatible, and
-    ValidationError when the integrated probabilities do not sum to 1, as
-    when ``checks`` leave out a component of the two sources.
+    every component is when no pair of worlds is compatible.  Building the
+    result raises ValidationError when its probabilities do not sum to 1,
+    as when ``checks`` leave out a component of the two sources.
     """
     failures = [(c, reason) for c, reason in checks if reason is not None]
     if failures:
@@ -272,7 +268,4 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
                 merged[union] = merged.get(union, 0) + share * s2.probs[j]
     worlds = tuple(sorted(merged, key=world_key))
     probs = tuple(merged[w] for w in worlds)
-    total = sum(probs, Fraction(0))
-    if total != 1:
-        raise ValidationError(f"integrated probabilities sum to {total} != 1")
     return UncertainDB(s1.tuple_set | s2.tuple_set, worlds, probs)

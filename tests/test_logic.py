@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import udbi.logic as logic_module
 from conftest import brute_equivalent, outcome
 from udbi.errors import ExpansionTooLarge, ParseError, UnboundVariable
 from udbi.logic import (
@@ -156,6 +157,23 @@ def test_variable_rejects_reserved_and_malformed_names():
     for bad in ("true", "false", "1x", "a-b", ""):
         with pytest.raises(ValueError):
             Variable(bad)
+
+
+def test_parsed_and_renamed_names_are_matched_once(monkeypatch):
+    name_re = logic_module._NAME_RE
+    matched = []
+
+    class Counting:
+        def match(self, name):
+            matched.append(name)
+            return name_re.match(name)
+
+    monkeypatch.setattr(logic_module, "_NAME_RE", Counting())
+    f = parse_formula("a & !b | s::c")
+    renamed = rename_vars(f, "p")
+    assert matched == []
+    assert f == (Variable("a") & ~Variable("b")) | Variable("s::c")
+    assert renamed == (Variable("p::a") & ~Variable("p::b")) | Variable("p::s::c")
 
 
 # --- printing ----------------------------------------------------------------

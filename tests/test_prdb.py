@@ -511,7 +511,7 @@ def test_encoding_requires_probabilities():
 
 
 def test_encoding_rejects_selector_probabilities_outside_the_open_interval(monkeypatch):
-    monkeypatch.setattr("udbi.prdb.validate_udb", lambda u: [])
+    monkeypatch.setattr("udbi.pwdb.validate_udb", lambda u: [])
     heavy = UncertainDB.of([CS100], [world(CS100), world()], ["1", "1/2"])
     with pytest.raises(ValidationError) as err:
         encode_pw(heavy)
