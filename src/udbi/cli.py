@@ -15,13 +15,12 @@ with a number too long to print also exits 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable
 from fractions import Fraction
 
 from .decompose import enumerate_pairs
-from .documents import document_of, load_document
+from .documents import document_of, dumps_json, load_document
 from .errors import (
     EmptyIntegration,
     ExpansionTooLarge,
@@ -215,9 +214,9 @@ def _emit(args, doc, table: Callable[[], str]) -> None:
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc, indent=2) + "\n")
+            handle.write(dumps_json(doc) + "\n")
     elif args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(dumps_json(doc))
     else:
         print(table())
 

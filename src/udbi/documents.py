@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
 from .logic import parse_formula, to_text
@@ -23,6 +24,9 @@ from .pwdb import UncertainDB
 # without bound.
 _MAX_EXPONENT = 4300
 _EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)")
+# "N" or "N/M" in ASCII digits, which the document writer produces: read by
+# int() without Fraction()'s general pattern.  Any other text takes that.
+_PLAIN_FRACTION_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_prob(value, where: str) -> Fraction:
@@ -30,6 +34,13 @@ def _parse_prob(value, where: str) -> Fraction:
         raise ValidationError(
             f"{where}: probabilities must be strings like \"0.3\" or \"9/13\", got {value!r}"
         )
+    plain = _PLAIN_FRACTION_RE.fullmatch(value)
+    if plain:
+        numerator, denominator = plain.groups()
+        try:
+            return Fraction(int(numerator), int(denominator or 1))
+        except (ValueError, ZeroDivisionError):  # too many digits, or "/0"
+            raise ValidationError(f"{where}: cannot read probability {value!r}") from None
     exponent = _EXPONENT_RE.search(value)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
@@ -53,10 +64,15 @@ def _parse_tuple(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _parse_event(text, where: str):
+def _parse_event(text, where: str, parsed: dict):
+    """The formula of text; ``parsed`` maps the texts read so far in this
+    document to their formulas, so equal texts are parsed once and share one."""
     if not isinstance(text, str):
         raise ValidationError(f"{where}: event must be a formula string")
-    return parse_formula(text)
+    formula = parsed.get(text)
+    if formula is None:
+        formula = parsed[text] = parse_formula(text)
+    return formula
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -101,7 +117,7 @@ def _parse_pw(obj: dict) -> UncertainDB:
     )
 
 
-def _parse_rows(obj: dict, where: str) -> tuple[PrTuple, ...]:
+def _parse_rows(obj: dict, where: str, parsed: dict) -> tuple[PrTuple, ...]:
     raw = obj.get("rows")
     if not isinstance(raw, list):
         raise ValidationError(f"{where}: \"rows\" must be an array")
@@ -113,7 +129,7 @@ def _parse_rows(obj: dict, where: str) -> tuple[PrTuple, ...]:
         rows.append(
             PrTuple(
                 _parse_tuple(entry.get("tuple"), f"rows[{i}].tuple"),
-                _parse_event(entry.get("event"), f"rows[{i}].event"),
+                _parse_event(entry.get("event"), f"rows[{i}].event", parsed),
             )
         )
     return tuple(rows)
@@ -130,7 +146,9 @@ def _parse_var_probs(obj: dict, where: str) -> dict[str, Fraction] | None:
 
 def _parse_pr(obj: dict) -> PrRelation:
     _require_keys(obj, {"model", "rows", "var_probs"}, "pr document")
-    return PrRelation.of(_parse_rows(obj, "pr document"), _parse_var_probs(obj, "pr document"))
+    return PrRelation.of(
+        _parse_rows(obj, "pr document", {}), _parse_var_probs(obj, "pr document")
+    )
 
 
 def _parse_epr(obj: dict) -> EprRelation:
@@ -138,6 +156,7 @@ def _parse_epr(obj: dict) -> EprRelation:
     raw = obj.get("constraints", [])
     if not isinstance(raw, list):
         raise ValidationError("epr document: \"constraints\" must be an array")
+    parsed = {}
     constraints = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -145,12 +164,12 @@ def _parse_epr(obj: dict) -> EprRelation:
         _require_keys(entry, {"lhs", "rhs"}, f"constraints[{i}]")
         constraints.append(
             (
-                _parse_event(entry.get("lhs"), f"constraints[{i}].lhs"),
-                _parse_event(entry.get("rhs"), f"constraints[{i}].rhs"),
+                _parse_event(entry.get("lhs"), f"constraints[{i}].lhs", parsed),
+                _parse_event(entry.get("rhs"), f"constraints[{i}].rhs", parsed),
             )
         )
     return EprRelation.of(
-        _parse_rows(obj, "epr document"),
+        _parse_rows(obj, "epr document", parsed),
         constraints,
         _parse_var_probs(obj, "epr document"),
     )
@@ -214,8 +233,48 @@ def _var_probs_doc(var_probs) -> dict[str, str]:
     return {name: str(var_probs[name]) for name in sorted(var_probs)}
 
 
+def dumps_json(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for the dicts (string
+    keys), lists, strings, ints, booleans and None that documents hold.
+
+    json.dumps falls back to its pure-Python encoder when indenting; this
+    walks the containers in Python and hands every string to the C encoder.
+    An int longer than Python prints raises the same ValueError.
+    """
+    return _dumps_indented(doc, "\n")
+
+
+def _dumps_indented(value, newline: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(key) + ": " + _dumps_indented(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_dumps_indented(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dumps_document(value) -> str:
-    return json.dumps(document_of(value), indent=2) + "\n"
+    return dumps_json(document_of(value)) + "\n"
 
 
 def write_document(value, path) -> None:

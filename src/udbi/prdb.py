@@ -61,8 +61,9 @@ def _coerce_var_probs(var_probs) -> dict[str, Fraction] | None:
         if not is_valid_name(str(name)):
             bad.append(f"invalid variable name {name!r} in probabilities")
             continue
-        p = Fraction(p)
-        if not 0 < p < 1:
+        if type(p) is not Fraction:
+            p = Fraction(p)
+        if not 0 < p.numerator < p.denominator:
             bad.append(f"probability of variable {name} is {p}, outside (0, 1)")
         out[str(name)] = p
     if bad:

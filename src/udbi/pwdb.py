@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import EmptyIntegration, ProbConstraintViolation, ValidationError
 
@@ -89,9 +90,13 @@ def validate_udb(u: UncertainDB) -> list[str]:
     if len(u.probs) != len(u.worlds):
         report.append(f"{len(u.probs)} probabilities given for {len(u.worlds)} worlds")
     for i, p in enumerate(u.probs):
-        if not 0 < p <= 1:
+        if not 0 < p.numerator <= p.denominator:
             report.append(f"probability of world {i} is {p}, outside (0, 1]")
-    total = sum(u.probs, Fraction(0))
+    # One sum over the common denominator, not a gcd per Fraction addition.
+    denominator = lcm(*(p.denominator for p in u.probs))
+    total = Fraction(
+        sum(p.numerator * (denominator // p.denominator) for p in u.probs), denominator
+    )
     if u.probs and total != 1:
         report.append(f"probabilities sum to {total} != 1")
     return report

@@ -18,18 +18,20 @@ from conftest import (
     roster_pr_sources,
     world,
 )
-from udbi import decompose
+from udbi import decompose, documents
 from udbi.cli import main
 from udbi.decompose import PrPair
 from udbi.documents import (
+    _parse_prob,
     document_of,
     dumps_document,
+    dumps_json,
     load_document,
     parse_document,
     write_document,
 )
 from udbi.errors import ValidationError
-from udbi.gen import gen_pr_pair, gen_pw_db
+from udbi.gen import gen_consistent_pw_pair, gen_pr_pair, gen_pw_db
 from udbi.prdb import EprRelation, PrRelation
 from udbi.pwdb import UncertainDB
 
@@ -104,6 +106,158 @@ def test_documents_round_trip_generated_values(seed):
     u = gen_pw_db(seed)
     for value in (r, s, u):
         assert parse_document(json.loads(dumps_document(value))) == value
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps_indent_2(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_escapes_and_nests_like_json_dumps_indent_2():
+    value = {
+        "": [],
+        "empty": {},
+        "text": "caf\u00e9 \u2603 \"q\" \\ \n\r\t\b\f \x00\x1f\x7f \ud800 \U0001f600",
+        "caf\u00e9\n": [0, -1, 10**4299, True, False, None, ""],
+        "nested": [[{"a": [{}, []]}], {"b": {"c": [[[]]]}}],
+    }
+    assert dumps_json(value) == json.dumps(value, indent=2)
+    for leaf in (None, True, False, 0, "x", [], {}):
+        assert dumps_json(leaf) == json.dumps(leaf, indent=2)
+
+
+@pytest.mark.parametrize("digits", [4_301, 5_000])
+def test_json_writer_refuses_the_ints_json_dumps_refuses(digits):
+    value = {"n": [-(10 ** (digits - 1))]}
+    with pytest.raises(ValueError) as ours:
+        dumps_json(value)
+    with pytest.raises(ValueError) as theirs:
+        json.dumps(value, indent=2)
+    # main maps this ValueError to exit 2 ("a result is too long to print").
+    assert str(ours.value) == str(theirs.value)
+    assert "integer string conversion" in str(ours.value)
+
+
+def test_out_and_json_documents_are_json_dumps_indent_2(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    written = 0
+    for seed in range(50):
+        r, s = gen_pr_pair(seed)
+        a, b = gen_consistent_pw_pair(seed)
+        r, s = save(tmp_path, "r.json", r), save(tmp_path, "s.json", s)
+        a, b = save(tmp_path, "a.json", a), save(tmp_path, "b.json", b)
+        q = str(tmp_path / "q.json")
+        assert run(capsys, "integrate", r, s, "--model", "pr", "--out", q)[0] == 0
+        runs = [
+            ["integrate", r, s, "--model", "pr"],
+            ["expand", r],
+            ["check", r, s],
+            ["prob", q],
+            ["check", q],
+            ["decompose", "--all", q],
+            ["expand", q],
+            ["integrate", a, b, "--model", "pw"],
+            ["check", a, b],
+            ["gen", "--seed", str(seed)],
+            ["gen", "--model", "pw", "--seed", str(seed)],
+        ]
+        for args in runs:
+            out.unlink(missing_ok=True)
+            run(capsys, *args, "--out", str(out))
+            _, printed, _ = run(capsys, "--format", "json", *args)
+            texts = [printed] if printed else []
+            if out.exists():
+                texts.append(out.read_text(encoding="utf-8"))
+            for text in texts:
+                assert text == json.dumps(json.loads(text), indent=2) + "\n"
+                written += 1
+    assert written > 900
+
+
+def reference_parse_prob(value, where: str) -> Fraction:
+    """The general route for every text: the exponent guard, then Fraction()."""
+    if not isinstance(value, str):
+        raise ValidationError(
+            f"{where}: probabilities must be strings like \"0.3\" or \"9/13\", got {value!r}"
+        )
+    exponent = documents._EXPONENT_RE.search(value)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or 0) > 4300:
+            raise ValidationError(
+                f"{where}: probability {value!r} has an exponent beyond 4300"
+            )
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{where}: cannot read probability {value!r}") from None
+
+
+PROB_TEXTS = [
+    "3/7", "06/08", "0", "1", "00", "2/4", "5/4", "1/0", "0/0", "+1/2", "-1/2",
+    " 1/2", "1/2 ", "1/2\n", "1_0/3", "1/3_0", "", "/", "1/", "/2", "1/2/3", "1 / 2",
+    "\u0663/\u0667", "\u0661", "\uff11/\uff12", "0.5", ".5", "1e-3", "1E3", "1e-5000",
+    "1e4300", "1e0_4300", "1/2e1", "nan", "inf", "0x10",
+    "1" * 5_000, "1" * 5_000 + "/3", "3/" + "7" * 5_000, "1" * 4_300 + "/" + "3" * 4_300,
+    0.5, 1, None, True, ["1/2"], {"p": "1/2"},
+]
+
+
+@pytest.mark.parametrize("value", PROB_TEXTS, ids=range(len(PROB_TEXTS)))
+def test_probabilities_read_as_the_general_route_reads_them(value):
+    try:
+        expected = reference_parse_prob(value, "var_probs.x")
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as ours:
+            _parse_prob(value, "var_probs.x")
+        assert str(ours.value) == str(err)
+    else:
+        got = _parse_prob(value, "var_probs.x")
+        assert type(got) is Fraction and got == expected
+
+
+def test_equal_formula_texts_are_parsed_once_and_shared(tmp_path, monkeypatch):
+    doc = {
+        "model": "epr",
+        "rows": [
+            {"tuple": ["t"], "event": "a & b"},
+            {"tuple": ["u"], "event": "a & b"},
+            {"tuple": ["v"], "event": "!c | d"},
+        ],
+        "constraints": [{"lhs": "!c | d", "rhs": "a & b"}],
+        "var_probs": {"a": "1/2", "b": "1/3", "c": "1/5", "d": "1/7"},
+    }
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    parse_formula = documents.parse_formula
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_formula(text)
+
+    monkeypatch.setattr(documents, "parse_formula", counting)
+    q = load_document(path)
+    assert sorted(parsed) == ["!c | d", "a & b"]
+    (lhs, rhs), = q.constraints
+    assert q.rows[0].event is q.rows[1].event is rhs
+    assert q.rows[2].event is lhs
+    again = load_document(path)
+    assert again == q and len(parsed) == 4
+
+    def formula_ids(rel):
+        return {id(row.event) for row in rel.rows} | {id(f) for c in rel.constraints for f in c}
+
+    assert formula_ids(q).isdisjoint(formula_ids(again))
 
 
 # --- expand ---------------------------------------------------------------------------

@@ -55,6 +55,29 @@ def test_validate_reports_out_of_range_probability():
     assert "probability of world 0 is 0, outside (0, 1]" in report
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-1, max_value=2, max_denominator=60), min_size=1, max_size=8
+    )
+)
+def test_validate_reports_probabilities_as_fraction_arithmetic_does(probs):
+    worlds = [world((f"t{i}",)) for i in range(len(probs))]
+    tuples = [(f"t{i}",) for i in range(len(probs))]
+    expected = [
+        f"probability of world {i} is {p}, outside (0, 1]"
+        for i, p in enumerate(probs)
+        if not 0 < p <= 1
+    ]
+    total = sum(probs, Fraction(0))
+    if total != 1:
+        expected.append(f"probabilities sum to {total} != 1")
+    if expected:
+        assert violations(tuples, worlds, probs) == expected
+    else:
+        assert validate_udb(UncertainDB.of(tuples, worlds, probs)) == []
+
+
 def test_validate_reports_foreign_tuples_and_duplicates():
     report = violations([CS100], [world(CS101), world(CS101)])
     assert any("outside the tuple set" in line for line in report)
