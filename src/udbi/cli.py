@@ -41,7 +41,7 @@ from .prdb import (
     expand_pr,
     integrate_pr,
 )
-from .probcalc import _distribution_and_agreement, epr_distribution
+from .probcalc import epr_distribution
 from .pwdb import (
     UncertainDB,
     check_prob_constraints,
@@ -209,12 +209,15 @@ def _emit(args, doc, table: Callable[[], str]) -> None:
     """Print the table or the JSON document; --out always writes the document.
 
     ``table`` renders the text table; it is called only when the table is
-    printed.
+    printed.  An --out path that cannot be written is an input error.
     """
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(dumps_json(doc) + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(dumps_json(doc) + "\n")
+        except OSError as err:
+            raise ValidationError(f"cannot write {out}: {err}") from None
     elif args.format == "json":
         print(dumps_json(doc))
     else:
@@ -340,19 +343,19 @@ def _cmd_check(args) -> int:
 
 def _check_single(args) -> int:
     q = _load_relation(args.a)
-    result, agreed = _distribution_and_agreement(q, args.cap, None)
+    result = epr_distribution(q, args.cap, None)
     doc = {
         "components": [_component_doc(c) for c in result.components],
-        "cross_check": agreed,
+        "cross_check": result.agreed,
     }
 
     def table() -> str:
         lines = _component_lines([(c, None) for c in result.components])
-        lines.append(f"cross-check: {'ok' if agreed else 'FAILED'}")
+        lines.append(f"cross-check: {'ok' if result.agreed else 'FAILED'}")
         return "\n".join(lines)
 
     _emit(args, doc, table)
-    return EXIT_OK if agreed else EXIT_VERDICT_FAILED
+    return EXIT_OK if result.agreed else EXIT_VERDICT_FAILED
 
 
 def _cmd_decompose(args) -> int:

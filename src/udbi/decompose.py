@@ -5,6 +5,8 @@ split into two sides such that every row formula lives wholly on one side,
 every constraint bridges the two sides, and every constraint matches exactly
 one row syntactically.  Variable groups touched by no constraint are free:
 either side works, and every choice yields the same distribution.
+partition finds the forced split or raises NotIntegrated at the first fault;
+build_pair and enumerate_pairs rebuild source pairs from a split.
 """
 
 from __future__ import annotations
@@ -25,21 +27,14 @@ class PartitionResult:
     """Outcome of the variable-grouping and 2-coloring pass.
 
     v1/w1 are the side labels forced by constraints; free_groups are variable
-    groups no constraint touches.  On failure only ``failure`` and
-    ``condition3_ok`` are meaningful.  ``scan`` is _scan(q), kept on success
-    so that enumerate_pairs builds every pair without scanning q again.
+    groups no constraint touches.  ``scan`` is _scan(q), kept so that
+    enumerate_pairs builds every pair without scanning q again.
     """
 
     v1: VarSet
     w1: VarSet
     free_groups: tuple[VarSet, ...]
-    condition3_ok: bool
-    failure: str | None = None
-    scan: tuple | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None and self.condition3_ok
+    scan: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -50,12 +45,9 @@ class PrPair:
     s: PrRelation
 
     @classmethod
-    def of(cls, r: PrRelation, s: PrRelation) -> "PrPair":
-        return cls._checked(r, s, r.variables(), s.variables())
-
-    @classmethod
     def _checked(cls, r: PrRelation, s: PrRelation, r_names, s_names) -> "PrPair":
-        """PrPair.of, given the variables of r and of s."""
+        """The pair, given the variables of r and of s; raises ValidationError
+        when they share a variable."""
         shared = set(r_names) & set(s_names)
         if shared:
             raise ValidationError(
@@ -134,24 +126,23 @@ def _scan(q: EprRelation):
 def partition(q: EprRelation) -> PartitionResult:
     """Group co-occurring variables and 2-color the groups across constraints.
 
-    Groups linked by a constraint must take opposite side labels; a group
-    forced onto both sides is a failure.  Groups no constraint touches are
-    reported as free.
+    Groups linked by a constraint must take opposite side labels.  Raises
+    NotIntegrated at the first fault, in this order: a constraint linking a
+    group to itself, a group forced onto both sides, then a constraint that
+    does not match exactly one row (condition 3).  Groups no constraint
+    touches are reported as free.
     """
     scan = row_vars, constraint_vars, matches = _scan(q)
     groups = _variable_groups(chain(row_vars, *constraint_vars))
     index = {name: k for k, group in enumerate(groups) for name in group}
     adjacency: dict[int, set[int]] = {k: set() for k in range(len(groups))}
-    condition3_ok = matches is not None
     for lv, rv in constraint_vars:
         if not lv or not rv:
             continue
         a, b = index[next(iter(lv))], index[next(iter(rv))]
         if a == b:
-            return PartitionResult(
-                (), (), (), condition3_ok,
-                failure="constraint links variable group "
-                f"{{{', '.join(groups[a])}}} to itself",
+            raise NotIntegrated(
+                f"constraint links variable group {{{', '.join(groups[a])}}} to itself"
             )
         adjacency[a].add(b)
         adjacency[b].add(a)
@@ -169,39 +160,15 @@ def partition(q: EprRelation) -> PartitionResult:
                     labels[nxt] = want
                     queue.append(nxt)
                 elif labels[nxt] != want:
-                    return PartitionResult(
-                        (), (), (), condition3_ok,
-                        failure="variable group "
-                        f"{{{', '.join(groups[nxt])}}} would be labeled both sides",
+                    raise NotIntegrated(
+                        f"variable group {{{', '.join(groups[nxt])}}} would be labeled both sides"
                     )
+    if matches is None:
+        raise NotIntegrated("some constraint does not match exactly one row")
     v1 = sorted(n for k, g in enumerate(groups) if labels.get(k) == "V" for n in g)
     w1 = sorted(n for k, g in enumerate(groups) if labels.get(k) == "W" for n in g)
     free = tuple(g for k, g in enumerate(groups) if k not in labels)
-    return PartitionResult(tuple(v1), tuple(w1), free, condition3_ok, scan=scan)
-
-
-def _sides_hold(v: frozenset, w: frozenset, row_vars, constraint_vars) -> bool:
-    """The first two recognition conditions, given the variable sets of _scan(q).
-
-    Raises ValidationError unless v and w partition the variables.
-    """
-    names = set().union(*row_vars, *(lv | rv for lv, rv in constraint_vars))
-    if (v & w) or (v | w) != names:
-        raise ValidationError("v and w must partition the variables of the relation")
-    for used in row_vars:
-        if not (used <= v or used <= w):
-            return False
-    for lv, rv in constraint_vars:
-        if not ((lv <= v and rv <= w) or (lv <= w and rv <= v)):
-            return False
-    return True
-
-
-def check_integrated(q: EprRelation, v, w) -> bool:
-    """Test the three recognition conditions for the given side split."""
-    row_vars, constraint_vars, matches = _scan(q)
-    sides_ok = _sides_hold(frozenset(v), frozenset(w), row_vars, constraint_vars)
-    return sides_ok and matches is not None
+    return PartitionResult(tuple(v1), tuple(w1), free, scan)
 
 
 def build_pair(q: EprRelation, v, w) -> PrPair:
@@ -209,13 +176,22 @@ def build_pair(q: EprRelation, v, w) -> PrPair:
 
     Rows route to r or s by which side owns their variables; then each
     constraint f = g adds the missing side's row: if t@f sits in r, t@g is
-    added to s, and symmetrically.  Raises NotIntegrated when the
-    recognition conditions fail.  Each formula's variables are collected
-    once, and the work is linear in rows plus constraints.
+    added to s, and symmetrically.  Raises ValidationError unless v and w
+    partition q's variables, and NotIntegrated when a row formula spans both
+    sides, a constraint stays on one side, or condition 3 fails.  Each
+    formula's variables are collected once, and the work is linear in rows
+    plus constraints.
     """
     v, w = frozenset(v), frozenset(w)
     scan = row_vars, constraint_vars, matches = _scan(q)
-    if not (_sides_hold(v, w, row_vars, constraint_vars) and matches is not None):
+    names = set().union(*row_vars, *(lv | rv for lv, rv in constraint_vars))
+    if (v & w) or (v | w) != names:
+        raise ValidationError("v and w must partition the variables of the relation")
+    if not (
+        all(used <= v or used <= w for used in row_vars)
+        and all((lv <= v and rv <= w) or (lv <= w and rv <= v) for lv, rv in constraint_vars)
+        and matches is not None
+    ):
         raise NotIntegrated("the relation is not recognized as an integration result")
     return _build(q, scan, v, w)
 
@@ -275,15 +251,11 @@ def enumerate_pairs(q: EprRelation, limit: int | None = None) -> list[PrPair]:
     """All pairs reachable by assigning each free group to either side.
 
     Pair k sends free group i to the V side iff bit i of k is set, so pair 0
-    (every free group on the W side) is the deterministic default.  Raises
-    NotIntegrated when recognition fails.  Every pair is built from the
-    one scan that partition made.
+    (every free group on the W side) is the deterministic default.
+    partition raises NotIntegrated when recognition fails.  Every pair is
+    built from the one scan that partition made.
     """
     part = partition(q)
-    if part.failure is not None:
-        raise NotIntegrated(part.failure)
-    if not part.condition3_ok:
-        raise NotIntegrated("some constraint does not match exactly one row")
     total = 1 << len(part.free_groups)
     count = total if limit is None else min(limit, total)
     pairs = []

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import ValidationError
 from .logic import parse_formula, to_text
 from .prdb import EprRelation, PrRelation, PrTuple
-from .pwdb import UncertainDB
+from .pwdb import UncertainDB, format_tuple
 
 # A larger exponent gives a numerator or denominator longer than Python prints
 # by default (4,300 digits), and a far larger one keeps Fraction() busy
@@ -87,6 +87,10 @@ def _parse_pw(obj: dict) -> UncertainDB:
     if not isinstance(raw_tuples, list):
         raise ValidationError("pw document: \"tuples\" must be an array")
     tuples = [_parse_tuple(t, f"tuples[{i}]") for i, t in enumerate(raw_tuples)]
+    first: dict = {}
+    for i, t in enumerate(tuples):
+        if first.setdefault(t, i) != i:
+            raise ValidationError(f"tuples {first[t]} and {i} repeat the tuple {format_tuple(t)}")
     raw_worlds = obj.get("worlds")
     if not isinstance(raw_worlds, list):
         raise ValidationError("pw document: \"worlds\" must be an array")
@@ -271,12 +275,3 @@ def _dumps_indented(value, newline: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def dumps_document(value) -> str:
-    return dumps_json(document_of(value)) + "\n"
-
-
-def write_document(value, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_document(value))

@@ -13,6 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from .errors import NotIntegrated
 from .logic import And, FALSE, Formula, Iff, Implies, Not, Or, TRUE, Variable
 from .prdb import EprRelation, PrRelation, PrTuple, encode_pw, integrate_pr
 from .pwdb import Tuple, UncertainDB, world_key
@@ -179,5 +180,8 @@ def gen_integrated_epr(seed) -> EprRelation:
                 {**(left.var_probs or {}), **(extra.var_probs or {})},
             )
         q = integrate_pr(left, right)
-        if partition(q).ok:
-            return q
+        try:
+            partition(q)
+        except NotIntegrated:
+            continue
+        return q

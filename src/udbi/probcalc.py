@@ -3,8 +3,8 @@
 The relation is decomposed into a source pair, both sides are expanded to
 possible worlds, and the integrated probabilities follow the closed form
 P(D_i) * P(D'_j) / P per compatibility component.  Every alternative
-decomposition must give the identical distribution; cross_check verifies
-that exactly.
+decomposition must give the identical distribution; epr_distribution
+compares as many as its limit asks for, and cross_check compares them all.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .pwdb import (
 
 @dataclass(frozen=True)
 class IntegratedDistribution:
-    """Distribution plus the component balance report and the pair that produced it.
+    """Distribution plus the component balance report, the pair that produced
+    it, and whether the other decompositions checked agree with it.
 
     The distribution is integrate_checked's UncertainDB: worlds in canonical
     order, probabilities summing to 1.
@@ -35,44 +36,21 @@ class IntegratedDistribution:
     distribution: UncertainDB
     components: tuple[ComponentSummary, ...]
     pair_used: PrPair
+    agreed: bool
 
 
-def epr_distribution(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> IntegratedDistribution:
+def epr_distribution(
+    q: EprRelation, cap: int = DEFAULT_VAR_CAP, limit: int | None = 1
+) -> IntegratedDistribution:
     """Exact world probabilities of q under partial independence.
 
-    Pipeline: decompose with the default partition, expand both sides,
-    check the per-component probability balance, then weight each
-    compatible world pair by P(D_i) * P(D'_j) / P and merge duplicates.
-    Both expanded sides are UncertainDBs, valid once built.
-    """
-    return _distribution_and_agreement(q, cap, 1)[0]
-
-
-def cross_check(
-    q: EprRelation,
-    var_probs=None,
-    cap: int = DEFAULT_VAR_CAP,
-    limit: int | None = None,
-) -> bool:
-    """True iff every decomposition of q yields the identical exact distribution.
-
-    ``var_probs`` (optional) replaces the relation's own probabilities.
-    Each pair from enumerate_pairs is expanded and integrated in the
-    possible-worlds model and compared world-by-world against the default
-    pipeline's answer.
-    """
-    if var_probs is not None:
-        q = EprRelation.of(q.rows, q.constraints, var_probs)
-    return _distribution_and_agreement(q, cap, limit)[1]
-
-
-def _distribution_and_agreement(
-    q: EprRelation, cap: int, limit: int | None
-) -> tuple[IntegratedDistribution, bool]:
-    """epr_distribution(q, cap), and whether pairs 1.. of
-    enumerate_pairs(q, limit) all give its distribution.
-
-    q is decomposed once; pair 0 is always built, even when limit is 0.
+    Pipeline: decompose once with enumerate_pairs(q, limit), expand both
+    sides of pair 0 (the default partition), check the per-component
+    probability balance, then weight each compatible world pair by
+    P(D_i) * P(D'_j) / P and merge duplicates.  Both expanded sides are
+    UncertainDBs, valid once built.  ``agreed`` is True iff pairs 1.. give
+    the identical distribution in the possible-worlds model; the default
+    limit builds pair 0 alone, as does limit 0, and None builds every pair.
     """
     require_var_probs(q, q.variables())
     pairs = enumerate_pairs(q, None if limit is None else max(limit, 1))
@@ -85,4 +63,9 @@ def _distribution_and_agreement(
         integrate_pw_prob(expand_pr(other.r, cap)[0], expand_pr(other.s, cap)[0]) == joint
         for other in pairs[1:]
     )
-    return IntegratedDistribution(joint, tuple(c for c, _ in checks), pair), agreed
+    return IntegratedDistribution(joint, tuple(c for c, _ in checks), pair, agreed)
+
+
+def cross_check(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> bool:
+    """True iff every decomposition of q yields the identical exact distribution."""
+    return epr_distribution(q, cap, None).agreed

@@ -29,7 +29,7 @@ from conftest import (
 from udbi import prdb
 from udbi.cli import main
 from udbi.decompose import enumerate_pairs
-from udbi.documents import parse_document, write_document
+from udbi.documents import document_of, dumps_json, parse_document
 from udbi.errors import EmptyIntegration, NoValidAssignment
 from udbi.gen import gen_integrated_epr, gen_pr_pair, gen_prob, gen_pw_db
 from udbi.logic import And, Not, Variable, equivalent, evaluate, parse_formula
@@ -76,8 +76,8 @@ def test_criterion_1_cli_integration_yields_the_six_exact_probabilities(
 ):
     done = timed(1.0)
     r1, r2 = office_pr_sources()
-    write_document(r1, tmp_path / "r1.json")
-    write_document(r2, tmp_path / "r2.json")
+    for name, value in (("r1", r1), ("r2", r2)):
+        (tmp_path / f"{name}.json").write_text(dumps_json(document_of(value)), encoding="utf-8")
     assert (
         main(
             [

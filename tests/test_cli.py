@@ -18,17 +18,15 @@ from conftest import (
     roster_pr_sources,
     world,
 )
-from udbi import decompose, documents
+from udbi import decompose, documents, probcalc
 from udbi.cli import main
 from udbi.decompose import PrPair
 from udbi.documents import (
     _parse_prob,
     document_of,
-    dumps_document,
     dumps_json,
     load_document,
     parse_document,
-    write_document,
 )
 from udbi.errors import ValidationError
 from udbi.gen import gen_consistent_pw_pair, gen_pr_pair, gen_pw_db
@@ -44,7 +42,7 @@ def run(capsys, *args) -> tuple[int, str, str]:
 
 def save(tmp_path, name, value) -> str:
     path = tmp_path / name
-    write_document(value, path)
+    path.write_text(dumps_json(document_of(value)) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -89,6 +87,17 @@ def test_world_indices_are_checked():
         parse_document(doc)
 
 
+def test_repeated_pw_tuples_are_rejected():
+    for worlds in ([[0], []], [[0], [1]]):
+        doc = {
+            "model": "pw",
+            "tuples": [["a"], ["b"], ["a"]],
+            "worlds": [{"tuples": w} for w in worlds],
+        }
+        with pytest.raises(ValidationError, match=r"^tuples 0 and 2 repeat the tuple \(a\)$"):
+            parse_document(doc)
+
+
 def test_partial_world_probabilities_are_rejected():
     doc = {
         "model": "pw",
@@ -105,7 +114,7 @@ def test_documents_round_trip_generated_values(seed):
     r, s = gen_pr_pair(seed)
     u = gen_pw_db(seed)
     for value in (r, s, u):
-        assert parse_document(json.loads(dumps_document(value))) == value
+        assert parse_document(json.loads(dumps_json(document_of(value)))) == value
 
 
 JSON_VALUES = st.recursive(
@@ -430,6 +439,14 @@ def test_check_single_relation_cross_checks(tmp_path, capsys):
     assert "cross-check: ok" in out
 
 
+def test_check_single_relation_exits_one_when_a_pair_disagrees(tmp_path, capsys, monkeypatch):
+    q = save(tmp_path, "q.json", free_group_epr(FREE_GROUP_PROBS))
+    monkeypatch.setattr(probcalc, "integrate_pw_prob", lambda r, s: None)
+    code, out, err = run(capsys, "check", q)
+    assert (code, err) == (1, "")
+    assert out.endswith("cross-check: FAILED\n")
+
+
 def test_single_relation_check_decomposes_once(tmp_path, capsys, monkeypatch):
     calls = {}
     partition, checked = decompose.partition, PrPair._checked.__func__
@@ -629,6 +646,17 @@ def test_unreadable_input_exits_two(tmp_path, capsys):
     path.write_bytes(b'{"model": "pw\xff"}')
     code, _, err = run(capsys, "expand", str(path))
     assert code == 2 and "not valid JSON" in err and "Traceback" not in err
+
+
+def test_unwritable_out_path_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "gen", "--seed", "3", "--out", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    code, out, err = run(capsys, "gen", "--seed", "3", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: [Errno 21] Is a directory")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_bad_formula_text_exits_two(tmp_path, capsys):

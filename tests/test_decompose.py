@@ -12,13 +12,7 @@ from conftest import (
     roster_pr_sources,
 )
 from udbi import decompose
-from udbi.decompose import (
-    PrPair,
-    build_pair,
-    check_integrated,
-    enumerate_pairs,
-    partition,
-)
+from udbi.decompose import PrPair, build_pair, enumerate_pairs, partition
 from udbi.errors import NotIntegrated, ValidationError
 from udbi.gen import gen_integrated_epr
 from udbi.logic import FALSE, TRUE, Not, Variable
@@ -43,7 +37,6 @@ def canonical(q: EprRelation):
 
 def test_partition_of_the_office_relation_has_no_free_groups():
     part = partition(office_epr())
-    assert part.ok
     assert part.v1 == ("b1", "b2", "b3")
     assert part.w1 == ("c1", "c2")
     assert part.free_groups == ()
@@ -51,7 +44,6 @@ def test_partition_of_the_office_relation_has_no_free_groups():
 
 def test_partition_reports_the_free_group():
     part = partition(free_group_epr())
-    assert part.ok
     assert part.v1 == ("a",)
     assert part.w1 == ("c", "d")
     assert part.free_groups == (("b",),)
@@ -61,7 +53,6 @@ def test_constraint_free_relations_are_entirely_free():
     r1, _ = office_pr_sources()
     q = EprRelation.of(r1.rows, (), r1.var_probs)
     part = partition(q)
-    assert part.ok
     assert (part.v1, part.w1) == ((), ())
     assert part.free_groups == (("c1", "c2"),)
 
@@ -69,9 +60,10 @@ def test_constraint_free_relations_are_entirely_free():
 def test_constraint_touching_one_group_is_a_self_loop():
     a, b = Variable("a"), Variable("b")
     q = EprRelation.of([(("t",), a), (("u",), b)], [(a, a & b)])
-    part = partition(q)
-    assert part.failure == "constraint links variable group {a, b} to itself"
-    assert not part.ok
+    with pytest.raises(
+        NotIntegrated, match=r"^constraint links variable group \{a, b\} to itself$"
+    ):
+        partition(q)
 
 
 def test_odd_constraint_cycle_cannot_be_two_colored():
@@ -80,18 +72,18 @@ def test_odd_constraint_cycle_cannot_be_two_colored():
         [(("t1",), a), (("t2",), b), (("t3",), c)],
         [(a, b), (b, c), (c, a)],
     )
-    part = partition(q)
-    assert part.failure == "variable group {c} would be labeled both sides"
+    with pytest.raises(NotIntegrated, match=r"^variable group \{c\} would be labeled both sides$"):
+        partition(q)
 
 
 def test_constraint_matching_no_row_fails_condition_three():
     a, b = Variable("a"), Variable("b")
     q = EprRelation.of([(("t",), a), (("u",), b)], [(Not(a), Not(b))])
-    part = partition(q)
-    assert part.failure is None
-    assert not part.condition3_ok
-    with pytest.raises(NotIntegrated, match="exactly one row"):
-        enumerate_pairs(q)
+    for recognize in (partition, enumerate_pairs):
+        with pytest.raises(
+            NotIntegrated, match=r"^some constraint does not match exactly one row$"
+        ):
+            recognize(q)
 
 
 def test_constraint_matching_two_rows_fails_condition_three():
@@ -100,36 +92,55 @@ def test_constraint_matching_two_rows_fails_condition_three():
         [(("t",), a), (("u",), a), (("v",), b)],
         [(a, b)],
     )
-    assert not partition(q).condition3_ok
+    with pytest.raises(NotIntegrated, match=r"^some constraint does not match exactly one row$"):
+        partition(q)
 
 
-# --- check_integrated ------------------------------------------------------------------
+def test_a_coloring_fault_is_reported_before_condition_three():
+    a, b, c = Variable("a"), Variable("b"), Variable("c")
+    rows = [(("t1",), a), (("t2",), b), (("t3",), c)]
+    unmatched = (Not(a), Not(b))
+    self_loop = EprRelation.of(rows[:2], [(a, a & b), unmatched])
+    with pytest.raises(NotIntegrated, match=r"^constraint links variable group \{a, b\} to"):
+        partition(self_loop)
+    odd_cycle = EprRelation.of(rows, [(a, b), (b, c), (c, a), unmatched])
+    with pytest.raises(NotIntegrated, match=r"^variable group \{c\} would be labeled both"):
+        partition(odd_cycle)
+
+
+# --- build_pair checks a given split ------------------------------------------------------
 
 def test_check_accepts_the_forced_partition_and_its_mirror():
+    r1, r2 = office_pr_sources()
     q = office_epr()
-    assert check_integrated(q, {"b1", "b2", "b3"}, {"c1", "c2"})
-    assert check_integrated(q, {"c1", "c2"}, {"b1", "b2", "b3"})
+    assert build_pair(q, {"b1", "b2", "b3"}, {"c1", "c2"}) == PrPair(r2, r1)
+    assert build_pair(q, {"c1", "c2"}, {"b1", "b2", "b3"}) == PrPair(r1, r2)
 
 
 def test_check_rejects_rows_split_across_sides():
-    q = office_epr()
-    assert not check_integrated(q, {"b1", "b2", "c1"}, {"b3", "c2"})
+    with pytest.raises(NotIntegrated, match="^the relation is not recognized"):
+        build_pair(office_epr(), {"b1", "b2", "c1"}, {"b3", "c2"})
 
 
 def test_check_rejects_constraints_within_one_side():
-    q = office_epr()
-    assert not check_integrated(q, {"b1", "b2", "b3", "c1", "c2"}, set())
+    with pytest.raises(NotIntegrated, match="^the relation is not recognized"):
+        build_pair(office_epr(), {"b1", "b2", "b3", "c1", "c2"}, set())
+
+
+def test_check_rejects_a_split_that_fails_condition_three():
+    a, b = Variable("a"), Variable("b")
+    q = EprRelation.of([(("t",), a), (("u",), b)], [(Not(a), Not(b))])
+    with pytest.raises(NotIntegrated, match="^the relation is not recognized"):
+        build_pair(q, {"a"}, {"b"})
 
 
 def test_check_requires_a_partition_of_the_variables():
     q = office_epr()
     with pytest.raises(ValidationError, match="must partition"):
-        check_integrated(q, {"b1"}, {"c1", "c2"})
+        build_pair(q, {"b1"}, {"c1", "c2"})
     with pytest.raises(ValidationError, match="must partition"):
-        check_integrated(q, {"b1", "b2", "b3", "c1"}, {"c1", "c2"})
+        build_pair(q, {"b1", "b2", "b3", "c1"}, {"c1", "c2"})
 
-
-# --- build_pair ------------------------------------------------------------------------
 
 def test_rebuilding_the_roster_sources_recovers_them_exactly():
     andy, jane = roster_pr_sources()
@@ -215,8 +226,8 @@ def test_variable_free_row_without_a_partner_goes_to_r():
 
 def test_pair_sides_must_not_share_variables():
     rel = PrRelation.of([(("t",), Variable("a"))])
-    with pytest.raises(ValidationError, match="share event variables"):
-        PrPair.of(rel, rel)
+    with pytest.raises(ValidationError, match="^pair sides share event variables: a$"):
+        PrPair._checked(rel, rel, rel.variables(), rel.variables())
 
 
 # --- enumerate_pairs ---------------------------------------------------------------------
@@ -301,10 +312,8 @@ def test_generated_integrations_decompose_and_reintegrate(seed):
 def test_partition_accepts_generated_integrations(seed):
     q = gen_integrated_epr(seed)
     part = partition(q)
-    assert part.ok
-    assert check_integrated(
-        q, set(part.v1), set(part.w1) | {n for g in part.free_groups for n in g}
-    )
+    pair = build_pair(q, set(part.v1), set(part.w1) | {n for g in part.free_groups for n in g})
+    assert pair == enumerate_pairs(q, limit=1)[0]
 
 
 def chain_relation(n: int) -> EprRelation:
@@ -318,7 +327,7 @@ def chain_relation(n: int) -> EprRelation:
 
 def test_partition_work_grows_linearly():
     q1, q2 = chain_relation(1000), chain_relation(2000)
-    assert partition(q1).ok and partition(q2).ok
+    assert partition(q1).free_groups == partition(q2).free_groups == ()
     small = lines_run(decompose, partition, q1)
     large = lines_run(decompose, partition, q2)
     assert large <= 2.5 * small

@@ -15,7 +15,7 @@ def test_cli_outputs_match_the_committed_digests():
 
 
 def test_case_ids_are_unique():
-    ids = [case for case, _, _ in golden.corpus()[1]]
+    ids = [case for case, _ in golden.corpus()[1]]
     assert len(ids) == len(set(ids))
 
 

@@ -13,6 +13,7 @@ from conftest import (
     office_pr_sources,
     roster_pr_sources,
 )
+from udbi import probcalc
 from udbi.decompose import PrPair
 from udbi.errors import MissingVarProb, NotIntegrated, ProbConstraintViolation
 from udbi.gen import gen_integrated_epr
@@ -59,14 +60,23 @@ def test_cross_check_accepts_the_office_relation():
     assert cross_check(office_epr())
 
 
-def test_cross_check_can_supply_probabilities():
-    assert cross_check(free_group_epr(), var_probs=FREE_GROUP_PROBS)
-
-
 def test_cross_check_with_no_other_pair_accepts_a_recognized_relation():
     for q in (office_epr(), free_group_epr(FREE_GROUP_PROBS)):
-        assert cross_check(q, limit=0) is True
-        assert cross_check(q, limit=1) is True
+        assert epr_distribution(q, limit=0).agreed is True
+        assert epr_distribution(q, limit=1).agreed is True
+
+
+def test_distribution_without_a_limit_compares_every_pair(monkeypatch):
+    q = free_group_epr(FREE_GROUP_PROBS)
+    compared = []
+    original = probcalc.integrate_pw_prob
+    monkeypatch.setattr(
+        probcalc, "integrate_pw_prob", lambda *sides: compared.append(sides) or original(*sides)
+    )
+    result = epr_distribution(q, limit=None)
+    assert result.agreed is True and len(compared) == 1
+    assert result.distribution == epr_distribution(q).distribution
+    assert cross_check(q) is True and len(compared) == 2
 
 
 def test_missing_probabilities_are_reported_before_recognition_fails():
@@ -83,7 +93,7 @@ def test_missing_probabilities_are_reported_before_recognition_fails():
 def test_unbalanced_probabilities_raise_for_every_pair():
     unbalanced = dict(FREE_GROUP_PROBS, a="1/2")
     with pytest.raises(ProbConstraintViolation):
-        cross_check(free_group_epr(), var_probs=unbalanced)
+        cross_check(free_group_epr(unbalanced))
     with pytest.raises(ProbConstraintViolation):
         epr_distribution(free_group_epr(unbalanced))
 
