@@ -4,7 +4,8 @@ Commands: expand, integrate, prob, check, decompose, gen.  Global flags
 --cap (expansion variable cap) and --format (json or table) may appear
 before or after the subcommand.  Exit codes: 0 ok, 1 failed verdict,
 2 parse/validation error, 3 expansion cap exceeded, 4 empty integration,
-5 probabilistic-constraint violation, 6 not recognized as integrated.
+5 probabilistic-constraint violation, 6 not recognized as integrated;
+``_EXIT_CODES`` maps each error type to its code.
 Parentheses in formula text nest without limit.  Deeply nested JSON, and
 formula trees deeper than Python's recursion limit (a long chain of one
 connective, or of "!"), exit 2 with "error: input nested too deeply" until
@@ -29,6 +30,7 @@ from .errors import (
     NoValidAssignment,
     ParseError,
     ProbConstraintViolation,
+    UdbError,
     UnboundVariable,
     ValidationError,
 )
@@ -60,8 +62,19 @@ EXIT_EMPTY = 4
 EXIT_UNBALANCED = 5
 EXIT_NOT_INTEGRATED = 6
 
+# The exit code of each error type this package raises.
+_EXIT_CODES = {
+    **dict.fromkeys((ParseError, ValidationError, UnboundVariable, MissingVarProb), EXIT_INPUT),
+    ExpansionTooLarge: EXIT_CAP,
+    **dict.fromkeys((EmptyIntegration, NoValidAssignment), EXIT_EMPTY),
+    ProbConstraintViolation: EXIT_UNBALANCED,
+    NotIntegrated: EXIT_NOT_INTEGRATED,
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    # --cap and --format are declared at the top level and, with SUPPRESS, in
+    # each subcommand, so they may come before or after the subcommand.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--cap", type=int, default=argparse.SUPPRESS,
@@ -71,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "table"), default=argparse.SUPPRESS,
         help="output rendering (default table)",
     )
+    shared.add_argument("--out", help="write the result document to a file")
     parser = argparse.ArgumentParser(
         prog="udbi",
         description="Integrate uncertain databases and compute exact distributions.",
@@ -79,45 +93,41 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "table"), default="table")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[shared],
-                       help="expand a relation or database to its worlds")
+    def command(name, run, help):
+        p = sub.add_parser(name, parents=[shared], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("expand", _cmd_expand, "expand a relation or database to its worlds")
     p.add_argument("input")
     p.add_argument("--worlds-only", action="store_true",
                    help="list worlds without probabilities")
-    p.add_argument("--out", help="write the result document to a file")
 
-    p = sub.add_parser("integrate", parents=[shared], help="integrate two sources")
+    p = command("integrate", _cmd_integrate, "integrate two sources")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--model", choices=("pw", "pr"), required=True)
-    p.add_argument("--out", help="write the result document to a file")
 
-    p = sub.add_parser("prob", parents=[shared],
-                       help="exact distribution of an integrated relation")
+    p = command("prob", _cmd_prob, "exact distribution of an integrated relation")
     p.add_argument("input")
-    p.add_argument("--out", help="write the result document to a file")
 
-    p = sub.add_parser("check", parents=[shared],
-                       help="probabilistic-constraint and consistency checks")
+    p = command("check", _cmd_check, "probabilistic-constraint and consistency checks")
     p.add_argument("a")
     p.add_argument("b", nargs="?")
-    p.add_argument("--out", help="write the result document to a file")
 
-    p = sub.add_parser("decompose", parents=[shared],
-                       help="recover source pairs from an integrated relation")
+    p = command("decompose", _cmd_decompose,
+                "recover source pairs from an integrated relation")
     p.add_argument("input")
     p.add_argument("--all", action="store_true", help="emit every pair")
     p.add_argument("--limit", type=int, help="emit at most this many pairs")
-    p.add_argument("--out", help="write the result document to a file")
 
-    p = sub.add_parser("gen", parents=[shared], help="generate a random source pair")
+    p = command("gen", _cmd_gen, "generate a random source pair")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", choices=("pr", "pw"), default="pr")
     p.add_argument("--max-tuples", type=int, default=4)
     p.add_argument("--max-vars", type=int, default=3)
     p.add_argument("--max-depth", type=int, default=2)
     p.add_argument("--overlap", type=float, default=0.6)
-    p.add_argument("--out", help="write the result document to a file")
     return parser
 
 
@@ -162,10 +172,11 @@ def _relation_table(rel) -> str:
     return "\n".join(lines)
 
 
-def _table(value) -> str:
+def _shown(value) -> tuple[dict, Callable[[], str]]:
+    """A model value's document, and the renderer of its table."""
     if isinstance(value, UncertainDB):
-        return _distribution_table(value)
-    return _relation_table(value)
+        return document_of(value), lambda: _distribution_table(value)
+    return document_of(value), lambda: _relation_table(value)
 
 
 def _titled(title: str, table: str) -> list[str]:
@@ -211,41 +222,35 @@ def _emit(args, doc, table: Callable[[], str]) -> None:
     ``table`` renders the text table; it is called only when the table is
     printed.  An --out path that cannot be written is an input error.
     """
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         try:
-            with open(out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(dumps_json(doc) + "\n")
         except OSError as err:
-            raise ValidationError(f"cannot write {out}: {err}") from None
-    elif args.format == "json":
-        print(dumps_json(doc))
+            raise ValidationError(f"cannot write {args.out}: {err}") from None
     else:
-        print(table())
-
-
-def _emit_value(args, value) -> None:
-    _emit(args, document_of(value), lambda: _table(value))
+        print(dumps_json(doc) if args.format == "json" else table())
 
 
 # --- commands -------------------------------------------------------------------
 
-def _cmd_expand(args) -> int:
+# A command's result: its document, the renderer of its table, its exit code.
+_Result = tuple[dict, Callable[[], str], int]
+
+
+def _cmd_expand(args) -> _Result:
     value = load_document(args.input)
-    if isinstance(value, UncertainDB):
-        expanded = value
-    elif isinstance(value, PrRelation):
-        expanded, _ = expand_pr(value, args.cap)
+    if isinstance(value, (UncertainDB, PrRelation)):
+        expanded = _to_udb(value, args.cap)
     else:
         worlds = [w for w, _ in expand_epr(value, args.cap)]
         expanded = UncertainDB(value.tuples(), tuple(worlds))
     if args.worlds_only and expanded.probs is not None:
         expanded = UncertainDB(expanded.tuple_set, expanded.worlds)
-    _emit_value(args, expanded)
-    return EXIT_OK
+    return (*_shown(expanded), EXIT_OK)
 
 
-def _cmd_integrate(args) -> int:
+def _cmd_integrate(args) -> _Result:
     a = load_document(args.a)
     b = load_document(args.b)
     if args.model == "pw":
@@ -259,8 +264,7 @@ def _cmd_integrate(args) -> int:
         if not (isinstance(a, PrRelation) and isinstance(b, PrRelation)):
             raise ValidationError("--model pr needs two pr documents")
         result = integrate_pr(a, b)
-    _emit_value(args, result)
-    return EXIT_OK
+    return (*_shown(result), EXIT_OK)
 
 
 def _load_relation(path) -> EprRelation:
@@ -270,7 +274,7 @@ def _load_relation(path) -> EprRelation:
     return value
 
 
-def _cmd_prob(args) -> int:
+def _cmd_prob(args) -> _Result:
     q = _load_relation(args.input)
     result = epr_distribution(q, args.cap)
     joint = result.distribution
@@ -290,8 +294,7 @@ def _cmd_prob(args) -> int:
         lines.extend(_titled("pair s:", _relation_table(result.pair_used.s)))
         return "\n".join(lines)
 
-    _emit(args, doc, table)
-    return EXIT_OK
+    return doc, table, EXIT_OK
 
 
 def _to_udb(value, cap: int) -> UncertainDB:
@@ -303,7 +306,7 @@ def _to_udb(value, cap: int) -> UncertainDB:
     return udb
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Result:
     if args.b is None:
         return _check_single(args)
     u1 = _to_udb(load_document(args.a), args.cap)
@@ -316,9 +319,7 @@ def _cmd_check(args) -> int:
         # Always true: each component is one trace class (see CompatibilityGraph).
         "complete_bipartite": True,
         "balanced": balanced,
-        "components": None
-        if checks is None
-        else [_component_doc(c, r) for c, r in checks],
+        "components": None if checks is None else [_component_doc(c, r) for c, r in checks],
     }
 
     def table() -> str:
@@ -337,11 +338,10 @@ def _cmd_check(args) -> int:
         lines.append("complete-bipartite: yes")
         return "\n".join(lines)
 
-    _emit(args, doc, table)
-    return EXIT_UNBALANCED if balanced is False else EXIT_OK
+    return doc, table, EXIT_UNBALANCED if balanced is False else EXIT_OK
 
 
-def _check_single(args) -> int:
+def _check_single(args) -> _Result:
     q = _load_relation(args.a)
     result = epr_distribution(q, args.cap, None)
     doc = {
@@ -354,18 +354,14 @@ def _check_single(args) -> int:
         lines.append(f"cross-check: {'ok' if result.agreed else 'FAILED'}")
         return "\n".join(lines)
 
-    _emit(args, doc, table)
-    return EXIT_OK if result.agreed else EXIT_VERDICT_FAILED
+    return doc, table, EXIT_OK if result.agreed else EXIT_VERDICT_FAILED
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> _Result:
     if args.limit is not None and args.limit < 0:
         raise ValidationError(f"--limit must be 0 or more, got {args.limit}")
     q = _load_relation(args.input)
-    if args.all:
-        limit = args.limit
-    else:
-        limit = 1 if args.limit is None else args.limit
+    limit = args.limit if args.all or args.limit is not None else 1
     pairs = enumerate_pairs(q, limit)
     doc = {
         "pairs": [{"r": document_of(p.r), "s": document_of(p.s)} for p in pairs]
@@ -378,11 +374,10 @@ def _cmd_decompose(args) -> int:
             lines.extend(_titled(f"pair {i} s:", _relation_table(p.s)))
         return "\n".join(lines)
 
-    _emit(args, doc, table)
-    return EXIT_OK
+    return doc, table, EXIT_OK
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> _Result:
     if not 1 <= args.max_tuples <= 8:
         raise ValidationError("--max-tuples must be between 1 and 8")
     if not 1 <= args.max_vars <= 4:
@@ -400,51 +395,36 @@ def _cmd_gen(args) -> int:
             overlap=args.overlap,
         )
     else:
-        a, b = gen_consistent_pw_pair(
-            args.seed, max_common=min(args.max_tuples, 4)
-        )
-    doc = {"a": document_of(a), "b": document_of(b)}
+        a, b = gen_consistent_pw_pair(args.seed, max_common=min(args.max_tuples, 4))
+    (doc_a, table_a), (doc_b, table_b) = _shown(a), _shown(b)
 
     def table() -> str:
-        return "\n".join(_titled("source a:", _table(a)) + _titled("source b:", _table(b)))
+        return "\n".join(_titled("source a:", table_a()) + _titled("source b:", table_b()))
 
-    _emit(args, doc, table)
-    return EXIT_OK
+    return {"a": doc_a, "b": doc_b}, table, EXIT_OK
 
 
-_COMMANDS = {
-    "expand": _cmd_expand,
-    "integrate": _cmd_integrate,
-    "prob": _cmd_prob,
-    "check": _cmd_check,
-    "decompose": _cmd_decompose,
-    "gen": _cmd_gen,
-}
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.cap < 0:
             raise ValidationError(f"--cap must be 0 or more, got {args.cap}")
-        return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError, UnboundVariable, MissingVarProb) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ExpansionTooLarge as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAP
-    except (EmptyIntegration, NoValidAssignment) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_EMPTY
-    except ProbConstraintViolation as err:
-        print("error: probabilistic constraints violated", file=sys.stderr)
-        for _, reason in err.failures:
-            print(f"  {reason}", file=sys.stderr)
-        return EXIT_UNBALANCED
-    except NotIntegrated as err:
-        print(f"error: not recognized as integrated: {err}", file=sys.stderr)
-        return EXIT_NOT_INTEGRATED
+        doc, table, code = args.run(args)
+        _emit(args, doc, table)
+        return code
+    except UdbError as err:
+        if isinstance(err, ProbConstraintViolation):
+            reasons = "".join(f"\n  {reason}" for _, reason in err.failures)
+            message = f"probabilistic constraints violated{reasons}"
+        elif isinstance(err, NotIntegrated):
+            message = f"not recognized as integrated: {err}"
+        else:
+            message = str(err)
+        print(f"error: {message}", file=sys.stderr)
+        return _EXIT_CODES[type(err)]
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT

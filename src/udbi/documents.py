@@ -75,6 +75,23 @@ def _parse_event(text, where: str, parsed: dict):
     return formula
 
 
+def _repeated(items):
+    """The first item that occurs a second time in items."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is an error, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"repeated key {_repeated(key for key, _ in pairs)!r}")
+    return obj
+
+
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
     extra = set(obj) - allowed
     if extra:
@@ -107,7 +124,10 @@ def _parse_pw(obj: dict) -> UncertainDB:
             for k in indices
         ):
             raise ValidationError(f"{where}: \"tuples\" must be an array of tuple indices")
-        worlds.append(frozenset(tuples[k] for k in indices))
+        world = frozenset(tuples[k] for k in indices)
+        if len(world) < len(indices):
+            raise ValidationError(f"{where} lists tuple {_repeated(indices)} twice")
+        worlds.append(world)
         if "prob" in entry:
             probs.append(_parse_prob(entry["prob"], where))
         else:
@@ -121,7 +141,26 @@ def _parse_pw(obj: dict) -> UncertainDB:
     )
 
 
-def _parse_rows(obj: dict, where: str, parsed: dict) -> tuple[PrTuple, ...]:
+def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
+    """A "pr" or "epr" document's relation; constraints are read before rows."""
+    where = f"{model} document"
+    keys = {"model", "rows", "var_probs"}
+    _require_keys(obj, (keys | {"constraints"}) if model == "epr" else keys, where)
+    raw = obj.get("constraints", [])
+    if not isinstance(raw, list):
+        raise ValidationError(f"{where}: \"constraints\" must be an array")
+    parsed = {}
+    constraints = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"constraints[{i}]: must be an object")
+        _require_keys(entry, {"lhs", "rhs"}, f"constraints[{i}]")
+        constraints.append(
+            (
+                _parse_event(entry.get("lhs"), f"constraints[{i}].lhs", parsed),
+                _parse_event(entry.get("rhs"), f"constraints[{i}].rhs", parsed),
+            )
+        )
     raw = obj.get("rows")
     if not isinstance(raw, list):
         raise ValidationError(f"{where}: \"rows\" must be an array")
@@ -136,47 +175,14 @@ def _parse_rows(obj: dict, where: str, parsed: dict) -> tuple[PrTuple, ...]:
                 _parse_event(entry.get("event"), f"rows[{i}].event", parsed),
             )
         )
-    return tuple(rows)
-
-
-def _parse_var_probs(obj: dict, where: str) -> dict[str, Fraction] | None:
-    raw = obj.get("var_probs")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: \"var_probs\" must be an object")
-    return {name: _parse_prob(p, f"var_probs.{name}") for name, p in raw.items()}
-
-
-def _parse_pr(obj: dict) -> PrRelation:
-    _require_keys(obj, {"model", "rows", "var_probs"}, "pr document")
-    return PrRelation.of(
-        _parse_rows(obj, "pr document", {}), _parse_var_probs(obj, "pr document")
-    )
-
-
-def _parse_epr(obj: dict) -> EprRelation:
-    _require_keys(obj, {"model", "rows", "constraints", "var_probs"}, "epr document")
-    raw = obj.get("constraints", [])
-    if not isinstance(raw, list):
-        raise ValidationError("epr document: \"constraints\" must be an array")
-    parsed = {}
-    constraints = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"constraints[{i}]: must be an object")
-        _require_keys(entry, {"lhs", "rhs"}, f"constraints[{i}]")
-        constraints.append(
-            (
-                _parse_event(entry.get("lhs"), f"constraints[{i}].lhs", parsed),
-                _parse_event(entry.get("rhs"), f"constraints[{i}].rhs", parsed),
-            )
-        )
-    return EprRelation.of(
-        _parse_rows(obj, "epr document", parsed),
-        constraints,
-        _parse_var_probs(obj, "epr document"),
-    )
+    var_probs = obj.get("var_probs")
+    if var_probs is not None:
+        if not isinstance(var_probs, dict):
+            raise ValidationError(f"{where}: \"var_probs\" must be an object")
+        var_probs = {name: _parse_prob(p, f"var_probs.{name}") for name, p in var_probs.items()}
+    if model == "pr":
+        return PrRelation.of(rows, var_probs)
+    return EprRelation.of(rows, constraints, var_probs)
 
 
 def parse_document(obj) -> UncertainDB | PrRelation | EprRelation:
@@ -186,17 +192,15 @@ def parse_document(obj) -> UncertainDB | PrRelation | EprRelation:
     model = obj.get("model")
     if model == "pw":
         return _parse_pw(obj)
-    if model == "pr":
-        return _parse_pr(obj)
-    if model == "epr":
-        return _parse_epr(obj)
+    if model in ("pr", "epr"):
+        return _parse_relation(obj, model)
     raise ValidationError('document needs a "model" key of "pw", "pr" or "epr"')
 
 
 def load_document(path) -> UncertainDB | PrRelation | EprRelation:
     try:
         with open(path, encoding="utf-8") as handle:
-            obj = json.load(handle)
+            obj = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ValidationError(f"cannot read {path}: {err}") from None
     except ValueError as err:  # bad JSON or UTF-8, or a number too long to convert

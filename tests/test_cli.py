@@ -1,5 +1,6 @@
 """Document serialization and the command-line surface."""
 
+import argparse
 import json
 import time
 from fractions import Fraction
@@ -18,7 +19,7 @@ from conftest import (
     roster_pr_sources,
     world,
 )
-from udbi import decompose, documents, probcalc
+from udbi import cli, decompose, documents, errors, probcalc
 from udbi.cli import main
 from udbi.decompose import PrPair
 from udbi.documents import (
@@ -96,6 +97,16 @@ def test_repeated_pw_tuples_are_rejected():
         }
         with pytest.raises(ValidationError, match=r"^tuples 0 and 2 repeat the tuple \(a\)$"):
             parse_document(doc)
+
+
+def test_repeated_world_indices_are_rejected():
+    doc = {
+        "model": "pw",
+        "tuples": [["a"], ["b"]],
+        "worlds": [{"tuples": [1]}, {"tuples": [0, 1, 0]}],
+    }
+    with pytest.raises(ValidationError, match=r"^worlds\[1\] lists tuple 0 twice$"):
+        parse_document(doc)
 
 
 def test_partial_world_probabilities_are_rejected():
@@ -634,6 +645,47 @@ def test_out_and_json_output_render_no_table(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["pair"] == pairs["pairs"][0]
 
 
+# --- one parser, one exit-code table ------------------------------------------------------
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
+    path = save(tmp_path, "q.json", office_epr())
+    code, out, _ = run(capsys, "prob", path)
+    assert code == 0 and "21/160" in out
+    with pytest.raises(SystemExit) as exit_:
+        main(["--format", "xml", "prob", path])
+    assert exit_.value.code == 2
+
+
+def test_back_to_back_calls_share_no_state(tmp_path, capsys):
+    q = save(tmp_path, "q.json", office_epr())
+    code, out, _ = run(capsys, "--format", "json", "prob", q, "--cap", "5")
+    assert code == 0 and json.loads(out)["distribution"]["model"] == "pw"
+    code, out, _ = run(capsys, "prob", q)
+    assert code == 0 and out.startswith("WORLD ")
+    code, out, _ = run(capsys, "prob", q, "--out", str(tmp_path / "p.json"))
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "prob", q)
+    assert code == 0 and out.startswith("WORLD ")
+    free = save(tmp_path, "free.json", free_group_epr(FREE_GROUP_PROBS))
+    code, out, _ = run(capsys, "decompose", "--all", free)
+    assert code == 0 and "pair 1 s:" in out
+    code, out, _ = run(capsys, "decompose", free)
+    assert code == 0 and "pair 0 s:" in out and "pair 1" not in out
+
+
+def test_every_error_type_has_an_exit_code():
+    error_types = {
+        value
+        for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.UdbError)
+    }
+    assert set(cli._EXIT_CODES) == error_types - {errors.UdbError}
+
+
 # --- exit codes ---------------------------------------------------------------------------
 
 def test_unreadable_input_exits_two(tmp_path, capsys):
@@ -646,6 +698,18 @@ def test_unreadable_input_exits_two(tmp_path, capsys):
     path.write_bytes(b'{"model": "pw\xff"}')
     code, _, err = run(capsys, "expand", str(path))
     assert code == 2 and "not valid JSON" in err and "Traceback" not in err
+
+
+def test_repeated_json_keys_exit_two(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"model": "pr", "rows": [{"tuple": ["t"], "event": "x"}],'
+        ' "var_probs": {"x": "1/2", "x": "1/3"}}',
+        encoding="utf-8",
+    )
+    assert run(capsys, "expand", str(path)) == (
+        2, "", f"error: {path} is not valid JSON: repeated key 'x'\n"
+    )
 
 
 def test_unwritable_out_path_exits_two(tmp_path, capsys):
