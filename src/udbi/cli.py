@@ -6,11 +6,13 @@ before or after the subcommand.  Exit codes: 0 ok, 1 failed verdict,
 2 parse/validation error, 3 expansion cap exceeded, 4 empty integration,
 5 probabilistic-constraint violation, 6 not recognized as integrated;
 ``_EXIT_CODES`` maps each error type to its code.
-Parentheses in formula text nest without limit.  Deeply nested JSON, and
-formula trees deeper than Python's recursion limit (a long chain of one
-connective, or of "!"), exit 2 with "error: input nested too deeply" until
-the remaining formula and document traversals are iterative.  A result
-with a number too long to print also exits 2.
+Parentheses in formula text nest without limit.  Input nested deeper than
+Python's recursion limit exits 2 with "error: input nested too deeply"
+until the remaining traversals are iterative: deeply nested JSON and a long
+run of "!" under every command, and a long chain of one connective under
+prob, check and decompose, where recognition hashes the formula recursively
+(expand scans it without recursion and stops at the cap).  A result with a
+number too long to print also exits 2.
 """
 
 from __future__ import annotations
@@ -172,11 +174,11 @@ def _relation_table(rel) -> str:
     return "\n".join(lines)
 
 
-def _shown(value) -> tuple[dict, Callable[[], str]]:
-    """A model value's document, and the renderer of its table."""
+def _shown(value) -> tuple[Callable[[], dict], Callable[[], str]]:
+    """The renderers of a model value's document and of its table."""
     if isinstance(value, UncertainDB):
-        return document_of(value), lambda: _distribution_table(value)
-    return document_of(value), lambda: _relation_table(value)
+        return lambda: document_of(value), lambda: _distribution_table(value)
+    return lambda: document_of(value), lambda: _relation_table(value)
 
 
 def _titled(title: str, table: str) -> list[str]:
@@ -216,26 +218,28 @@ def _component_lines(checks) -> list[str]:
     return lines
 
 
-def _emit(args, doc, table: Callable[[], str]) -> None:
+def _emit(args, document: Callable[[], dict], table: Callable[[], str]) -> None:
     """Print the table or the JSON document; --out always writes the document.
 
-    ``table`` renders the text table; it is called only when the table is
-    printed.  An --out path that cannot be written is an input error.
+    ``document`` and ``table`` render the two forms; each is called only
+    when its form is output.  An --out path that cannot be written is an
+    input error.
     """
     if args.out:
+        doc = document()
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(dumps_json(doc) + "\n")
         except OSError as err:
             raise ValidationError(f"cannot write {args.out}: {err}") from None
     else:
-        print(dumps_json(doc) if args.format == "json" else table())
+        print(dumps_json(document()) if args.format == "json" else table())
 
 
 # --- commands -------------------------------------------------------------------
 
-# A command's result: its document, the renderer of its table, its exit code.
-_Result = tuple[dict, Callable[[], str], int]
+# A command's result: the renderers of its document and of its table, its exit code.
+_Result = tuple[Callable[[], dict], Callable[[], str], int]
 
 
 def _cmd_expand(args) -> _Result:
@@ -278,14 +282,16 @@ def _cmd_prob(args) -> _Result:
     q = _load_relation(args.input)
     result = epr_distribution(q, args.cap)
     joint = result.distribution
-    doc = {
-        "distribution": document_of(joint),
-        "components": [_component_doc(c) for c in result.components],
-        "pair": {
-            "r": document_of(result.pair_used.r),
-            "s": document_of(result.pair_used.s),
-        },
-    }
+
+    def document() -> dict:
+        return {
+            "distribution": document_of(joint),
+            "components": [_component_doc(c) for c in result.components],
+            "pair": {
+                "r": document_of(result.pair_used.r),
+                "s": document_of(result.pair_used.s),
+            },
+        }
 
     def table() -> str:
         lines = [_distribution_table(joint)]
@@ -294,7 +300,7 @@ def _cmd_prob(args) -> _Result:
         lines.extend(_titled("pair s:", _relation_table(result.pair_used.s)))
         return "\n".join(lines)
 
-    return doc, table, EXIT_OK
+    return document, table, EXIT_OK
 
 
 def _to_udb(value, cap: int) -> UncertainDB:
@@ -315,12 +321,14 @@ def _cmd_check(args) -> _Result:
     have_probs = u1.probs is not None and u2.probs is not None
     checks = check_prob_constraints(u1, u2, graph) if have_probs else None
     balanced = None if checks is None else all(r is None for _, r in checks)
-    doc = {
-        # Always true: each component is one trace class (see CompatibilityGraph).
-        "complete_bipartite": True,
-        "balanced": balanced,
-        "components": None if checks is None else [_component_doc(c, r) for c, r in checks],
-    }
+
+    def document() -> dict:
+        return {
+            # Always true: each component is one trace class (see CompatibilityGraph).
+            "complete_bipartite": True,
+            "balanced": balanced,
+            "components": None if checks is None else [_component_doc(c, r) for c, r in checks],
+        }
 
     def table() -> str:
         lines = []
@@ -338,23 +346,25 @@ def _cmd_check(args) -> _Result:
         lines.append("complete-bipartite: yes")
         return "\n".join(lines)
 
-    return doc, table, EXIT_UNBALANCED if balanced is False else EXIT_OK
+    return document, table, EXIT_UNBALANCED if balanced is False else EXIT_OK
 
 
 def _check_single(args) -> _Result:
     q = _load_relation(args.a)
     result = epr_distribution(q, args.cap, None)
-    doc = {
-        "components": [_component_doc(c) for c in result.components],
-        "cross_check": result.agreed,
-    }
+
+    def document() -> dict:
+        return {
+            "components": [_component_doc(c) for c in result.components],
+            "cross_check": result.agreed,
+        }
 
     def table() -> str:
         lines = _component_lines([(c, None) for c in result.components])
         lines.append(f"cross-check: {'ok' if result.agreed else 'FAILED'}")
         return "\n".join(lines)
 
-    return doc, table, EXIT_OK if result.agreed else EXIT_VERDICT_FAILED
+    return document, table, EXIT_OK if result.agreed else EXIT_VERDICT_FAILED
 
 
 def _cmd_decompose(args) -> _Result:
@@ -363,9 +373,9 @@ def _cmd_decompose(args) -> _Result:
     q = _load_relation(args.input)
     limit = args.limit if args.all or args.limit is not None else 1
     pairs = enumerate_pairs(q, limit)
-    doc = {
-        "pairs": [{"r": document_of(p.r), "s": document_of(p.s)} for p in pairs]
-    }
+
+    def document() -> dict:
+        return {"pairs": [{"r": document_of(p.r), "s": document_of(p.s)} for p in pairs]}
 
     def table() -> str:
         lines = []
@@ -374,7 +384,7 @@ def _cmd_decompose(args) -> _Result:
             lines.extend(_titled(f"pair {i} s:", _relation_table(p.s)))
         return "\n".join(lines)
 
-    return doc, table, EXIT_OK
+    return document, table, EXIT_OK
 
 
 def _cmd_gen(args) -> _Result:
@@ -396,12 +406,12 @@ def _cmd_gen(args) -> _Result:
         )
     else:
         a, b = gen_consistent_pw_pair(args.seed, max_common=min(args.max_tuples, 4))
-    (doc_a, table_a), (doc_b, table_b) = _shown(a), _shown(b)
+    (document_a, table_a), (document_b, table_b) = _shown(a), _shown(b)
 
     def table() -> str:
         return "\n".join(_titled("source a:", table_a()) + _titled("source b:", table_b()))
 
-    return {"a": doc_a, "b": doc_b}, table, EXIT_OK
+    return lambda: {"a": document_a(), "b": document_b()}, table, EXIT_OK
 
 
 _PARSER = _build_parser()
@@ -412,8 +422,8 @@ def main(argv=None) -> int:
     try:
         if args.cap < 0:
             raise ValidationError(f"--cap must be 0 or more, got {args.cap}")
-        doc, table, code = args.run(args)
-        _emit(args, doc, table)
+        document, table, code = args.run(args)
+        _emit(args, document, table)
         return code
     except UdbError as err:
         if isinstance(err, ProbConstraintViolation):

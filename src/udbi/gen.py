@@ -43,16 +43,12 @@ def gen_formula(rng: random.Random, names, max_depth: int = 2) -> Formula:
         if names and rng.random() < 0.85:
             return Variable(rng.choice(names))
         return TRUE if rng.random() < 0.5 else FALSE
-    kind = rng.choices(
-        ["not", "and", "or", "implies", "iff"],
-        weights=[25, 30, 30, 8, 7],
-    )[0]
-    if kind == "not":
+    kind = rng.choices([Not, And, Or, Implies, Iff], weights=[25, 30, 30, 8, 7])[0]
+    if kind is Not:
         return Not(gen_formula(rng, names, max_depth - 1))
     left = gen_formula(rng, names, max_depth - 1)
     right = gen_formula(rng, names, max_depth - 1)
-    op = {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind]
-    return op(left, right)
+    return kind(left, right)
 
 
 def gen_pr_pair(

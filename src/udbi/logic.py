@@ -7,6 +7,7 @@ line comments.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -24,16 +25,16 @@ Assignment = Mapping[str, bool]
 _SEGMENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(rf"{_SEGMENT}(?:::{_SEGMENT})*\Z")
 
-_RESERVED = ("true", "false")
-
 
 def is_valid_name(name: str) -> bool:
     """True for identifiers the parser accepts as variables, qualified or not."""
-    return bool(_NAME_RE.match(name)) and name not in _RESERVED
+    return bool(_NAME_RE.match(name)) and name not in _CONSTANTS
 
 
 class Formula:
     """Base class for formula nodes.  All nodes are immutable and compare structurally."""
+
+    __slots__ = ()
 
     def __invert__(self) -> Formula:
         return Not(self)
@@ -48,12 +49,12 @@ class Formula:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable(Formula):
     name: str
 
     def __post_init__(self):
-        if self.name in _RESERVED or not _NAME_RE.match(self.name):
+        if not is_valid_name(self.name):
             raise ValueError(f"invalid variable name {self.name!r}")
 
 
@@ -64,7 +65,7 @@ def _variable(name: str) -> Variable:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Formula):
     value: bool
 
@@ -73,47 +74,49 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
+@dataclass(frozen=True, slots=True)
+class Binary(Formula):
+    """A binary connective; its symbol and truth function are its ``_INFIX`` row."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(Binary):
+    __slots__ = ()
+
+
+class Iff(Binary):
+    __slots__ = ()
 
 
 # --- syntax ------------------------------------------------------------------
 
-# Operator symbol -> (node type, binding level, right-associative); a higher
-# level binds tighter.  "(" is a sentinel: at level 0, only its ")" pops it.
+# Operator symbol -> (node type, binding level, right-associative, and for an
+# infix operator its truth function, where a <= b is a -> b); a higher level
+# binds tighter.  "(" is a sentinel: at level 0, only its ")" pops it.
 _PREFIX = {"(": (None, 0, False), "!": (Not, 5, True)}
 _INFIX = {
-    "&": (And, 4, False),
-    "|": (Or, 3, False),
-    "->": (Implies, 2, True),
-    "<->": (Iff, 1, False),
+    "&": (And, 4, False, operator.and_),
+    "|": (Or, 3, False, operator.or_),
+    "->": (Implies, 2, True, operator.le),
+    "<->": (Iff, 1, False, operator.eq),
 }
-_SYNTAX = {node: (symbol, *rest) for symbol, (node, *rest) in {**_PREFIX, **_INFIX}.items()}
+_SYNTAX = {row[0]: (symbol, *row[1:3]) for symbol, row in {**_PREFIX, **_INFIX}.items()}
+_TRUTH = {node: truth for node, _, _, truth in _INFIX.values()}
 _SYMBOLS = "|".join(map(re.escape, [*_PREFIX, *_INFIX, ")"]))  # none is a prefix of another
 
 _TOKEN_RE = re.compile(
@@ -218,14 +221,16 @@ def to_text(f: Formula) -> str:
 # --- semantics ---------------------------------------------------------------
 
 def iter_vars(f: Formula) -> Iterator[str]:
-    """Yield variable names in syntactic (pre-order) order, with repeats."""
-    if isinstance(f, Variable):
-        yield f.name
-    elif isinstance(f, Not):
-        yield from iter_vars(f.child)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from iter_vars(f.left)
-        yield from iter_vars(f.right)
+    """Yield variable names in syntactic (pre-order) order, with repeats; any depth."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Variable):
+            yield f.name
+        elif isinstance(f, Not):
+            stack.append(f.child)
+        elif isinstance(f, Binary):
+            stack += f.right, f.left
 
 
 def variables(f: Formula) -> tuple[str, ...]:
@@ -244,40 +249,30 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
         return f.value
     if isinstance(f, Not):
         return not evaluate(f.child, assignment)
-    if isinstance(f, And):
-        return evaluate(f.left, assignment) and evaluate(f.right, assignment)
-    if isinstance(f, Or):
-        return evaluate(f.left, assignment) or evaluate(f.right, assignment)
-    if isinstance(f, Implies):
-        return (not evaluate(f.left, assignment)) or evaluate(f.right, assignment)
-    if isinstance(f, Iff):
-        return evaluate(f.left, assignment) == evaluate(f.right, assignment)
+    if isinstance(f, Binary):  # the left operand's value may decide; then the right is not read
+        return evaluate(_fold(type(f), _const(evaluate(f.left, assignment)), f.right), assignment)
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _const(value: bool) -> Const:
+    return TRUE if value else FALSE
+
+
 def _negate(f: Formula) -> Formula:
-    if isinstance(f, Const):
-        return FALSE if f.value else TRUE
-    return Not(f)
+    return _const(not f.value) if isinstance(f, Const) else Not(f)
 
 
 def _fold(kind: type, left: Formula, right: Formula) -> Formula:
-    """kind(left, right) simplified, where left or right is a constant."""
+    """kind(left, right) simplified, where left or right is a constant: the
+    connective's values at the other operand's two values give the result."""
+    truth = _TRUTH[kind]
     if isinstance(left, Const):
-        if kind is And:
-            return right if left.value else FALSE
-        if kind is Or:
-            return TRUE if left.value else right
-        if kind is Implies:
-            return right if left.value else TRUE
-        return right if left.value else _negate(right)
-    if kind is And:
-        return left if right.value else FALSE
-    if kind is Or:
-        return TRUE if right.value else left
-    if kind is Implies:
-        return TRUE if right.value else _negate(left)
-    return left if right.value else _negate(left)
+        other, if_true, if_false = right, truth(left.value, True), truth(left.value, False)
+    else:
+        other, if_true, if_false = left, truth(True, right.value), truth(False, right.value)
+    if if_true == if_false:
+        return _const(if_true)
+    return other if if_true else _negate(other)
 
 
 def restrict(f: Formula, name: str, value: bool) -> Formula:
@@ -288,9 +283,7 @@ def restrict(f: Formula, name: str, value: bool) -> Formula:
     otherwise.  Unchanged subformulas are shared with f.
     """
     if isinstance(f, Variable):
-        if f.name == name:
-            return TRUE if value else FALSE
-        return f
+        return _const(value) if f.name == name else f
     if isinstance(f, Const):
         return f
     if isinstance(f, Not):
@@ -298,7 +291,7 @@ def restrict(f: Formula, name: str, value: bool) -> Formula:
         if isinstance(child, Const):
             return _negate(child)
         return f if child is f.child else Not(child)
-    if isinstance(f, (And, Or, Implies, Iff)):
+    if isinstance(f, Binary):
         left = restrict(f.left, name, value)
         right = restrict(f.right, name, value)
         if isinstance(left, Const) or isinstance(right, Const):
@@ -311,9 +304,7 @@ def restrict(f: Formula, name: str, value: bool) -> Formula:
 
 def _closed(f: Formula) -> Formula:
     """f, or the constant it evaluates to when it uses no variable."""
-    if next(iter_vars(f), None) is None:
-        return TRUE if evaluate(f, {}) else FALSE
-    return f
+    return f if next(iter_vars(f), None) else _const(evaluate(f, {}))
 
 
 def _settle(chosen: tuple, rows, constraints) -> tuple | None:
@@ -399,22 +390,21 @@ def _rename(f: Formula, prefix: str) -> Formula:
         return f
     if isinstance(f, Not):
         return Not(_rename(f.child, prefix))
-    if isinstance(f, (And, Or, Implies, Iff)):
+    if isinstance(f, Binary):
         return type(f)(_rename(f.left, prefix), _rename(f.right, prefix))
     raise TypeError(f"not a formula: {f!r}")
 
 
 def conjoin(parts) -> Formula:
     """Left-fold a sequence of formulas with And; the empty conjunction is true."""
-    parts = list(parts)
-    if not parts:
-        return TRUE
-    return reduce(And, parts)
+    return _left_fold(And, parts, TRUE)
 
 
 def disjoin(parts) -> Formula:
     """Left-fold a sequence of formulas with Or; the empty disjunction is false."""
-    parts = list(parts)
-    if not parts:
-        return FALSE
-    return reduce(Or, parts)
+    return _left_fold(Or, parts, FALSE)
+
+
+def _left_fold(kind: type, parts, empty: Formula) -> Formula:
+    parts = iter(parts)
+    return reduce(kind, parts, next(parts, empty))

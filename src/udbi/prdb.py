@@ -41,7 +41,7 @@ from .pwdb import Tuple, UncertainDB, World, format_tuple, format_world, world_k
 _NAME_FRAGMENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrTuple:
     """One row: a data tuple guarded by its event formula."""
 

@@ -645,6 +645,35 @@ def test_out_and_json_output_render_no_table(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["pair"] == pairs["pairs"][0]
 
 
+def test_table_output_builds_no_document(tmp_path, capsys, monkeypatch):
+    r1, r2 = office_pr_sources()
+    s1, s2 = office_pw_sources()
+    pr_a, pr_b = save(tmp_path, "r1.json", r1), save(tmp_path, "r2.json", r2)
+    pw_a, pw_b = save(tmp_path, "s1.json", s1), save(tmp_path, "s2.json", s2)
+    q = save(tmp_path, "q.json", office_epr())
+    commands = [
+        ("expand", pr_a),
+        ("expand", pw_a),
+        ("expand", q),
+        ("integrate", pr_a, pr_b, "--model", "pr"),
+        ("integrate", pw_a, pw_b, "--model", "pw"),
+        ("prob", q),
+        ("check", q),
+        ("check", pw_a, pw_b),
+        ("decompose", "--all", q),
+        ("gen", "--seed", "3"),
+        ("gen", "--model", "pw", "--seed", "3"),
+    ]
+    expected = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 and out for code, out, _ in expected)
+
+    def no_document(value):
+        raise AssertionError("a document was built for table output")
+
+    monkeypatch.setattr(cli, "document_of", no_document)
+    assert [run(capsys, *argv) for argv in commands] == expected
+
+
 # --- one parser, one exit-code table ------------------------------------------------------
 
 def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
@@ -756,7 +785,12 @@ def test_input_nested_too_deeply_exits_two(tmp_path, capsys, name):
     for command in ("expand", "prob", "decompose"):
         code, out, err = run(capsys, command, str(path))
         assert "Traceback" not in err
-        assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+        if (name, command) == ("or_chain.json", "expand"):
+            # iter_vars walks a stack, so the long chain loads and meets the cap.
+            expected = (3, "", "error: expansion over 2000 variables exceeds cap of 20\n")
+        else:
+            expected = (2, "", "error: input nested too deeply\n")
+        assert (code, out, err) == expected
 
 
 def test_nested_parentheses_read_like_the_bare_formula(tmp_path, capsys):

@@ -23,6 +23,7 @@ from udbi.logic import (
     disjoin,
     equivalent,
     evaluate,
+    iter_vars,
     parse_formula,
     rename_vars,
     restrict,
@@ -31,6 +32,7 @@ from udbi.logic import (
     variables,
 )
 from udbi.gen import gen_formula
+from udbi.prdb import PrTuple
 
 
 def v(name):
@@ -199,6 +201,12 @@ def test_variables_sorted_without_duplicates():
     assert variables(parse_formula("x | (x & y)")) == ("x", "y")
 
 
+def test_iter_vars_yields_in_pre_order_at_any_depth():
+    assert list(iter_vars(parse_formula("(a | b) & !(c -> a)"))) == ["a", "b", "c", "a"]
+    names = [f"x{i}" for i in range(5_000)]
+    assert list(iter_vars(disjoin(map(v, names)))) == names
+
+
 # --- evaluation ----------------------------------------------------------------
 
 def test_evaluate_constants_and_negation():
@@ -216,6 +224,60 @@ def test_evaluate_raises_on_unbound_variable():
     with pytest.raises(UnboundVariable) as exc:
         evaluate(parse_formula("x & y"), {"x": True})
     assert exc.value.name == "y"
+
+
+# Each connective's value at (x, y) = (F, F), (F, T), (T, F), (T, T).
+TRUTH_TABLES = {
+    And: (False, False, False, True),
+    Or: (False, True, True, True),
+    Implies: (True, True, False, True),
+    Iff: (True, False, False, True),
+}
+BOOL_PAIRS = list(itertools.product((False, True), repeat=2))
+
+
+@pytest.mark.parametrize("kind", TRUTH_TABLES, ids=lambda kind: kind.__name__)
+def test_each_connective_evaluates_to_its_truth_table(kind):
+    f = kind(v("x"), v("y"))
+    assert tuple(evaluate(f, {"x": x, "y": y}) for x, y in BOOL_PAIRS) == TRUTH_TABLES[kind]
+
+
+@pytest.mark.parametrize("kind", TRUTH_TABLES, ids=lambda kind: kind.__name__)
+def test_folding_a_constant_operand_agrees_with_evaluation(kind):
+    for const, other in itertools.product((TRUE, FALSE), (parse_formula("x & !y"), TRUE, FALSE)):
+        for left, right in ((const, other), (other, const)):
+            folded = logic_module._fold(kind, left, right)
+            assert isinstance(folded, Const) or not _has_constant(folded)
+            for x, y in BOOL_PAIRS:
+                a = {"x": x, "y": y}
+                assert evaluate(folded, a) == evaluate(kind(left, right), a)
+
+
+def test_a_deciding_left_operand_leaves_the_right_unread():
+    assert evaluate(parse_formula("false & y"), {}) is False
+    assert evaluate(parse_formula("true | y"), {}) is True
+    assert evaluate(parse_formula("false -> y"), {}) is True
+    for text, assignment in (("y & false", {}), ("x <-> y", {"x": True}), ("x <-> y", {"x": False})):
+        with pytest.raises(UnboundVariable) as exc:
+            evaluate(parse_formula(text), assignment)
+        assert exc.value.name == "y"
+
+
+def test_formula_nodes_and_rows_carry_no_instance_dict():
+    a, b = v("a"), v("b")
+    values = [a, TRUE, Not(a), *(kind(a, b) for kind in TRUTH_TABLES), PrTuple(("t",), a)]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_connectives_keep_their_repr_equality_and_hash():
+    assert repr(parse_formula("a & !b")) == (
+        "And(left=Variable(name='a'), right=Not(child=Variable(name='b')))"
+    )
+    a, b = v("a"), v("b")
+    assert And(a, b) != Or(a, b)
+    assert And(a, b) == parse_formula("a & b")
+    assert hash(Iff(a, b)) == hash((a, b))
 
 
 # --- equivalence ---------------------------------------------------------------
