@@ -23,7 +23,7 @@ from .pwdb import UncertainDB, format_tuple
 # by default (4,300 digits), and a far larger one keeps Fraction() busy
 # without bound.
 _MAX_EXPONENT = 4300
-_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)")
+_EXPONENT_RE = re.compile(r"[eE][-+]?(\d+)")
 # "N" or "N/M" in ASCII digits, which the document writer produces: read by
 # int() without Fraction()'s general pattern.  Any other text takes that.
 _PLAIN_FRACTION_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
@@ -43,15 +43,17 @@ def _parse_prob(value, where: str) -> Fraction:
             raise ValidationError(f"{where}: cannot read probability {value!r}") from None
     exponent = _EXPONENT_RE.search(value)
     if exponent:
-        digits = exponent[1].replace("_", "").lstrip("0")
+        digits = exponent[1].lstrip("0")
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
             raise ValidationError(
                 f"{where}: probability {value!r} has an exponent beyond {_MAX_EXPONENT}"
             )
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{where}: cannot read probability {value!r}") from None
+    if "_" not in value:  # Fraction() reads "_" digit separators only from Python 3.11 on
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"{where}: cannot read probability {value!r}")
 
 
 def _parse_tuple(value, where: str) -> tuple[str, ...]:
@@ -64,14 +66,15 @@ def _parse_tuple(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _parse_event(text, where: str, parsed: dict):
+def _parse_event(text, where: str, parsed: dict, names: dict):
     """The formula of text; ``parsed`` maps the texts read so far in this
-    document to their formulas, so equal texts are parsed once and share one."""
+    document to their formulas, so equal texts are parsed once and share one,
+    and ``names`` maps the variable names read so far to their nodes."""
     if not isinstance(text, str):
         raise ValidationError(f"{where}: event must be a formula string")
     formula = parsed.get(text)
     if formula is None:
-        formula = parsed[text] = parse_formula(text)
+        formula = parsed[text] = parse_formula(text, names)
     return formula
 
 
@@ -149,7 +152,7 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
     raw = obj.get("constraints", [])
     if not isinstance(raw, list):
         raise ValidationError(f"{where}: \"constraints\" must be an array")
-    parsed = {}
+    parsed, names = {}, {}
     constraints = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -157,8 +160,8 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
         _require_keys(entry, {"lhs", "rhs"}, f"constraints[{i}]")
         constraints.append(
             (
-                _parse_event(entry.get("lhs"), f"constraints[{i}].lhs", parsed),
-                _parse_event(entry.get("rhs"), f"constraints[{i}].rhs", parsed),
+                _parse_event(entry.get("lhs"), f"constraints[{i}].lhs", parsed, names),
+                _parse_event(entry.get("rhs"), f"constraints[{i}].rhs", parsed, names),
             )
         )
     raw = obj.get("rows")
@@ -172,7 +175,7 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
         rows.append(
             PrTuple(
                 _parse_tuple(entry.get("tuple"), f"rows[{i}].tuple"),
-                _parse_event(entry.get("event"), f"rows[{i}].event", parsed),
+                _parse_event(entry.get("event"), f"rows[{i}].event", parsed, names),
             )
         )
     var_probs = obj.get("var_probs")

@@ -60,8 +60,8 @@ class Variable(Formula):
 
 def _variable(name: str) -> Variable:
     """Variable(name) for a name already known to be valid, without matching it again."""
-    v = object.__new__(Variable)
-    object.__setattr__(v, "name", name)
+    v = _new(Variable)
+    _set_name(v, name)
     return v
 
 
@@ -103,6 +103,15 @@ class Iff(Binary):
     __slots__ = ()
 
 
+# Node construction without the frozen dataclass __init__: object.__new__ and
+# the slots' own setters, for nodes whose fields are known to be valid.
+_new = object.__new__
+_set_name = Variable.name.__set__
+_set_child = Not.child.__set__
+_set_left = Binary.left.__set__
+_set_right = Binary.right.__set__
+
+
 # --- syntax ------------------------------------------------------------------
 
 # Operator symbol -> (node type, binding level, right-associative, and for an
@@ -117,57 +126,70 @@ _INFIX = {
 }
 _SYNTAX = {row[0]: (symbol, *row[1:3]) for symbol, row in {**_PREFIX, **_INFIX}.items()}
 _TRUTH = {node: truth for node, _, _, truth in _INFIX.values()}
-_SYMBOLS = "|".join(map(re.escape, [*_PREFIX, *_INFIX, ")"]))  # none is a prefix of another
 
+# A match is one token, after the whitespace and comments that lead up to it;
+# m.lastindex names its kind, and m.start(m.lastindex) is where it begins.
 _TOKEN_RE = re.compile(
     rf"""
-      (?P<skip>\s+|\#[^\n]*)
-    | (?P<name>{_SEGMENT}(?:::{_SEGMENT})*)
-    | (?P<symbol>{_SYMBOLS})
-    | (?P<end>\Z)
-    | (?P<bad>.)  # any other character
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+        (?P<name>{_SEGMENT}(?:::{_SEGMENT})*)
+      | (?P<prefix>{"|".join(map(re.escape, _PREFIX))})
+      | (?P<infix>{"|".join(map(re.escape, _INFIX))})  # none is a prefix of another
+      | (?P<close>\))
+      | (?P<end>\Z)
+      | (?P<bad>.)  # any other character
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
+_NAME_TOKEN, _PREFIX_TOKEN, _INFIX_TOKEN, _CLOSE, _END, _BAD = range(1, 7)  # the groups, in order
 
 _CONSTANTS = {"true": TRUE, "false": FALSE}
 _ATOM_EXPECTED = ("!", "(", "identifier", "true", "false")
 _INFIX_EXPECTED = (*_INFIX, "end of input")
 
 
-def parse_formula(text: str) -> Formula:
+def parse_formula(text: str, names: dict[str, Variable] | None = None) -> Formula:
     """Parse formula text into a syntax tree.  Raises ParseError on bad input.
+
+    ``names`` maps variable names to their nodes, and the parse adds each new
+    name it reads; a caller that passes one dict to many parses gets one
+    Variable per name across them.
 
     Shunting-yard: an infix operator first applies the stacked operators that
     may stand unparenthesized as its left operand.  Nothing recurses.
     """
+    if names is None:
+        names = {}
     operands: list[Formula] = []
     operators: list[tuple] = []
     want_operand = True
     tokens = _TOKEN_RE.finditer(text)
     for m in tokens:
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        value = m.group()
+        kind = m.lastindex
         if want_operand:
-            if kind == "name":
-                operands.append(_CONSTANTS[value] if value in _CONSTANTS else _variable(value))
+            if kind == _NAME_TOKEN:
+                name = m[kind]
+                node = names.get(name) or _CONSTANTS.get(name)
+                if node is None:
+                    node = names[name] = _variable(name)
+                operands.append(node)
                 want_operand = False
-            elif value in _PREFIX:
-                operators.append(_PREFIX[value])
+            elif kind == _PREFIX_TOKEN:
+                operators.append(_PREFIX[m[kind]])
             else:
                 raise _unexpected(m, tokens, _ATOM_EXPECTED)
-        elif value in _INFIX:
-            entry = _INFIX[value]
+        elif kind == _INFIX_TOKEN:
+            entry = _INFIX[m[kind]]
             _reduce(operands, operators, entry[1] + entry[2])
             operators.append(entry)
             want_operand = True
         else:
             _reduce(operands, operators, 1)  # leaves only the open "(" sentinels
-            if value == ")" and operators:
+            if kind == _CLOSE and operators:
                 operators.pop()
-            elif kind == "end" and not operators:
+            elif kind == _END and not operators:
                 break
             else:
                 raise _unexpected(m, tokens, (")",) if operators else _INFIX_EXPECTED)
@@ -177,20 +199,23 @@ def parse_formula(text: str) -> Formula:
 def _reduce(operands: list[Formula], operators: list[tuple], min_level: int) -> None:
     """Apply the stacked operators down to the first that binds looser than min_level."""
     while operators and operators[-1][1] >= min_level:
-        node = operators.pop()[0]
-        if node is Not:
-            operands[-1] = Not(operands[-1])
+        kind = operators.pop()[0]
+        node = _new(kind)
+        if kind is Not:
+            _set_child(node, operands[-1])
         else:
-            right = operands.pop()
-            operands[-1] = node(operands[-1], right)
+            _set_right(node, operands.pop())
+            _set_left(node, operands[-1])
+        operands[-1] = node
 
 
 def _unexpected(m: re.Match, rest, expected: tuple[str, ...]) -> ParseError:
     """The error for token m, unless a bad character comes at or after it: that one wins."""
     for token in (m, *rest):
-        if token.lastgroup == "bad":
-            return ParseError(f"unexpected character {token.group()!r}", token.start())
-    return ParseError(f"unexpected input {m.group()!r}", m.start(), expected)
+        if token.lastindex == _BAD:
+            return ParseError(f"unexpected character {token[_BAD]!r}", token.start(_BAD))
+    kind = m.lastindex
+    return ParseError(f"unexpected input {m[kind]!r}", m.start(kind), expected)
 
 
 def _render(f: Formula, min_level: int = 0) -> str:

@@ -8,21 +8,27 @@ whose probabilities are known in closed form.
 """
 
 import itertools
+import random
 import sys
 from collections import deque
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from udbi.errors import ExpansionTooLarge, MissingVarProb, NoValidAssignment
 from udbi.logic import (
     DEFAULT_VAR_CAP,
     FALSE,
+    Binary,
     Not,
     Or,
     Variable,
     evaluate,
     iter_vars,
     parse_formula,
+    to_text,
 )
+from udbi.gen import gen_formula
 from udbi.prdb import Distribution, EprRelation, PrRelation, PrTuple
 from udbi.pwdb import UncertainDB, world_key
 
@@ -277,6 +283,19 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def variable_nodes(f):
+    """The Variable nodes of f, repeats included, in pre-order."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Variable):
+            yield f
+        elif isinstance(f, Not):
+            stack.append(f.child)
+        elif isinstance(f, Binary):
+            stack += f.right, f.left
+
+
 def lines_run(module, fn, *args) -> int:
     """Line events run in ``module``'s source file while fn(*args) runs.
 
@@ -302,3 +321,26 @@ def lines_run(module, fn, *args) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+# Pieces of formula text: names (plain and qualified), constants, every
+# operator, whitespace, comments, and characters and names the parser rejects.
+FORMULA_TOKENS = [
+    "a", "b", "x1", "_y", "s::a", "s::t::b", "true", "false",
+    "!", "(", ")", "&", "|", "->", "<->",
+    " ", "\n", "\t", "# note\n", "#", "@", "-", "<", ":", "::", "a::", "1", "\u00e9",
+]
+
+
+def formula_texts(names=("a", "b", "s::a")):
+    """Formula text: a printed random formula over names, with whitespace or a
+    comment around it, or a string of random FORMULA_TOKENS."""
+    printed = st.builds(
+        lambda seed, depth: to_text(gen_formula(random.Random(seed), names, depth)),
+        st.integers(0, 2**32),
+        st.integers(0, 3),
+    )
+    padding = st.sampled_from(["", " ", "\n", "# note\n"])
+    tokens = st.lists(st.sampled_from(FORMULA_TOKENS), max_size=12)
+    soup = st.builds(str.join, st.sampled_from(["", " "]), tokens)
+    return st.one_of(st.builds(lambda a, f, b: a + f + b, padding, printed, padding), soup)

@@ -1,22 +1,25 @@
 """Document serialization and the command-line surface."""
 
 import argparse
+import gc
 import json
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
     CS100,
     CS101,
     FREE_GROUP_PROBS,
+    formula_texts,
     free_group_epr,
     office_epr,
     office_pr_sources,
     office_pw_sources,
     roster_pr_sources,
+    variable_nodes,
     world,
 )
 from udbi import cli, decompose, documents, errors, probcalc
@@ -31,6 +34,7 @@ from udbi.documents import (
 )
 from udbi.errors import ValidationError
 from udbi.gen import gen_consistent_pw_pair, gen_pr_pair, gen_pw_db
+from udbi.logic import Variable
 from udbi.prdb import EprRelation, PrRelation
 from udbi.pwdb import UncertainDB
 
@@ -204,19 +208,22 @@ def test_out_and_json_documents_are_json_dumps_indent_2(tmp_path, capsys):
 
 
 def reference_parse_prob(value, where: str) -> Fraction:
-    """The general route for every text: the exponent guard, then Fraction()."""
+    """The general route for every text: the exponent guard, then Fraction()
+    on a text without "_" (a digit separator from Python 3.11 on only)."""
     if not isinstance(value, str):
         raise ValidationError(
             f"{where}: probabilities must be strings like \"0.3\" or \"9/13\", got {value!r}"
         )
     exponent = documents._EXPONENT_RE.search(value)
     if exponent:
-        digits = exponent[1].replace("_", "").lstrip("0")
+        digits = exponent[1].lstrip("0")
         if len(digits) > 4 or int(digits or 0) > 4300:
             raise ValidationError(
                 f"{where}: probability {value!r} has an exponent beyond 4300"
             )
     try:
+        if "_" in value:
+            raise ValueError(value)
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{where}: cannot read probability {value!r}") from None
@@ -261,9 +268,9 @@ def test_equal_formula_texts_are_parsed_once_and_shared(tmp_path, monkeypatch):
     parse_formula = documents.parse_formula
     parsed = []
 
-    def counting(text):
+    def counting(text, names=None):
         parsed.append(text)
-        return parse_formula(text)
+        return parse_formula(text, names)
 
     monkeypatch.setattr(documents, "parse_formula", counting)
     q = load_document(path)
@@ -278,6 +285,32 @@ def test_equal_formula_texts_are_parsed_once_and_shared(tmp_path, monkeypatch):
         return {id(row.event) for row in rel.rows} | {id(f) for c in rel.constraints for f in c}
 
     assert formula_ids(q).isdisjoint(formula_ids(again))
+
+
+def test_each_variable_name_is_one_node_per_document(tmp_path):
+    doc = {
+        "model": "epr",
+        "rows": [
+            {"tuple": ["t"], "event": "a & b"},
+            {"tuple": ["u"], "event": "!a | s::b"},
+            {"tuple": ["v"], "event": "(b -> a) & true"},
+        ],
+        "constraints": [{"lhs": "a <-> s::b", "rhs": "a & b"}],
+    }
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def formulas(rel):
+        return [row.event for row in rel.rows] + [f for c in rel.constraints for f in c]
+
+    nodes = {}
+    for f in formulas(load_document(path)):
+        for node in variable_nodes(f):
+            assert nodes.setdefault(node.name, node) is node
+    assert sorted(nodes) == ["a", "b", "s::b"]
+    # Another document, or another read of this one, gets nodes of its own.
+    again = [node for f in formulas(load_document(path)) for node in variable_nodes(f)]
+    assert all(node == nodes[node.name] and node is not nodes[node.name] for node in again)
 
 
 # --- expand ---------------------------------------------------------------------------
@@ -716,6 +749,138 @@ def test_every_error_type_has_an_exit_code():
 
 
 # --- exit codes ---------------------------------------------------------------------------
+
+def exit_code_cases(tmp_path) -> dict[int, list[str]]:
+    """Arguments that end main in each exit code but 1."""
+    a, b = Variable("a"), Variable("b")
+    q = office_epr()
+    skewed = EprRelation.of(q.rows, q.constraints, dict(q.var_probs, c1=Fraction(3, 10)))
+    return {
+        0: ["prob", save(tmp_path, "q.json", q)],
+        2: ["prob", save(tmp_path, "unbound.json", EprRelation.of([(("t",), a)], []))],
+        3: ["--cap", "1", "expand", save(tmp_path, "r2.json", office_pr_sources()[1])],
+        4: [
+            "integrate",
+            save(tmp_path, "s1.json", UncertainDB.of([CS100], [world(CS100)])),
+            save(tmp_path, "s2.json", UncertainDB.of([CS100], [world()])),
+            "--model",
+            "pw",
+        ],
+        5: ["prob", save(tmp_path, "skewed.json", skewed)],
+        6: [
+            "decompose",
+            save(tmp_path, "bad.json", EprRelation.of([(("t",), a), (("u",), b)], [(a, a & b)])),
+        ],
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_garbage_collector_and_restores_the_callers_state(
+    tmp_path, capsys, monkeypatch, enabled
+):
+    during = []
+    load = cli.load_document
+
+    def recording(path):
+        during.append(gc.isenabled())
+        return load(path)
+
+    def failing(path):
+        during.append(gc.isenabled())
+        raise RuntimeError("not a UdbError")
+
+    cases = exit_code_cases(tmp_path)
+    monkeypatch.setattr(cli, "load_document", recording)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for code, argv in cases.items():
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["--format", "xml", *cases[0]])
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "load_document", failing)
+        with pytest.raises(RuntimeError):
+            main(cases[0])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert len(during) == 8 and not any(during)
+
+
+FUZZ_NAMES = ("a", "b", "s::a")
+FUZZ_PROBS = ["1/2", "1/3", "0.25", "0", "1", "3/7"]
+FUZZ_BAD_PROBS = ["3/2", "-1/2", "1_0/3", "1e-5000", "x", 0.5, None]
+FUZZ_COMMANDS = [
+    ["expand", "A"],
+    ["--format", "json", "prob", "A"],
+    ["check", "A"],
+    ["decompose", "--all", "A"],
+    ["decompose", "A", "--out", "OUT"],
+    ["--cap", "2", "check", "A", "B"],
+    ["integrate", "A", "B", "--model", "pr"],
+    ["integrate", "A", "B", "--model", "pw"],
+]
+
+
+def fuzz_documents():
+    """pr, epr and pw documents with random formula texts and probabilities."""
+    texts = st.one_of(formula_texts(FUZZ_NAMES), st.sampled_from(["a", "!b", "a | s::a"]))
+    probs = st.one_of(st.sampled_from(FUZZ_PROBS), st.sampled_from(FUZZ_PROBS + FUZZ_BAD_PROBS))
+    tuples = st.sampled_from([["t"], ["u"], ["v", "w"]])
+    rows = st.lists(
+        st.fixed_dictionaries({"tuple": tuples, "event": texts}),
+        max_size=3,
+        unique_by=lambda row: tuple(row["tuple"]),
+    )
+    var_probs = st.one_of(
+        st.fixed_dictionaries({name: probs for name in FUZZ_NAMES}),
+        st.dictionaries(st.sampled_from([*FUZZ_NAMES, "c", "true"]), probs, max_size=3),
+    )
+    constraints = st.lists(st.fixed_dictionaries({"lhs": texts, "rhs": texts}), max_size=3)
+    worlds = st.lists(
+        st.fixed_dictionaries(
+            {"tuples": st.lists(st.integers(0, 2), max_size=3, unique=True)},
+            optional={"prob": probs},
+        ),
+        min_size=1,
+        max_size=4,
+    )
+    return st.one_of(
+        st.fixed_dictionaries(
+            {"model": st.just("pr"), "rows": rows}, optional={"var_probs": var_probs}
+        ),
+        st.fixed_dictionaries(
+            {"model": st.just("epr"), "rows": rows, "constraints": constraints},
+            optional={"var_probs": var_probs},
+        ),
+        st.fixed_dictionaries(
+            {
+                "model": st.just("pw"),
+                "tuples": st.permutations([["t"], ["u"], ["v", "w"]]),
+                "worlds": worlds,
+            }
+        ),
+    )
+
+
+@given(fuzz_documents(), fuzz_documents())
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_any_document_ends_in_a_documented_exit_code(tmp_path, capsys, a, b):
+    paths = {"OUT": str(tmp_path / "out.json")}
+    for key, doc in (("A", a), ("B", b)):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths[key] = str(path)
+    enabled = gc.isenabled()
+    for argv in FUZZ_COMMANDS:
+        code, _, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert 0 <= code <= 6 and "Traceback" not in err
+        assert gc.isenabled() is enabled
+
 
 def test_unreadable_input_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import udbi.logic as logic_module
-from conftest import brute_equivalent, outcome
+from conftest import brute_equivalent, formula_texts, outcome, variable_nodes
 from udbi.errors import ExpansionTooLarge, ParseError, UnboundVariable
 from udbi.logic import (
     FALSE,
     TRUE,
     And,
     Const,
+    Formula,
     Iff,
     Implies,
     Not,
@@ -176,6 +177,26 @@ def test_parsed_and_renamed_names_are_matched_once(monkeypatch):
     assert matched == []
     assert f == (Variable("a") & ~Variable("b")) | Variable("s::c")
     assert renamed == (Variable("p::a") & ~Variable("p::b")) | Variable("p::s::c")
+
+
+def parse_outcome(text, names=None):
+    """The tree parse_formula reads, or its ParseError's text, position and expected."""
+    try:
+        return parse_formula(text, names)
+    except ParseError as err:
+        return str(err), err.position, err.expected
+
+
+@given(st.lists(formula_texts(), min_size=1, max_size=8))
+@settings(max_examples=300)
+def test_a_shared_names_memo_parses_as_a_fresh_parse_does(texts):
+    names = {}
+    for text in texts:
+        shared = parse_outcome(text, names)
+        assert shared == parse_outcome(text)
+        if isinstance(shared, Formula):
+            assert all(node is names[node.name] for node in variable_nodes(shared))
+    assert all(node == v(name) for name, node in names.items())
 
 
 # --- printing ----------------------------------------------------------------
