@@ -122,12 +122,11 @@ def _parse_pw(obj: dict) -> UncertainDB:
             raise ValidationError(f"{where}: must be an object")
         _require_keys(entry, {"tuples", "prob"}, where)
         indices = entry.get("tuples")
-        if not isinstance(indices, list) or not all(
-            isinstance(k, int) and not isinstance(k, bool) and 0 <= k < len(tuples)
-            for k in indices
+        if not isinstance(indices, list) or indices and (
+            set(map(type, indices)) != {int} or min(indices) < 0 or max(indices) >= len(tuples)
         ):
             raise ValidationError(f"{where}: \"tuples\" must be an array of tuple indices")
-        world = frozenset(tuples[k] for k in indices)
+        world = frozenset(map(tuples.__getitem__, indices))
         if len(world) < len(indices):
             raise ValidationError(f"{where} lists tuple {_repeated(indices)} twice")
         worlds.append(world)
@@ -218,7 +217,7 @@ def document_of(value) -> dict:
         index = {t: k for k, t in enumerate(tuples)}
         worlds = []
         for i, w in enumerate(value.worlds):
-            entry = {"tuples": sorted(index[t] for t in w)}
+            entry = {"tuples": sorted(map(index.__getitem__, w))}
             if value.probs is not None:
                 entry["prob"] = str(value.probs[i])
             worlds.append(entry)
@@ -271,7 +270,11 @@ def _dumps_indented(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        items = [_dumps_indented(item, inner) for item in value]
+        # A world's index list: the test on value[0] spares the set for other lists.
+        if type(value[0]) is int and set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_dumps_indented(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if value is None:
         return "null"

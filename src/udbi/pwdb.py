@@ -89,17 +89,29 @@ def validate_udb(u: UncertainDB) -> list[str]:
         return report
     if len(u.probs) != len(u.worlds):
         report.append(f"{len(u.probs)} probabilities given for {len(u.worlds)} worlds")
+    exact = True
     for i, p in enumerate(u.probs):
-        if not 0 < p.numerator <= p.denominator:
+        if not isinstance(p, Fraction):
+            report.append(f"probability of world {i} is {p!r}, not a Fraction")
+            exact = False
+        elif not 0 < p.numerator <= p.denominator:
             report.append(f"probability of world {i} is {p}, outside (0, 1]")
-    # One sum over the common denominator, not a gcd per Fraction addition.
-    denominator = lcm(*(p.denominator for p in u.probs))
-    total = Fraction(
-        sum(p.numerator * (denominator // p.denominator) for p in u.probs), denominator
-    )
-    if u.probs and total != 1:
-        report.append(f"probabilities sum to {total} != 1")
+    if exact and u.probs:
+        numerators, denominator = _over_common_denominator(u.probs)
+        total = Fraction(sum(numerators), denominator)
+        if total != 1:
+            report.append(f"probabilities sum to {total} != 1")
     return report
+
+
+def _over_common_denominator(probs) -> tuple[list[int], int]:
+    """(n, d) with probs[i] == n[i] / d, d the lcm of the denominators.
+
+    Sums and products of these integers cost no gcd; the caller builds one
+    Fraction per result.
+    """
+    denominator = lcm(*(p.denominator for p in probs))
+    return [p.numerator * (denominator // p.denominator) for p in probs], denominator
 
 
 def _require_probs(s1: UncertainDB, s2: UncertainDB) -> None:
@@ -214,10 +226,12 @@ def check_prob_constraints(
 
 
 def _balance(s1: UncertainDB, s2: UncertainDB, components) -> list:
+    n1, d1 = _over_common_denominator(s1.probs)
+    n2, d2 = _over_common_denominator(s2.probs)
     out = []
     for k, (left, right) in enumerate(components):
-        left_sum = sum((s1.probs[i] for i in left), Fraction(0))
-        right_sum = sum((s2.probs[j] for j in right), Fraction(0))
+        left_sum = Fraction(sum(map(n1.__getitem__, left)), d1)
+        right_sum = Fraction(sum(map(n2.__getitem__, right)), d2)
         summary = ComponentSummary(left, right, left_sum, right_sum)
         if summary.balanced:
             reason = None
@@ -260,17 +274,29 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
     every component is when no pair of worlds is compatible.  Building the
     result raises ValidationError when its probabilities do not sum to 1,
     as when ``checks`` leave out a component of the two sources.
+
+    The arithmetic is in integers.  With P(D_i) = n1[i]/d1 and
+    P(D'_j) = n2[j]/d2 over each source's common denominator, a component
+    constant P = a/b, and m the lcm of every component's a, the pair (i, j)
+    contributes P(D_i) * P(D'_j) / P = n1[i] * n2[j] * b * (m // a) over
+    d1 * d2 * m.  Integer numerators accumulate per union world, and each
+    output world gets one Fraction.
     """
     failures = [(c, reason) for c, reason in checks if reason is not None]
     if failures:
         raise ProbConstraintViolation(failures)
+    n1, d1 = _over_common_denominator(s1.probs)
+    n2, d2 = _over_common_denominator(s2.probs)
+    m = lcm(*(summary.constant.numerator for summary, _ in checks))
     merged: dict = {}
     for summary, _ in checks:
+        scale = summary.constant.denominator * (m // summary.constant.numerator)
         for i in summary.left:
-            share = s1.probs[i] / summary.constant
+            share = n1[i] * scale
             for j in summary.right:
                 union = s1.worlds[i] | s2.worlds[j]
-                merged[union] = merged.get(union, 0) + share * s2.probs[j]
+                merged[union] = merged.get(union, 0) + share * n2[j]
     worlds = tuple(sorted(merged, key=world_key))
-    probs = tuple(merged[w] for w in worlds)
+    denominator = d1 * d2 * m
+    probs = tuple(Fraction(merged[w], denominator) for w in worlds)
     return UncertainDB(s1.tuple_set | s2.tuple_set, worlds, probs)

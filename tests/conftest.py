@@ -199,6 +199,29 @@ def pairwise_graph(s1: UncertainDB, s2: UncertainDB):
     return tuple(sorted(components)), edges
 
 
+def fraction_integrate_pw_prob(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
+    """integrate_pw_prob of two balanced sources, one Fraction operation per step.
+
+    Each compatible pair of pairwise_graph's components adds
+    P(D_i) / P * P(D'_j) to its union world, P being the component's
+    Fraction sum on the left; the result is sorted as integrate_pw_prob
+    sorts it.
+    """
+    components, _ = pairwise_graph(s1, s2)
+    merged: dict = {}
+    for left, right in components:
+        constant = sum((s1.probs[i] for i in left), Fraction(0))
+        for i in left:
+            share = s1.probs[i] / constant
+            for j in right:
+                union = s1.worlds[i] | s2.worlds[j]
+                merged[union] = merged.get(union, 0) + share * s2.probs[j]
+    worlds = tuple(sorted(merged, key=world_key))
+    return UncertainDB(
+        s1.tuple_set | s2.tuple_set, worlds, tuple(merged[w] for w in worlds)
+    )
+
+
 # --- brute-force oracles for expansion and equivalence ------------------------------
 
 def _assignment_mass(names, mu, var_probs) -> Fraction:

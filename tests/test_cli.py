@@ -87,9 +87,13 @@ def test_documents_need_a_model_tag():
 
 
 def test_world_indices_are_checked():
-    doc = {"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [1]}]}
-    with pytest.raises(ValidationError, match="tuple indices"):
-        parse_document(doc)
+    message = r'^worlds\[0\]: "tuples" must be an array of tuple indices$'
+    for indices in ([2], [-1], [True], [0.0], ["0"], [None], [0, 2], 0, "0", {"0": 0}):
+        doc = {"model": "pw", "tuples": [["t"], ["u"]], "worlds": [{"tuples": indices}]}
+        with pytest.raises(ValidationError, match=message):
+            parse_document(doc)
+    doc = {"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": []}]}
+    assert parse_document(doc).worlds == (frozenset(),)
 
 
 def test_repeated_pw_tuples_are_rejected():

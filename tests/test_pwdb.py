@@ -1,5 +1,6 @@
 """Possible-worlds integration: validation, compatibility, exact probabilities."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     CS202,
     OFFICE_DISTRIBUTION,
     compatible,
+    fraction_integrate_pw_prob,
     office_pw_sources,
     pairwise_graph,
     roster_pw_sources,
@@ -76,6 +78,21 @@ def test_validate_reports_probabilities_as_fraction_arithmetic_does(probs):
         assert violations(tuples, worlds, probs) == expected
     else:
         assert validate_udb(UncertainDB.of(tuples, worlds, probs)) == []
+
+
+def test_validate_reports_probabilities_that_are_not_fractions():
+    tuples = frozenset([CS100])
+    worlds = (world(CS100), world())
+    for p in (0.5, "1/2", None):
+        with pytest.raises(ValidationError) as err:
+            UncertainDB(tuples, worlds, (p, Fraction(1, 2)))
+        assert err.value.violations == [f"probability of world 0 is {p!r}, not a Fraction"]
+    with pytest.raises(ValidationError) as err:
+        UncertainDB(tuples, worlds, (Fraction(3, 2), None))
+    assert err.value.violations == [
+        "probability of world 0 is 3/2, outside (0, 1]",
+        "probability of world 1 is None, not a Fraction",
+    ]
 
 
 def test_validate_reports_foreign_tuples_and_duplicates():
@@ -305,3 +322,45 @@ def test_prob_integration_is_commutative(seed):
 @given(st.integers(0, 10**9))
 def test_generated_databases_validate(seed):
     assert validate_udb(gen_pw_db(seed)) == []
+
+
+def prime_reweighting(s1: UncertainDB, s2: UncertainDB) -> tuple[UncertainDB, UncertainDB]:
+    """s1 and s2 reweighted over fresh prime denominators, so little cancels.
+
+    Every component but one takes a mass 1/q, and within it every world of a
+    side but one takes a share 1/q, each q a fresh prime; the one left over
+    takes the rest, as fractions over pairwise-coprime denominators never sum
+    to 1.  Both sides of a component carry its mass, so the pair stays
+    balanced.
+    """
+    primes = (q for q in itertools.count(11) if all(q % k for k in range(2, q)))
+
+    def split(total: Fraction, n: int) -> list[Fraction]:
+        shares = [Fraction(1, next(primes)) for _ in range(n - 1)]
+        return [total * (1 - sum(shares))] + [total * share for share in shares]
+
+    components = compatibility_graph(s1, s2).components
+    probs = ([None] * len(s1.worlds), [None] * len(s2.worlds))
+    for (left, right), mass in zip(components, split(Fraction(1), len(components))):
+        for side, indices in enumerate((left, right)):
+            for i, p in zip(indices, split(mass, len(indices))):
+                probs[side][i] = p
+    return (
+        UncertainDB(s1.tuple_set, s1.worlds, tuple(probs[0])),
+        UncertainDB(s2.tuple_set, s2.worlds, tuple(probs[1])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_integer_integration_matches_the_fraction_oracle(seed, reweight):
+    s1, s2 = gen_consistent_pw_pair(seed, max_scenarios=8)
+    if reweight:
+        s1, s2 = prime_reweighting(s1, s2)
+    for summary, _ in check_prob_constraints(s1, s2, compatibility_graph(s1, s2)):
+        assert summary.left_sum == sum((s1.probs[i] for i in summary.left), Fraction(0))
+        assert summary.right_sum == sum((s2.probs[j] for j in summary.right), Fraction(0))
+    result = integrate_pw_prob(s1, s2)
+    oracle = fraction_integrate_pw_prob(s1, s2)
+    assert result.worlds == oracle.worlds
+    assert result.probs == oracle.probs
