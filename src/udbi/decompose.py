@@ -45,10 +45,9 @@ class PrPair:
     s: PrRelation
 
     @classmethod
-    def _checked(cls, r: PrRelation, s: PrRelation, r_names, s_names) -> "PrPair":
-        """The pair, given the variables of r and of s; raises ValidationError
-        when they share a variable."""
-        shared = set(r_names) & set(s_names)
+    def _checked(cls, r: PrRelation, s: PrRelation) -> "PrPair":
+        """The pair; raises ValidationError when r and s share a variable."""
+        shared = r.names & s.names
         if shared:
             raise ValidationError(
                 "pair sides share event variables: " + ", ".join(sorted(shared))
@@ -95,8 +94,11 @@ def _condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
 
     Returns, per constraint, the position in q.rows of the row it matches and
     whether that row's formula is the lhs; None when some constraint matches
-    no row or several.
+    no row or several.  Without constraints no formula is hashed, so rows too
+    deep to hash still decompose.
     """
+    if not q.constraints:
+        return []
     index: dict[Formula, list[int]] = {}
     for k, row in enumerate(q.rows):
         index.setdefault(row.event, []).append(k)
@@ -242,8 +244,6 @@ def _build(q: EprRelation, scan, v: frozenset, w: frozenset) -> PrPair:
     return PrPair._checked(
         PrRelation._checked(r_rows, r_probs, names["r"]),
         PrRelation._checked(s_rows, s_probs, names["s"]),
-        names["r"],
-        names["s"],
     )
 
 

@@ -182,9 +182,10 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
         if not isinstance(var_probs, dict):
             raise ValidationError(f"{where}: \"var_probs\" must be an object")
         var_probs = {name: _parse_prob(p, f"var_probs.{name}") for name, p in var_probs.items()}
+    # names now holds every variable of the rows and constraints.
     if model == "pr":
-        return PrRelation.of(rows, var_probs)
-    return EprRelation.of(rows, constraints, var_probs)
+        return PrRelation.of(rows, var_probs, names.keys())
+    return EprRelation.of(rows, constraints, var_probs, names.keys())
 
 
 def parse_document(obj) -> UncertainDB | PrRelation | EprRelation:
@@ -249,20 +250,29 @@ def dumps_json(doc) -> str:
 
     json.dumps falls back to its pure-Python encoder when indenting; this
     walks the containers in Python and hands every string to the C encoder.
-    An int longer than Python prints raises the same ValueError.
+    A dict's string values, and the items of a list of only strings or only
+    ints, are encoded without a call per value.  An int longer than Python
+    prints raises the same ValueError.
     """
     return _dumps_indented(doc, "\n")
 
 
+_quote = encode_basestring_ascii
+# A list whose items all have one of these types is joined item by item:
+# world index lists, and the tuples of relation rows.
+_LEAF_ENCODERS = {int: int.__repr__, str: _quote}
+
+
 def _dumps_indented(value, newline: str) -> str:
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return _quote(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
         items = [
-            encode_basestring_ascii(key) + ": " + _dumps_indented(item, inner)
+            _quote(key) + ": "
+            + (_quote(item) if type(item) is str else _dumps_indented(item, inner))
             for key, item in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
@@ -270,9 +280,10 @@ def _dumps_indented(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        # A world's index list: the test on value[0] spares the set for other lists.
-        if type(value[0]) is int and set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
+        # The test on value[0] spares the set for other lists.
+        kind = type(value[0])
+        if kind in _LEAF_ENCODERS and set(map(type, value)) == {kind}:
+            items = map(_LEAF_ENCODERS[kind], value)
         else:
             items = [_dumps_indented(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

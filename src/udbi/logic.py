@@ -300,43 +300,104 @@ def _fold(kind: type, left: Formula, right: Formula) -> Formula:
     return other if if_true else _negate(other)
 
 
-def restrict(f: Formula, name: str, value: bool) -> Formula:
+def restrict(f: Formula, name: str, value: bool, memo: dict | None = None) -> Formula:
     """f with the variable ``name`` set to ``value``, constants folded.
 
     Every constant operand is folded into its connective, so the result is
     TRUE or FALSE when no variable is left, and contains no constant
     otherwise.  Unchanged subformulas are shared with f.
+
+    ``memo`` maps id(node) to the node's restriction under this one (name,
+    value).  Formulas restricted through one memo restrict each node they
+    share once, and their results share the restricted node in turn.  Its
+    keys are ids, so the memo must not outlive the formulas restricted.
     """
-    if isinstance(f, Variable):
+    return _restrict(f, name, value, {} if memo is None else memo)
+
+
+def _restrict(f: Formula, name: str, value: bool, memo: dict) -> Formula:
+    if (kind := type(f)) is Variable:
         return _const(value) if f.name == name else f
-    if isinstance(f, Const):
+    if kind is Const:
         return f
-    if isinstance(f, Not):
-        child = restrict(f.child, name, value)
-        if isinstance(child, Const):
-            return _negate(child)
-        return f if child is f.child else Not(child)
-    if isinstance(f, Binary):
-        left = restrict(f.left, name, value)
-        right = restrict(f.right, name, value)
-        if isinstance(left, Const) or isinstance(right, Const):
-            return _fold(type(f), left, right)
-        if left is f.left and right is f.right:
-            return f
-        return type(f)(left, right)
-    raise TypeError(f"not a formula: {f!r}")
+    out = memo.get(id(f))
+    if out is not None:
+        return out
+    if kind is Not:
+        child = _restrict(f.child, name, value, memo)
+        if type(child) is Const:
+            out = _negate(child)
+        else:
+            out = f if child is f.child else Not(child)
+    elif kind in _TRUTH:
+        left = _restrict(f.left, name, value, memo)
+        right = _restrict(f.right, name, value, memo)
+        if type(left) is Const or type(right) is Const:
+            out = _fold(kind, left, right)
+        elif left is f.left and right is f.right:
+            out = f
+        else:
+            out = kind(left, right)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[id(f)] = out
+    return out
 
 
-def _closed(f: Formula) -> Formula:
-    """f, or the constant it evaluates to when it uses no variable."""
-    return f if next(iter_vars(f), None) else _const(evaluate(f, {}))
+def _share(f: Formula, seen: dict, table: dict) -> Formula:
+    """f, == f, with each subformula equal to one already met replaced by that one.
+
+    ``table`` maps a node's structure to its one node: a Variable's name,
+    or (type, id of each shared child) for a connective.  ``seen`` maps
+    id(node) to its shared form, so a node reached twice is walked once.
+    Both key by id, so they must not outlive the formulas shared.
+    """
+    if (kind := type(f)) is Variable:
+        return table.setdefault(f.name, f)
+    if kind is Const:
+        return _const(f.value)
+    out = seen.get(id(f))
+    if out is not None:
+        return out
+    if kind is Not:
+        child = _share(f.child, seen, table)
+        key = (Not, id(child))
+        out = table.get(key)
+        if out is None:
+            out = table[key] = f if child is f.child else Not(child)
+    elif kind in _TRUTH:
+        left = _share(f.left, seen, table)
+        right = _share(f.right, seen, table)
+        key = (kind, id(left), id(right))
+        out = table.get(key)
+        if out is None:
+            out = table[key] = f if left is f.left and right is f.right else kind(left, right)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    seen[id(f)] = out
+    return out
+
+
+def _shared_root(rows, constraints) -> tuple | None:
+    """The root of the Shannon walk: _settle of the rows and constraints, each
+    formula shared through one table, or made the constant it evaluates to
+    when it uses no variable."""
+    seen: dict = {}
+    table: dict = {}
+
+    def root(f):
+        f = _share(f, seen, table)
+        return f if next(iter_vars(f), None) else _const(evaluate(f, {}))
+
+    return _settle((), ((tag, root(f)) for tag, f in rows), map(root, constraints))
 
 
 def _settle(chosen: tuple, rows, constraints) -> tuple | None:
     """Decide the formulas that are constants; (chosen, open rows, open constraints).
 
     restrict leaves a formula constant exactly when no variable is left, so
-    once _closed has run at the root, the constants are the decided formulas.
+    once _shared_root has evaluated the closed formulas, the constants are
+    the decided formulas.
     A row that holds adds its tag to ``chosen`` and one that fails drops
     out; a constraint that holds is dropped.  None when a constraint fails.
     """
@@ -366,10 +427,15 @@ def shannon_leaves(rows, constraints=()) -> Iterator[tuple[tuple, tuple]]:
     order they were decided, and the (name, value) pairs branched on, root
     first.  Every assignment extending ``path`` satisfies the constraints
     and selects exactly ``tags``; the leaves' paths are disjoint and cover
-    every satisfying assignment.  The work follows the nodes reached times
-    the size of the open formulas, not 2^n.
+    every satisfying assignment.
+
+    At the root, equal subformulas of all the rows and constraints become
+    one node (_share); each branch then restricts every open formula
+    through one memo, so a node shared by many formulas is restricted once
+    per branch and its result stays shared.  The work follows the nodes
+    reached times the number of distinct open subformulas, not 2^n.
     """
-    node = _settle((), ((tag, _closed(f)) for tag, f in rows), map(_closed, constraints))
+    node = _shared_root(rows, constraints)
     stack = [] if node is None else [(*node, ())]
     while stack:
         chosen, rows, constraints, path = stack.pop()
@@ -378,10 +444,11 @@ def shannon_leaves(rows, constraints=()) -> Iterator[tuple[tuple, tuple]]:
             continue
         name = next(iter_vars(rows[0][1] if rows else constraints[0]))
         for value in (True, False):
+            memo: dict = {}
             node = _settle(
                 chosen,
-                ((tag, restrict(f, name, value)) for tag, f in rows),
-                (restrict(c, name, value) for c in constraints),
+                ((tag, restrict(f, name, value, memo)) for tag, f in rows),
+                (restrict(c, name, value, memo) for c in constraints),
             )
             if node is not None:
                 stack.append((*node, path + ((name, value),)))

@@ -12,7 +12,8 @@ PrRelation is the EprRelation subclass whose constraints are empty.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Set
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
@@ -87,14 +88,14 @@ def _check_rows(rows: tuple[PrTuple, ...]) -> None:
         raise ValidationError(bad)
 
 
-def _require_probs(var_probs: dict[str, Fraction] | None, names) -> None:
-    """Every name must have a probability; ``names`` is read only when var_probs is given."""
-    if var_probs is not None:
-        missing = set(names) - set(var_probs)
-        if missing:
-            raise ValidationError(
-                "event variables without probabilities: " + ", ".join(sorted(missing))
-            )
+def _require_probs(var_probs: dict[str, Fraction] | None, names: Set[str]) -> None:
+    """Every name must have a probability when var_probs is given.
+
+    The keys' >= tests each name against var_probs and copies neither side.
+    """
+    if var_probs is not None and not var_probs.keys() >= names:
+        missing = sorted(name for name in names if name not in var_probs)
+        raise ValidationError("event variables without probabilities: " + ", ".join(missing))
 
 
 def _coerce_rows(rows) -> tuple[PrTuple, ...]:
@@ -107,28 +108,36 @@ def _coerce_rows(rows) -> tuple[PrTuple, ...]:
 
 @dataclass(frozen=True)
 class EprRelation:
-    """Rows, event constraints lhs = rhs, and each event variable's probability."""
+    """Rows, event constraints lhs = rhs, and each event variable's probability.
+
+    ``names`` is the set of variables of the row formulas and constraint
+    sides, fixed when the relation is built: a builder that already knows it
+    passes it (a document read, integrate_pr, a decomposed pair,
+    encode_pw), and otherwise __post_init__ walks the formulas once.  It is
+    never mutated, and equality ignores it.
+    """
 
     rows: tuple[PrTuple, ...]
     constraints: tuple[tuple[Formula, Formula], ...] = ()
     var_probs: dict[str, Fraction] | None = None
+    names: Set[str] = field(default=None, compare=False, repr=False)  # None: walk the formulas
+
+    def __post_init__(self):
+        if self.names is None:
+            formulas = [row.event for row in self.rows]
+            formulas += (side for pair in self.constraints for side in pair)
+            object.__setattr__(self, "names", frozenset(n for f in formulas for n in iter_vars(f)))
 
     @classmethod
-    def of(cls, rows, constraints=(), var_probs=None) -> "EprRelation":
+    def of(cls, rows, constraints=(), var_probs=None, names=None) -> "EprRelation":
         rows = _coerce_rows(rows)
         _check_rows(rows)
         constraints = tuple((lhs, rhs) for lhs, rhs in constraints)
-        return cls(rows, constraints, _coerce_var_probs(var_probs))
+        return cls(rows, constraints, _coerce_var_probs(var_probs), names)
 
     def variables(self) -> tuple[str, ...]:
         """Variables of row formulas and constraint sides, sorted."""
-        names = set()
-        for row in self.rows:
-            names.update(iter_vars(row.event))
-        for lhs, rhs in self.constraints:
-            names.update(iter_vars(lhs))
-            names.update(iter_vars(rhs))
-        return tuple(sorted(names))
+        return tuple(sorted(self.names))
 
     def tuples(self) -> frozenset[Tuple]:
         return frozenset(row.tuple for row in self.rows)
@@ -142,26 +151,26 @@ class PrRelation(EprRelation):
     def __post_init__(self):
         if self.constraints:
             raise ValidationError("a pr-relation has no constraints")
+        super().__post_init__()
 
     @classmethod
-    def of(cls, rows, var_probs=None) -> "PrRelation":
+    def of(cls, rows, var_probs=None, names=None) -> "PrRelation":
         rows = _coerce_rows(rows)
         _check_rows(rows)
-        var_probs = _coerce_var_probs(var_probs)
-        _require_probs(var_probs, (n for row in rows for n in iter_vars(row.event)))
-        return cls(rows, var_probs=var_probs)
+        rel = cls(rows, var_probs=_coerce_var_probs(var_probs), names=names)
+        _require_probs(rel.var_probs, rel.names)
+        return rel
 
     @classmethod
-    def _checked(cls, rows: tuple[PrTuple, ...], var_probs, names) -> "PrRelation":
-        """PrRelation.of for PrTuple rows whose formulas use the variables in names.
+    def _checked(cls, rows: tuple[PrTuple, ...], var_probs, names: Set[str]) -> "PrRelation":
+        """PrRelation.of for PrTuple rows whose formulas use exactly the variables in names.
 
         ``var_probs`` must already be valid, as an epr-relation's slice is:
-        None or a dict of checked names to Fractions in (0, 1).  ``names`` is
-        any iterable, read only when var_probs is given.
+        None or a dict of checked names to Fractions in (0, 1).
         """
         _check_rows(rows)
         _require_probs(var_probs, names)
-        return cls(rows, var_probs=var_probs)
+        return cls(rows, var_probs=var_probs, names=names)
 
 
 @dataclass(frozen=True)
@@ -260,11 +269,11 @@ def expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> list[tuple[World, 
 
 # --- integration ---------------------------------------------------------------
 
-def _all_names(rel) -> set[str]:
-    names = set(rel.variables())
-    if rel.var_probs is not None:
-        names.update(rel.var_probs)
-    return names
+def _share_a_name(r: PrRelation, s: PrRelation) -> bool:
+    """True when a variable or probability name of r is also one of s's."""
+    r_sets = (r.names, (r.var_probs or {}).keys())
+    s_sets = (s.names, (s.var_probs or {}).keys())
+    return any(not a.isdisjoint(b) for a in r_sets for b in s_sets)
 
 
 def _rename_relation(r: PrRelation, prefix: str) -> PrRelation:
@@ -272,7 +281,8 @@ def _rename_relation(r: PrRelation, prefix: str) -> PrRelation:
     probs = None
     if r.var_probs is not None:
         probs = {f"{prefix}::{name}": p for name, p in r.var_probs.items()}
-    return PrRelation(rows, var_probs=probs)
+    names = frozenset(f"{prefix}::{name}" for name in r.names)
+    return PrRelation(rows, var_probs=probs, names=names)
 
 
 def integrate_pr(r: PrRelation, s: PrRelation) -> EprRelation:
@@ -283,7 +293,7 @@ def integrate_pr(r: PrRelation, s: PrRelation) -> EprRelation:
     constraint f = g pairing the two sources' formulas.  When the raw
     variable sets intersect, both sides are renamed apart first.
     """
-    if _all_names(r) & _all_names(s):
+    if _share_a_name(r, s):
         r = _rename_relation(r, "s1")
         s = _rename_relation(s, "s2")
     left = {row.tuple: row for row in r.rows}
@@ -301,7 +311,7 @@ def integrate_pr(r: PrRelation, s: PrRelation) -> EprRelation:
         var_probs = None
     else:
         var_probs = {**(r.var_probs or {}), **(s.var_probs or {})}
-    return EprRelation(tuple(rows), tuple(constraints), var_probs)
+    return EprRelation(tuple(rows), tuple(constraints), var_probs, r.names | s.names)
 
 
 # --- event-variable formulas ----------------------------------------------------
@@ -368,4 +378,6 @@ def encode_pw(u: UncertainDB, var_base: str = "x") -> PrRelation:
         PrTuple(t, disjoin(selectors[i] for i in range(n) if t in u.worlds[i]))
         for t in sorted(u.tuple_set)
     )
-    return PrRelation(rows, var_probs=var_probs)
+    # Every chain variable occurs: x(i+1) is in the selector of every world
+    # from world i on, and two of those worlds cannot both be empty.
+    return PrRelation(rows, var_probs=var_probs, names=frozenset(names))

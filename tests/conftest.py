@@ -15,11 +15,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from udbi import logic
 from udbi.errors import ExpansionTooLarge, MissingVarProb, NoValidAssignment
 from udbi.logic import (
     DEFAULT_VAR_CAP,
     FALSE,
     Binary,
+    Const,
     Not,
     Or,
     Variable,
@@ -296,6 +298,23 @@ def brute_equivalent(f, g, cap: int = DEFAULT_VAR_CAP) -> bool:
         if evaluate(f, mu) != evaluate(g, mu):
             return False
     return True
+
+
+def tree_restrict(f, name: str, value: bool):
+    """restrict without a memo: each occurrence of a shared node is restricted
+    again and gives a node of its own.  Folds constants with logic's _fold."""
+    if isinstance(f, Variable):
+        return Const(value) if f.name == name else f
+    if isinstance(f, Const):
+        return f
+    if isinstance(f, Not):
+        child = tree_restrict(f.child, name, value)
+        return Const(not child.value) if isinstance(child, Const) else Not(child)
+    left = tree_restrict(f.left, name, value)
+    right = tree_restrict(f.right, name, value)
+    if isinstance(left, Const) or isinstance(right, Const):
+        return logic._fold(type(f), left, right)
+    return type(f)(left, right)
 
 
 def outcome(fn, *args, **kwargs):

@@ -22,7 +22,7 @@ from conftest import (
     variable_nodes,
     world,
 )
-from udbi import cli, decompose, documents, errors, probcalc
+from udbi import cli, decompose, documents, errors, logic, prdb, probcalc
 from udbi.cli import main
 from udbi.decompose import PrPair
 from udbi.documents import (
@@ -34,7 +34,7 @@ from udbi.documents import (
 )
 from udbi.errors import ValidationError
 from udbi.gen import gen_consistent_pw_pair, gen_pr_pair, gen_pw_db
-from udbi.logic import Variable
+from udbi.logic import Variable, to_text
 from udbi.prdb import EprRelation, PrRelation
 from udbi.pwdb import UncertainDB
 
@@ -144,8 +144,27 @@ JSON_VALUES = st.recursive(
 )
 
 
+# Text with every kind of character the encoder escapes or passes through:
+# quotes, backslashes, control characters, DEL, non-ASCII, a lone surrogate
+# and an astral character.
+ESCAPED_TEXT = st.text(
+    st.sampled_from('a "\\\n\t\x00\x1f\x7f\u00e9\u2603\ud800\U0001f600')
+) | st.text()
+STRING_LISTS = st.lists(ESCAPED_TEXT, min_size=1, max_size=6)
+RELATION_ROWS = st.lists(
+    st.fixed_dictionaries({"tuple": STRING_LISTS, "event": ESCAPED_TEXT}), max_size=4
+)
+# A list that starts with a string but does not hold only strings.
+MIXED_LISTS = st.builds(
+    lambda first, middle, last: [first, *middle, last],
+    ESCAPED_TEXT,
+    st.lists(ESCAPED_TEXT, max_size=3),
+    JSON_VALUES.filter(lambda value: not isinstance(value, str)),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
+@given(JSON_VALUES | STRING_LISTS | RELATION_ROWS | MIXED_LISTS)
 def test_json_writer_matches_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
 
@@ -493,6 +512,35 @@ def test_check_single_relation_exits_one_when_a_pair_disagrees(tmp_path, capsys,
     code, out, err = run(capsys, "check", q)
     assert (code, err) == (1, "")
     assert out.endswith("cross-check: FAILED\n")
+
+
+def test_integrate_walks_no_formula_and_decompose_walks_each_once(
+    tmp_path, capsys, monkeypatch
+):
+    walked = []
+    iter_vars = logic.iter_vars
+
+    def counted(f):
+        walked.append(to_text(f))
+        return iter_vars(f)
+
+    for module in (logic, prdb, decompose):
+        monkeypatch.setattr(module, "iter_vars", counted)
+    r, s = office_pr_sources()
+    r_path, s_path = save(tmp_path, "r.json", r), save(tmp_path, "s.json", s)
+    q = office_epr()
+    q_path = save(tmp_path, "q.json", q)
+    out = str(tmp_path / "out.json")
+    # The second pair shares every name, so integrate_pr renames both sides.
+    for argv in ([r_path, s_path], [r_path, r_path]):
+        walked.clear()
+        assert run(capsys, "integrate", *argv, "--model", "pr", "--out", out)[0] == 0
+        assert walked == []
+    sides = [to_text(side) for c in q.constraints for side in c]
+    for argv in (["decompose"], ["decompose", "--all"]):
+        walked.clear()
+        assert run(capsys, *argv, q_path, "--out", out)[0] == 0
+        assert sorted(walked) == sorted([to_text(row.event) for row in q.rows] + sides)
 
 
 def test_single_relation_check_decomposes_once(tmp_path, capsys, monkeypatch):
@@ -951,11 +999,13 @@ DEEP_INPUTS = {
 def test_input_nested_too_deeply_exits_two(tmp_path, capsys, name):
     path = tmp_path / name
     path.write_text(DEEP_INPUTS[name], encoding="utf-8")
-    for command in ("expand", "prob", "decompose"):
+    for command in ("expand", "prob", "check", "decompose"):
         code, out, err = run(capsys, command, str(path))
         assert "Traceback" not in err
-        if (name, command) == ("or_chain.json", "expand"):
-            # iter_vars walks a stack, so the long chain loads and meets the cap.
+        if name == "or_chain.json" and command != "decompose":
+            # The long chain loads, its variables are known from the read, and
+            # without constraints no row formula is hashed: it meets the cap.
+            # decompose still prints the formula, recursively.
             expected = (3, "", "error: expansion over 2000 variables exceeds cap of 20\n")
         else:
             expected = (2, "", "error: input nested too deeply\n")

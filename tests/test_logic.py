@@ -1,18 +1,26 @@
 """Formula parsing, printing, evaluation and equivalence checking."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import udbi.logic as logic_module
-from conftest import brute_equivalent, formula_texts, outcome, variable_nodes
+from conftest import (
+    brute_equivalent,
+    formula_texts,
+    outcome,
+    tree_restrict,
+    variable_nodes,
+)
 from udbi.errors import ExpansionTooLarge, ParseError, UnboundVariable
 from udbi.logic import (
     FALSE,
     TRUE,
     And,
+    Binary,
     Const,
     Formula,
     Iff,
@@ -457,6 +465,91 @@ def test_restriction_shares_unchanged_subformulas():
     f = parse_formula("(a | b) & c")
     assert restrict(f, "d", True) is f
     assert restrict(f, "c", True) is f.left
+
+
+@st.composite
+def shared_formulas(draw):
+    """One to three formulas over one pool of nodes.
+
+    Each new node takes its operands from the pool, so subtrees recur within
+    and across the formulas as one object; a "copy" adds a node equal to a
+    pool node but distinct from it.
+    """
+    pool = [Variable(n) for n in "abc"] + [TRUE, FALSE]
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from([Not, And, Or, Implies, Iff, "copy"]))
+        if kind == "copy":
+            pool.append(dataclasses.replace(pick()))
+        elif kind is Not:
+            pool.append(Not(pick()))
+        else:
+            pool.append(kind(pick(), pick()))
+    return [pool[-1], *draw(st.lists(st.sampled_from(pool), max_size=2))]
+
+
+def distinct_nodes(formulas) -> dict:
+    """The nodes reachable from formulas, by id."""
+    nodes = {}
+    stack = list(formulas)
+    while stack:
+        f = stack.pop()
+        if id(f) not in nodes:
+            nodes[id(f)] = f
+            if isinstance(f, Not):
+                stack.append(f.child)
+            elif isinstance(f, Binary):
+                stack += f.left, f.right
+    return nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_formulas() | st.lists(formulas(), min_size=1, max_size=3), names, st.booleans())
+def test_restriction_through_one_memo_matches_a_fresh_restriction(roots, name, value):
+    memo = {}
+    restricted = [restrict(f, name, value, memo) for f in roots]
+    assert restricted == [tree_restrict(f, name, value) for f in roots]
+    assert restricted == [restrict(f, name, value) for f in roots]
+    # Each node is restricted once, to one node that every result shares: a
+    # node of the results is a node of the formulas, a constant, or what the
+    # memo gives for a node of the formulas.
+    inputs = distinct_nodes(roots)
+    memoized = {id(restrict(node, name, value, memo)) for node in inputs.values()}
+    assert set(distinct_nodes(restricted)) <= set(inputs) | memoized | {id(TRUE), id(FALSE)}
+
+
+def test_equal_rows_are_restricted_once_per_branch(monkeypatch):
+    calls = []
+    inner = logic_module._restrict
+
+    def counted(f, *args):
+        calls.append(f)
+        return inner(f, *args)
+
+    monkeypatch.setattr(logic_module, "_restrict", counted)
+    text = " | ".join(f"(a{i} & !b{i})" for i in range(6))
+    leaves = list(shannon_leaves([(0, parse_formula(text))]))
+    one = len(calls)
+    calls.clear()
+    # Four rows parsed apart are four equal trees; the walk makes them one
+    # node, and each branch restricts it once, then finds it in its memo.
+    four = list(shannon_leaves([(k, parse_formula(text)) for k in range(4)]))
+    assert [path for _, path in four] == [path for _, path in leaves]
+    assert len(calls) < 2 * one
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_formulas() | st.lists(formulas(), min_size=1, max_size=3))
+@example([And(v("a"), v("b")), Or(v("a"), v("b")), Iff(v("b"), v("a")), Not(v("a")), Not(v("b"))])
+def test_the_shared_form_is_equal_and_has_one_node_per_distinct_subformula(roots):
+    seen, table = {}, {}
+    shared = [logic_module._share(f, seen, table) for f in roots]
+    assert shared == roots
+    nodes = list(distinct_nodes(shared).values())
+    assert len(nodes) == len(set(nodes)) == len(set(distinct_nodes(roots).values()))
 
 
 @settings(max_examples=300, deadline=None)

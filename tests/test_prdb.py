@@ -1,6 +1,7 @@
 """pr/epr-relations: expansion, integration, event formulas, encoding."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from conftest import (
     OFFICE_DISTRIBUTION,
     brute_expand_epr,
     brute_expand_pr,
+    lines_run,
     office_epr,
     office_pr_sources,
     office_pw_sources,
@@ -31,6 +33,7 @@ from udbi.errors import (
     ValidationError,
 )
 from udbi.decompose import enumerate_pairs
+from udbi.documents import document_of, dumps_json, parse_document
 from udbi.gen import (
     gen_consistent_pw_pair,
     gen_formula,
@@ -50,6 +53,7 @@ from udbi.logic import (
     Variable,
     equivalent,
     evaluate,
+    iter_vars,
     parse_formula,
 )
 from udbi.prdb import (
@@ -114,6 +118,44 @@ def test_a_pr_relation_is_an_epr_relation_without_constraints():
     assert r1 != same
     for w in (world(), world(CS100), world(CS101), world(CS100, CS101)):
         assert evf(r1, w) == evf(same, w)
+
+
+def walked_names(rel) -> set[str]:
+    """The variables of rel's row formulas and constraint sides, by walking them."""
+    formulas = [row.event for row in rel.rows] + [side for c in rel.constraints for side in c]
+    return {name for f in formulas for name in iter_vars(f)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_every_relation_carries_the_variables_its_formulas_use(seed):
+    r, s = gen_pr_pair(seed)
+    a, b = gen_consistent_pw_pair(random.Random(seed), max_scenarios=6)
+    q = gen_integrated_epr(seed)
+    x, y = encode_pw(a, "x"), encode_pw(b, "y")
+    routes = {
+        "PrRelation.of": r,
+        "EprRelation.of": EprRelation.of(q.rows, q.constraints, q.var_probs),
+        "PrRelation": PrRelation(r.rows, var_probs=r.var_probs),
+        "EprRelation": EprRelation(q.rows, q.constraints, q.var_probs),
+        "encode_pw": x,
+        "integrate_pr renaming": integrate_pr(r, r),
+        "integrate_pr": integrate_pr(x, y),
+        "integrate_pr of generated sources": integrate_pr(r, s),
+        "pr document": parse_document(json.loads(dumps_json(document_of(r)))),
+        "epr document": parse_document(json.loads(dumps_json(document_of(q)))),
+    }
+    for k, pair in enumerate(enumerate_pairs(q)):
+        routes[f"pair {k} r"], routes[f"pair {k} s"] = pair.r, pair.s
+    # r shares every name with itself, so both copies are renamed; x and y
+    # share none, so neither is.
+    renamed = routes["integrate_pr renaming"].names
+    assert len(renamed) == 2 * len(r.names)
+    assert all(name.startswith(("s1::", "s2::")) for name in renamed)
+    assert routes["integrate_pr"].names == x.names | y.names
+    for route, rel in routes.items():
+        assert set(rel.names) == walked_names(rel), route
+        assert rel.variables() == tuple(sorted(walked_names(rel))), route
 
 
 def test_distribution_rejects_bad_entries():
@@ -363,6 +405,31 @@ def test_constrained_expansion_work_follows_the_worlds(monkeypatch):
         assert [w for w, _ in expand_epr(q, cap=40)] == list(integrate_pw(a, b).worlds)
         work[m] = len(calls)
     assert 0 < work[16] < 16 * work[8]
+
+
+def _chain_source(n_worlds: int, n_tuples: int = 12) -> UncertainDB:
+    """n_worlds distinct random worlds over n_tuples tuples, with random weights."""
+    rng = random.Random(n_worlds)
+    tuples = [(f"t{k}",) for k in range(n_tuples)]
+    masks = rng.sample(range(1 << n_tuples), n_worlds)
+    worlds = tuple(frozenset(t for k, t in enumerate(tuples) if m >> k & 1) for m in masks)
+    weights = [rng.randint(1, 9) for _ in worlds]
+    probs = tuple(Fraction(w, sum(weights)) for w in weights)
+    return UncertainDB(frozenset(tuples), worlds, probs)
+
+
+def test_chain_encoded_expansion_work_grows_under_five_fold_per_doubling():
+    # A chain encoding's row is a disjunction of selectors up to n long, so
+    # its tree has O(n^2) nodes and restricting all of it on each of the ~2n
+    # branches is cubic (about 8x per doubling).  Shared, the selectors'
+    # common prefixes are one chain, and each branch restricts O(rows * n)
+    # distinct nodes: quadratic, 4x per doubling plus lower-order terms.
+    work = {}
+    for n in (16, 32, 64):
+        r = encode_pw(_chain_source(n), "x")
+        work[n] = lines_run(logic, expand_pr, r, n)
+    assert work[32] < 5 * work[16]
+    assert work[64] < 5 * work[32]
 
 
 def test_a_thirty_two_variable_integration_expands_to_the_pw_integration():
