@@ -116,12 +116,20 @@ def _scan(q: EprRelation):
     """The one pass over q's formulas that partition and every pair build share.
 
     Returns the variable sets of each row formula and of each constraint's
-    two sides, and _condition3(q).
+    two sides, and _condition3(q).  Each distinct formula object is walked
+    once: a document shares one object among equal formula texts, so a
+    constraint side is often the very object of its row's formula.
     """
-    row_vars = [frozenset(iter_vars(row.event)) for row in q.rows]
-    constraint_vars = [
-        (frozenset(iter_vars(lhs)), frozenset(iter_vars(rhs))) for lhs, rhs in q.constraints
-    ]
+    walked: dict[int, frozenset[str]] = {}  # id of a formula of q -> its variables
+
+    def variables(f: Formula) -> frozenset[str]:
+        used = walked.get(id(f))
+        if used is None:
+            used = walked[id(f)] = frozenset(iter_vars(f))
+        return used
+
+    row_vars = [variables(row.event) for row in q.rows]
+    constraint_vars = [(variables(lhs), variables(rhs)) for lhs, rhs in q.constraints]
     return row_vars, constraint_vars, _condition3(q)
 
 

@@ -56,24 +56,37 @@ def _parse_prob(value, where: str) -> Fraction:
     raise ValidationError(f"{where}: cannot read probability {value!r}")
 
 
-def _parse_tuple(value, where: str) -> tuple[str, ...]:
-    if (
-        not isinstance(value, list)
-        or not value
-        or not all(isinstance(x, str) for x in value)
-    ):
-        raise ValidationError(f"{where}: a tuple must be a nonempty array of strings")
+def _parse_prob_once(value, memo: dict, where: str, key) -> Fraction:
+    """_parse_prob(value, where.format(key)), parsing each distinct text once:
+    ``memo`` maps the texts read so far in this document to their Fractions,
+    so equal texts share one.  Only a string is looked up, so any other value
+    reaches _parse_prob and its message."""
+    prob = memo.get(value) if type(value) is str else None
+    if prob is None:
+        prob = memo[value] = _parse_prob(value, where.format(key))
+    return prob
+
+
+# isinstance(x, str) as a function that map() calls without a frame.
+_is_str = str.__instancecheck__
+
+
+def _parse_tuple(value, where: str, key) -> tuple[str, ...]:
+    """value as a data tuple; ``where.format(key)`` names it in the error."""
+    if not isinstance(value, list) or not value or not all(map(_is_str, value)):
+        raise ValidationError(f"{where.format(key)}: a tuple must be a nonempty array of strings")
     return tuple(value)
 
 
-def _parse_event(text, where: str, parsed: dict, names: dict):
+def _parse_event(text, where: str, key, parsed: dict, names: dict):
     """The formula of text; ``parsed`` maps the texts read so far in this
     document to their formulas, so equal texts are parsed once and share one,
-    and ``names`` maps the variable names read so far to their nodes."""
-    if not isinstance(text, str):
-        raise ValidationError(f"{where}: event must be a formula string")
-    formula = parsed.get(text)
+    and ``names`` maps the variable names read so far to their nodes.
+    ``where.format(key)`` names text in the error for a non-string."""
+    formula = parsed.get(text) if type(text) is str else None
     if formula is None:
+        if not isinstance(text, str):
+            raise ValidationError(f"{where.format(key)}: event must be a formula string")
         formula = parsed[text] = parse_formula(text, names)
     return formula
 
@@ -101,12 +114,25 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
 
 
+# The keys an entry of each array of objects may have.
+_WORLD_KEYS = frozenset({"tuples", "prob"})
+_CONSTRAINT_KEYS = frozenset({"lhs", "rhs"})
+_ROW_KEYS = frozenset({"tuple", "event"})
+
+
+def _reject_entry(entry, allowed: frozenset, where: str):
+    """Raise the error for an array entry that is not an object with keys in allowed."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where}: must be an object")
+    _require_keys(entry, allowed, where)
+
+
 def _parse_pw(obj: dict) -> UncertainDB:
     _require_keys(obj, {"model", "tuples", "worlds"}, "pw document")
     raw_tuples = obj.get("tuples")
     if not isinstance(raw_tuples, list):
         raise ValidationError("pw document: \"tuples\" must be an array")
-    tuples = [_parse_tuple(t, f"tuples[{i}]") for i, t in enumerate(raw_tuples)]
+    tuples = [_parse_tuple(t, "tuples[{}]", i) for i, t in enumerate(raw_tuples)]
     first: dict = {}
     for i, t in enumerate(tuples):
         if first.setdefault(t, i) != i:
@@ -116,22 +142,21 @@ def _parse_pw(obj: dict) -> UncertainDB:
         raise ValidationError("pw document: \"worlds\" must be an array")
     worlds = []
     probs = []
+    memo: dict = {}
     for i, entry in enumerate(raw_worlds):
-        where = f"worlds[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: must be an object")
-        _require_keys(entry, {"tuples", "prob"}, where)
+        if not (isinstance(entry, dict) and entry.keys() <= _WORLD_KEYS):
+            _reject_entry(entry, _WORLD_KEYS, f"worlds[{i}]")
         indices = entry.get("tuples")
         if not isinstance(indices, list) or indices and (
             set(map(type, indices)) != {int} or min(indices) < 0 or max(indices) >= len(tuples)
         ):
-            raise ValidationError(f"{where}: \"tuples\" must be an array of tuple indices")
+            raise ValidationError(f"worlds[{i}]: \"tuples\" must be an array of tuple indices")
         world = frozenset(map(tuples.__getitem__, indices))
         if len(world) < len(indices):
-            raise ValidationError(f"{where} lists tuple {_repeated(indices)} twice")
+            raise ValidationError(f"worlds[{i}] lists tuple {_repeated(indices)} twice")
         worlds.append(world)
         if "prob" in entry:
-            probs.append(_parse_prob(entry["prob"], where))
+            probs.append(_parse_prob_once(entry["prob"], memo, "worlds[{}]", i))
         else:
             probs.append(None)
     if any(p is None for p in probs) and any(p is not None for p in probs):
@@ -144,7 +169,12 @@ def _parse_pw(obj: dict) -> UncertainDB:
 
 
 def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
-    """A "pr" or "epr" document's relation; constraints are read before rows."""
+    """A "pr" or "epr" document's relation; constraints are read before rows.
+
+    The relation is built by EprRelation._read, which makes only the checks
+    this reader cannot: tuples two rows share, probability names and ranges,
+    and for "pr" a probability for every variable.
+    """
     where = f"{model} document"
     keys = {"model", "rows", "var_probs"}
     _require_keys(obj, (keys | {"constraints"}) if model == "epr" else keys, where)
@@ -154,13 +184,12 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
     parsed, names = {}, {}
     constraints = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"constraints[{i}]: must be an object")
-        _require_keys(entry, {"lhs", "rhs"}, f"constraints[{i}]")
+        if not (isinstance(entry, dict) and entry.keys() <= _CONSTRAINT_KEYS):
+            _reject_entry(entry, _CONSTRAINT_KEYS, f"constraints[{i}]")
         constraints.append(
             (
-                _parse_event(entry.get("lhs"), f"constraints[{i}].lhs", parsed, names),
-                _parse_event(entry.get("rhs"), f"constraints[{i}].rhs", parsed, names),
+                _parse_event(entry.get("lhs"), "constraints[{}].lhs", i, parsed, names),
+                _parse_event(entry.get("rhs"), "constraints[{}].rhs", i, parsed, names),
             )
         )
     raw = obj.get("rows")
@@ -168,24 +197,25 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
         raise ValidationError(f"{where}: \"rows\" must be an array")
     rows = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"rows[{i}]: must be an object")
-        _require_keys(entry, {"tuple", "event"}, f"rows[{i}]")
+        if not (isinstance(entry, dict) and entry.keys() <= _ROW_KEYS):
+            _reject_entry(entry, _ROW_KEYS, f"rows[{i}]")
         rows.append(
             PrTuple(
-                _parse_tuple(entry.get("tuple"), f"rows[{i}].tuple"),
-                _parse_event(entry.get("event"), f"rows[{i}].event", parsed, names),
+                _parse_tuple(entry.get("tuple"), "rows[{}].tuple", i),
+                _parse_event(entry.get("event"), "rows[{}].event", i, parsed, names),
             )
         )
     var_probs = obj.get("var_probs")
     if var_probs is not None:
         if not isinstance(var_probs, dict):
             raise ValidationError(f"{where}: \"var_probs\" must be an object")
-        var_probs = {name: _parse_prob(p, f"var_probs.{name}") for name, p in var_probs.items()}
+        memo: dict = {}
+        var_probs = {
+            name: _parse_prob_once(p, memo, "var_probs.{}", name) for name, p in var_probs.items()
+        }
     # names now holds every variable of the rows and constraints.
-    if model == "pr":
-        return PrRelation.of(rows, var_probs, names.keys())
-    return EprRelation.of(rows, constraints, var_probs, names.keys())
+    relation = PrRelation if model == "pr" else EprRelation
+    return relation._read(tuple(rows), tuple(constraints), var_probs, names.keys())
 
 
 def parse_document(obj) -> UncertainDB | PrRelation | EprRelation:
@@ -250,9 +280,12 @@ def dumps_json(doc) -> str:
 
     json.dumps falls back to its pure-Python encoder when indenting; this
     walks the containers in Python and hands every string to the C encoder.
-    A dict's string values, and the items of a list of only strings or only
-    ints, are encoded without a call per value.  An int longer than Python
-    prints raises the same ValueError.
+    An object is written with one join over its members: a string value, and
+    a list of only strings or only ints, are encoded inline, and only other
+    values take a call.  A list of objects (relation rows, constraints, pw
+    worlds, check components) computes its separators once and writes each
+    object with that one join.  An int longer than Python prints raises the
+    same ValueError.
     """
     return _dumps_indented(doc, "\n")
 
@@ -263,19 +296,40 @@ _quote = encode_basestring_ascii
 _LEAF_ENCODERS = {int: int.__repr__, str: _quote}
 
 
+def _separators(newline: str) -> tuple[str, str, str, str]:
+    """What an object written after ``newline`` puts before its first member,
+    between members, before the first item of a leaf list member, and
+    between those items."""
+    inner = newline + "  "
+    return inner, "," + inner, inner + "  ", "," + inner + "  "
+
+
+def _dumps_object(obj: dict, newline: str, separators) -> str:
+    """A nonempty object written after newline; separators is _separators(newline)."""
+    inner, comma, leaf_inner, leaf_comma = separators
+    members = []
+    for key, item in obj.items():
+        kind = type(item)
+        if kind is str:
+            text = _quote(item)
+        elif (
+            kind is list
+            and item
+            and (leaf := type(item[0])) in _LEAF_ENCODERS  # spares the set for other lists
+            and set(map(type, item)) == {leaf}
+        ):
+            text = f"[{leaf_inner}{leaf_comma.join(map(_LEAF_ENCODERS[leaf], item))}{inner}]"
+        else:
+            text = _dumps_indented(item, inner)
+        members.append(f"{_quote(key)}: {text}")
+    return f"{{{inner}{comma.join(members)}{newline}}}"
+
+
 def _dumps_indented(value, newline: str) -> str:
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [
-            _quote(key) + ": "
-            + (_quote(item) if type(item) is str else _dumps_indented(item, inner))
-            for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _dumps_object(value, newline, _separators(newline)) if value else "{}"
     if isinstance(value, list):
         if not value:
             return "[]"
@@ -284,6 +338,14 @@ def _dumps_indented(value, newline: str) -> str:
         kind = type(value[0])
         if kind in _LEAF_ENCODERS and set(map(type, value)) == {kind}:
             items = map(_LEAF_ENCODERS[kind], value)
+        elif kind is dict:
+            separators = _separators(inner)
+            items = [
+                _dumps_object(item, inner, separators)
+                if type(item) is dict and item
+                else _dumps_indented(item, inner)
+                for item in value
+            ]
         else:
             items = [_dumps_indented(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

@@ -16,6 +16,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from operator import attrgetter
 
 from .errors import (
     ExpansionTooLarge,
@@ -53,23 +54,30 @@ class PrTuple:
         return f"{format_tuple(self.tuple)}@{to_text(self.event)}"
 
 
-def _coerce_var_probs(var_probs) -> dict[str, Fraction] | None:
-    if var_probs is None:
-        return None
-    out = {}
+def _check_var_probs(var_probs: dict, names: Set[str]) -> None:
+    """Raise ValidationError listing, in var_probs order, each name that is not
+    a variable name and each Fraction outside (0, 1).  A name in ``names``, a
+    formula variable of the relation, is one already."""
     bad = []
     for name, p in var_probs.items():
-        if not is_valid_name(str(name)):
+        if name not in names and not is_valid_name(str(name)):
             bad.append(f"invalid variable name {name!r} in probabilities")
-            continue
-        if type(p) is not Fraction:
-            p = Fraction(p)
-        if not 0 < p.numerator < p.denominator:
+        elif not 0 < p.numerator < p.denominator:
             bad.append(f"probability of variable {name} is {p}, outside (0, 1)")
-        out[str(name)] = p
     if bad:
         raise ValidationError(bad)
-    return out
+
+
+def _coerce_var_probs(var_probs) -> dict[str, Fraction] | None:
+    """var_probs with each valid name's probability as a Fraction, checked."""
+    if var_probs is None:
+        return None
+    coerced = {
+        name: p if type(p) is Fraction or not is_valid_name(str(name)) else Fraction(p)
+        for name, p in var_probs.items()
+    }
+    _check_var_probs(coerced, ())
+    return {str(name): p for name, p in coerced.items()}
 
 
 def _check_rows(rows: tuple[PrTuple, ...]) -> None:
@@ -96,6 +104,9 @@ def _require_probs(var_probs: dict[str, Fraction] | None, names: Set[str]) -> No
     if var_probs is not None and not var_probs.keys() >= names:
         missing = sorted(name for name in names if name not in var_probs)
         raise ValidationError("event variables without probabilities: " + ", ".join(missing))
+
+
+_row_tuple = attrgetter("tuple")
 
 
 def _coerce_rows(rows) -> tuple[PrTuple, ...]:
@@ -135,6 +146,23 @@ class EprRelation:
         constraints = tuple((lhs, rhs) for lhs, rhs in constraints)
         return cls(rows, constraints, _coerce_var_probs(var_probs), names)
 
+    @classmethod
+    def _read(
+        cls, rows: tuple[PrTuple, ...], constraints, var_probs, names: Set[str]
+    ) -> "EprRelation":
+        """``of`` for what a document reader built and checked: PrTuple rows
+        with nonempty tuples, a tuple of constraint pairs, var_probs of str
+        names to Fractions or None, and the variables of the formulas.
+
+        Makes, once each, the checks of ``of`` the reader cannot: tuples that
+        two rows share, then the names and ranges of var_probs.
+        """
+        if len(set(map(_row_tuple, rows))) < len(rows):
+            _check_rows(rows)  # lists every shared tuple
+        if var_probs is not None:
+            _check_var_probs(var_probs, names)
+        return cls(rows, constraints, var_probs, names)
+
     def variables(self) -> tuple[str, ...]:
         """Variables of row formulas and constraint sides, sorted."""
         return tuple(sorted(self.names))
@@ -159,6 +187,13 @@ class PrRelation(EprRelation):
         _check_rows(rows)
         rel = cls(rows, var_probs=_coerce_var_probs(var_probs), names=names)
         _require_probs(rel.var_probs, rel.names)
+        return rel
+
+    @classmethod
+    def _read(cls, rows, constraints, var_probs, names) -> "PrRelation":
+        """EprRelation._read, then every variable must have a probability."""
+        rel = super()._read(rows, constraints, var_probs, names)
+        _require_probs(var_probs, names)
         return rel
 
     @classmethod

@@ -163,8 +163,41 @@ MIXED_LISTS = st.builds(
 )
 
 
+INT_LISTS = st.lists(st.integers(), max_size=5)
+# pw worlds, with empty index lists among them.
+PW_WORLDS = st.lists(
+    st.fixed_dictionaries({"tuples": INT_LISTS, "prob": ESCAPED_TEXT}), min_size=1, max_size=4
+)
+# Shaped like check's components: int lists, booleans, None and an optional key.
+COMPONENTS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "left": INT_LISTS,
+            "right": INT_LISTS,
+            "left_sum": ESCAPED_TEXT,
+            "balanced": st.booleans(),
+            "violation": st.none() | ESCAPED_TEXT,
+        },
+        optional={"constant": ESCAPED_TEXT},
+    ),
+    min_size=1,
+    max_size=3,
+)
+OBJECTS = st.dictionaries(ESCAPED_TEXT, JSON_VALUES, max_size=4)
+# A list that starts with an object: objects with different key sets, empty
+# objects, objects nested in listed objects, and later items of any kind.
+OBJECT_LISTS = st.builds(
+    lambda first, rest: [first, *rest],
+    OBJECTS | st.just({}) | st.fixed_dictionaries({"r": OBJECTS, "worlds": PW_WORLDS}),
+    st.lists(OBJECTS | JSON_VALUES | RELATION_ROWS | st.just({}), max_size=3),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(JSON_VALUES | STRING_LISTS | RELATION_ROWS | MIXED_LISTS)
+@given(
+    JSON_VALUES | STRING_LISTS | RELATION_ROWS | MIXED_LISTS | PW_WORLDS | COMPONENTS
+    | OBJECT_LISTS
+)
 def test_json_writer_matches_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
 
@@ -184,14 +217,16 @@ def test_json_writer_escapes_and_nests_like_json_dumps_indent_2():
 
 @pytest.mark.parametrize("digits", [4_301, 5_000])
 def test_json_writer_refuses_the_ints_json_dumps_refuses(digits):
-    value = {"n": [-(10 ** (digits - 1))]}
-    with pytest.raises(ValueError) as ours:
-        dumps_json(value)
-    with pytest.raises(ValueError) as theirs:
-        json.dumps(value, indent=2)
-    # main maps this ValueError to exit 2 ("a result is too long to print").
-    assert str(ours.value) == str(theirs.value)
-    assert "integer string conversion" in str(ours.value)
+    n = 10 ** (digits - 1)
+    # A lone object's int list, and an int list and an int in listed objects.
+    for value in ({"n": [-n]}, [{"prob": "1", "tuples": [0, n]}], [{"a": []}, {"n": n}]):
+        with pytest.raises(ValueError) as ours:
+            dumps_json(value)
+        with pytest.raises(ValueError) as theirs:
+            json.dumps(value, indent=2)
+        # main maps this ValueError to exit 2 ("a result is too long to print").
+        assert str(ours.value) == str(theirs.value)
+        assert "integer string conversion" in str(ours.value)
 
 
 def test_out_and_json_documents_are_json_dumps_indent_2(tmp_path, capsys):
@@ -273,6 +308,76 @@ def test_probabilities_read_as_the_general_route_reads_them(value):
     else:
         got = _parse_prob(value, "var_probs.x")
         assert type(got) is Fraction and got == expected
+
+
+def test_equal_probability_texts_share_one_fraction_within_a_document(tmp_path):
+    pw = {
+        "model": "pw",
+        "tuples": [["t"], ["u"]],
+        "worlds": [
+            {"tuples": [0], "prob": "1/4"},
+            {"tuples": [1], "prob": "1/4"},
+            {"tuples": [0, 1], "prob": "1/2"},
+        ],
+    }
+    pr = {
+        "model": "pr",
+        "rows": [{"tuple": ["t"], "event": "a | b"}, {"tuple": ["u"], "event": "c"}],
+        "var_probs": {"a": "1/3", "b": "1/3", "c": "1/2"},
+    }
+    for doc, probs in ((pw, lambda u: u.probs), (pr, lambda r: list(r.var_probs.values()))):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        first, second = probs(load_document(path)), probs(load_document(path))
+        assert first[0] is first[1]
+        assert first[2] is not first[0]
+        # Nothing is kept across reads.
+        assert not {id(p) for p in first} & {id(p) for p in second}
+
+
+def test_a_repeated_bad_probability_is_reported_at_its_first_occurrence():
+    worlds = [
+        {"tuples": [0], "prob": "1/2"},
+        {"tuples": [1], "prob": "x"},
+        {"tuples": [], "prob": "x"},
+    ]
+    doc = {"model": "pw", "tuples": [["t"], ["u"]], "worlds": worlds}
+    with pytest.raises(ValidationError, match=r"^worlds\[1\]: cannot read probability 'x'$"):
+        parse_document(doc)
+    rows = [{"tuple": ["t"], "event": "a & b & c"}]
+    doc = {"model": "pr", "rows": rows, "var_probs": {"a": "1/2", "b": "x", "c": "x"}}
+    with pytest.raises(ValidationError, match=r"^var_probs\.b: cannot read probability 'x'$"):
+        parse_document(doc)
+    # A text read once but out of range is reported for every variable that
+    # uses it, with the other faults, in var_probs order.
+    doc["var_probs"] = {"a": "2", "1x": "1/2", "b": "1/2", "c": "2"}
+    with pytest.raises(ValidationError) as err:
+        parse_document(doc)
+    assert err.value.violations == [
+        "probability of variable a is 2, outside (0, 1)",
+        "invalid variable name '1x' in probabilities",
+        "probability of variable c is 2, outside (0, 1)",
+    ]
+
+
+@pytest.mark.parametrize("value", [0.5, None, True, ["1/2"]], ids=repr)
+def test_probabilities_that_are_not_strings_keep_their_messages(value):
+    must = 'probabilities must be strings like "0.3" or "9/13", got '
+    # The value comes after the text "1/2" and occurs twice.
+    worlds = [
+        {"tuples": [0], "prob": "1/2"},
+        {"tuples": [1], "prob": value},
+        {"tuples": [], "prob": value},
+    ]
+    doc = {"model": "pw", "tuples": [["t"], ["u"]], "worlds": worlds}
+    with pytest.raises(ValidationError) as err:
+        parse_document(doc)
+    assert str(err.value) == f"worlds[1]: {must}{value!r}"
+    rows = [{"tuple": ["t"], "event": "a & b & c"}]
+    doc = {"model": "pr", "rows": rows, "var_probs": {"a": "1/2", "b": value, "c": value}}
+    with pytest.raises(ValidationError) as err:
+        parse_document(doc)
+    assert str(err.value) == f"var_probs.b: {must}{value!r}"
 
 
 def test_equal_formula_texts_are_parsed_once_and_shared(tmp_path, monkeypatch):
@@ -536,11 +641,14 @@ def test_integrate_walks_no_formula_and_decompose_walks_each_once(
         walked.clear()
         assert run(capsys, "integrate", *argv, "--model", "pr", "--out", out)[0] == 0
         assert walked == []
-    sides = [to_text(side) for c in q.constraints for side in c]
+    # The loaded document holds one formula object per distinct text, and
+    # decompose walks each object once.
+    texts = {to_text(row.event) for row in q.rows}
+    texts |= {to_text(side) for c in q.constraints for side in c}
     for argv in (["decompose"], ["decompose", "--all"]):
         walked.clear()
         assert run(capsys, *argv, q_path, "--out", out)[0] == 0
-        assert sorted(walked) == sorted([to_text(row.event) for row in q.rows] + sides)
+        assert sorted(walked) == sorted(texts)
 
 
 def test_single_relation_check_decomposes_once(tmp_path, capsys, monkeypatch):
