@@ -10,8 +10,8 @@ Parentheses in formula text nest without limit.  Input nested deeper than
 Python's recursion limit exits 2 with "error: input nested too deeply"
 until the remaining traversals are iterative: deeply nested JSON and a long
 run of "!" under every command, and a long chain of one connective under
-prob, check and decompose, where recognition hashes the formula recursively
-(expand scans it without recursion and stops at the cap).  A result with a
+decompose, which prints the formula recursively.  expand, prob and check
+read such a chain without recursion and exit 3 at the cap.  A result with a
 number too long to print also exits 2.
 The cyclic garbage collector is paused while a command runs and ``main``
 restores the caller's state; a document shares one variable node per name.

@@ -39,20 +39,20 @@ class PartitionResult:
 
 @dataclass(frozen=True)
 class PrPair:
-    """Two pr-relations over disjoint variable sets."""
+    """Two pr-relations over disjoint variable sets.
+
+    The constructor raises ValidationError when r and s share a variable.
+    """
 
     r: PrRelation
     s: PrRelation
 
-    @classmethod
-    def _checked(cls, r: PrRelation, s: PrRelation) -> "PrPair":
-        """The pair; raises ValidationError when r and s share a variable."""
-        shared = r.names & s.names
+    def __post_init__(self):
+        shared = self.r.names & self.s.names
         if shared:
             raise ValidationError(
                 "pair sides share event variables: " + ", ".join(sorted(shared))
             )
-        return cls(r, s)
 
 
 def _variable_groups(formula_vars) -> list[VarSet]:
@@ -210,7 +210,9 @@ def _build(q: EprRelation, scan, v: frozenset, w: frozenset) -> PrPair:
     """build_pair for a side split known to meet the three conditions.
 
     ``scan`` is _scan(q).  A variable-free row goes opposite the other side
-    of the first constraint that matches it, or to r when none does.
+    of the first constraint that matches it, or to r when none does.  Each
+    side takes q's probabilities of its variables; its constructor raises
+    ValidationError when one of them has none.
     """
     row_vars, constraint_vars, matches = scan
     partners: dict[int, frozenset[str]] = {}
@@ -249,9 +251,9 @@ def _build(q: EprRelation, scan, v: frozenset, w: frozenset) -> PrPair:
     else:
         r_probs = {n: p for n, p in q.var_probs.items() if n in v}
         s_probs = {n: p for n, p in q.var_probs.items() if n in w}
-    return PrPair._checked(
-        PrRelation._checked(r_rows, r_probs, names["r"]),
-        PrRelation._checked(s_rows, s_probs, names["s"]),
+    return PrPair(
+        PrRelation(r_rows, var_probs=r_probs, names=names["r"]),
+        PrRelation(s_rows, var_probs=s_probs, names=names["s"]),
     )
 
 

@@ -171,9 +171,11 @@ def _parse_pw(obj: dict) -> UncertainDB:
 def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
     """A "pr" or "epr" document's relation; constraints are read before rows.
 
-    The relation is built by EprRelation._read, which makes only the checks
-    this reader cannot: tuples two rows share, probability names and ranges,
-    and for "pr" a probability for every variable.
+    This reader checks the document's form: its keys, each tuple a nonempty
+    array of strings, each event a formula string, each probability a text
+    Fraction() reads.  The relation's constructor then checks the relation:
+    tuples two rows share, probability names and ranges, and for "pr" a
+    probability for every variable.
     """
     where = f"{model} document"
     keys = {"model", "rows", "var_probs"}
@@ -215,7 +217,7 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
         }
     # names now holds every variable of the rows and constraints.
     relation = PrRelation if model == "pr" else EprRelation
-    return relation._read(tuple(rows), tuple(constraints), var_probs, names.keys())
+    return relation(tuple(rows), tuple(constraints), var_probs, names.keys())
 
 
 def parse_document(obj) -> UncertainDB | PrRelation | EprRelation:

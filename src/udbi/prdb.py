@@ -7,6 +7,10 @@ denotes an uncertain database.  An epr-relation adds event constraints
 f = g that rule out assignments where the two sides disagree; constraints
 are what integrating two sources produces for their common tuples.
 PrRelation is the EprRelation subclass whose constraints are empty.
+
+A relation checks its own invariants when it is built, on every route (the
+constructors list them), so the functions below take their arguments as
+valid.
 """
 
 from __future__ import annotations
@@ -56,28 +60,32 @@ class PrTuple:
 
 def _check_var_probs(var_probs: dict, names: Set[str]) -> None:
     """Raise ValidationError listing, in var_probs order, each name that is not
-    a variable name and each Fraction outside (0, 1).  A name in ``names``, a
-    formula variable of the relation, is one already."""
+    a variable name, each probability that is not a Fraction, and each one
+    outside (0, 1).  A name in ``names``, a formula variable of the relation,
+    is one already."""
     bad = []
     for name, p in var_probs.items():
         if name not in names and not is_valid_name(str(name)):
             bad.append(f"invalid variable name {name!r} in probabilities")
+        elif not isinstance(p, Fraction):
+            bad.append(f"probability of variable {name} is {p!r}, not a Fraction")
         elif not 0 < p.numerator < p.denominator:
             bad.append(f"probability of variable {name} is {p}, outside (0, 1)")
     if bad:
         raise ValidationError(bad)
 
 
-def _coerce_var_probs(var_probs) -> dict[str, Fraction] | None:
-    """var_probs with each valid name's probability as a Fraction, checked."""
+def _coerce_var_probs(var_probs) -> dict | None:
+    """var_probs with each valid name as a str and its probability as a
+    Fraction; an invalid name keeps its entry for the constructor to report."""
     if var_probs is None:
         return None
-    coerced = {
-        name: p if type(p) is Fraction or not is_valid_name(str(name)) else Fraction(p)
-        for name, p in var_probs.items()
-    }
-    _check_var_probs(coerced, ())
-    return {str(name): p for name, p in coerced.items()}
+    coerced = {}
+    for name, p in var_probs.items():
+        if is_valid_name(str(name)):
+            name, p = str(name), p if type(p) is Fraction else Fraction(p)
+        coerced[name] = p
+    return coerced
 
 
 def _check_rows(rows: tuple[PrTuple, ...]) -> None:
@@ -96,16 +104,6 @@ def _check_rows(rows: tuple[PrTuple, ...]) -> None:
         raise ValidationError(bad)
 
 
-def _require_probs(var_probs: dict[str, Fraction] | None, names: Set[str]) -> None:
-    """Every name must have a probability when var_probs is given.
-
-    The keys' >= tests each name against var_probs and copies neither side.
-    """
-    if var_probs is not None and not var_probs.keys() >= names:
-        missing = sorted(name for name in names if name not in var_probs)
-        raise ValidationError("event variables without probabilities: " + ", ".join(missing))
-
-
 _row_tuple = attrgetter("tuple")
 
 
@@ -120,6 +118,11 @@ def _coerce_rows(rows) -> tuple[PrTuple, ...]:
 @dataclass(frozen=True)
 class EprRelation:
     """Rows, event constraints lhs = rhs, and each event variable's probability.
+
+    Valid once built, on every route: the constructor raises ValidationError
+    for a row with an empty tuple, two rows sharing a tuple, and a
+    probability whose name is not a variable name, that is not a Fraction,
+    or that lies outside (0, 1).  ``var_probs`` may leave variables out.
 
     ``names`` is the set of variables of the row formulas and constraint
     sides, fixed when the relation is built: a builder that already knows it
@@ -138,30 +141,18 @@ class EprRelation:
             formulas = [row.event for row in self.rows]
             formulas += (side for pair in self.constraints for side in pair)
             object.__setattr__(self, "names", frozenset(n for f in formulas for n in iter_vars(f)))
+        tuples = set(map(_row_tuple, self.rows))
+        if len(tuples) < len(self.rows) or () in tuples:
+            _check_rows(self.rows)  # lists every fault in row order
+        if self.var_probs is not None:
+            _check_var_probs(self.var_probs, self.names)
 
     @classmethod
-    def of(cls, rows, constraints=(), var_probs=None, names=None) -> "EprRelation":
-        rows = _coerce_rows(rows)
-        _check_rows(rows)
+    def of(cls, rows, constraints=(), var_probs=None) -> "EprRelation":
+        """Build from loose input: rows as PrTuples or (tuple, formula) pairs,
+        constraints as pairs, and probabilities that Fraction() reads."""
         constraints = tuple((lhs, rhs) for lhs, rhs in constraints)
-        return cls(rows, constraints, _coerce_var_probs(var_probs), names)
-
-    @classmethod
-    def _read(
-        cls, rows: tuple[PrTuple, ...], constraints, var_probs, names: Set[str]
-    ) -> "EprRelation":
-        """``of`` for what a document reader built and checked: PrTuple rows
-        with nonempty tuples, a tuple of constraint pairs, var_probs of str
-        names to Fractions or None, and the variables of the formulas.
-
-        Makes, once each, the checks of ``of`` the reader cannot: tuples that
-        two rows share, then the names and ranges of var_probs.
-        """
-        if len(set(map(_row_tuple, rows))) < len(rows):
-            _check_rows(rows)  # lists every shared tuple
-        if var_probs is not None:
-            _check_var_probs(var_probs, names)
-        return cls(rows, constraints, var_probs, names)
+        return cls(_coerce_rows(rows), constraints, _coerce_var_probs(var_probs))
 
     def variables(self) -> tuple[str, ...]:
         """Variables of row formulas and constraint sides, sorted."""
@@ -174,38 +165,27 @@ class EprRelation:
 @dataclass(frozen=True)
 class PrRelation(EprRelation):
     """An epr-relation with no constraints: rows plus the probability of
-    each event variable being true."""
+    each event variable being true.
+
+    Besides EprRelation's checks, the constructor raises ValidationError for
+    constraints, first, and for a variable without a probability when
+    ``var_probs`` is given, last.
+    """
 
     def __post_init__(self):
         if self.constraints:
             raise ValidationError("a pr-relation has no constraints")
         super().__post_init__()
+        var_probs, names = self.var_probs, self.names
+        # The keys' >= tests each name against var_probs and copies neither side.
+        if var_probs is not None and not var_probs.keys() >= names:
+            missing = sorted(name for name in names if name not in var_probs)
+            raise ValidationError("event variables without probabilities: " + ", ".join(missing))
 
     @classmethod
-    def of(cls, rows, var_probs=None, names=None) -> "PrRelation":
-        rows = _coerce_rows(rows)
-        _check_rows(rows)
-        rel = cls(rows, var_probs=_coerce_var_probs(var_probs), names=names)
-        _require_probs(rel.var_probs, rel.names)
-        return rel
-
-    @classmethod
-    def _read(cls, rows, constraints, var_probs, names) -> "PrRelation":
-        """EprRelation._read, then every variable must have a probability."""
-        rel = super()._read(rows, constraints, var_probs, names)
-        _require_probs(var_probs, names)
-        return rel
-
-    @classmethod
-    def _checked(cls, rows: tuple[PrTuple, ...], var_probs, names: Set[str]) -> "PrRelation":
-        """PrRelation.of for PrTuple rows whose formulas use exactly the variables in names.
-
-        ``var_probs`` must already be valid, as an epr-relation's slice is:
-        None or a dict of checked names to Fractions in (0, 1).
-        """
-        _check_rows(rows)
-        _require_probs(var_probs, names)
-        return cls(rows, var_probs=var_probs, names=names)
+    def of(cls, rows, var_probs=None) -> "PrRelation":
+        """EprRelation.of without constraints."""
+        return cls(_coerce_rows(rows), var_probs=_coerce_var_probs(var_probs))
 
 
 @dataclass(frozen=True)

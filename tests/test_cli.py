@@ -24,7 +24,6 @@ from conftest import (
 )
 from udbi import cli, decompose, documents, errors, logic, prdb, probcalc
 from udbi.cli import main
-from udbi.decompose import PrPair
 from udbi.documents import (
     _parse_prob,
     document_of,
@@ -653,18 +652,18 @@ def test_integrate_walks_no_formula_and_decompose_walks_each_once(
 
 def test_single_relation_check_decomposes_once(tmp_path, capsys, monkeypatch):
     calls = {}
-    partition, checked = decompose.partition, PrPair._checked.__func__
+    partition, build = decompose.partition, decompose._build
 
     def counted_partition(q):
         calls["partition"] += 1
         return partition(q)
 
-    def counted_checked(cls, *args):
+    def counted_build(*args):
         calls["pairs"] += 1
-        return checked(cls, *args)
+        return build(*args)
 
     monkeypatch.setattr(decompose, "partition", counted_partition)
-    monkeypatch.setattr(PrPair, "_checked", classmethod(counted_checked))
+    monkeypatch.setattr(decompose, "_build", counted_build)
     for q, pairs in ((office_epr(), 1), (free_group_epr(FREE_GROUP_PROBS), 2)):
         calls.update(partition=0, pairs=0)
         code, out, _ = run(capsys, "check", save(tmp_path, "q.json", q))

@@ -227,7 +227,7 @@ def test_variable_free_row_without_a_partner_goes_to_r():
 def test_pair_sides_must_not_share_variables():
     rel = PrRelation.of([(("t",), Variable("a"))])
     with pytest.raises(ValidationError, match="^pair sides share event variables: a$"):
-        PrPair._checked(rel, rel)
+        PrPair(rel, rel)
 
 
 # --- enumerate_pairs ---------------------------------------------------------------------

@@ -108,6 +108,85 @@ def test_pr_relations_reject_constraints():
         PrRelation((PrTuple(CS100, a),), constraints=((a, b),))
 
 
+HALF = Fraction(1, 2)
+EVERY_ROUTE = ("bare", "of", "document")
+# Each invalid relation: rows as (tuple, formula text), var_probs, the models
+# it is invalid in, the violations that every route reports, and the routes
+# that can hold it.  A document cannot hold an empty tuple (its reader
+# rejects that as a format fault first) or a probability that is not a
+# Fraction, which of also reads as one.
+INVALID_RELATIONS = {
+    "empty tuple": (
+        [((), "a")], None, ("pr", "epr"), ["row 0 has an empty tuple"], ("bare", "of"),
+    ),
+    "shared tuple": (
+        [(("t",), "a"), (("u",), "b"), (("t",), "c")],
+        None,
+        ("pr", "epr"),
+        ["rows 0 and 2 share the tuple (t)"],
+        EVERY_ROUTE,
+    ),
+    "invalid name": (
+        [(("t",), "a")],
+        {"a": HALF, "1x": HALF},
+        ("pr", "epr"),
+        ["invalid variable name '1x' in probabilities"],
+        EVERY_ROUTE,
+    ),
+    "probability 0 and 1": (
+        [(("t",), "a & b")],
+        {"a": Fraction(0), "b": Fraction(1)},
+        ("pr", "epr"),
+        [
+            "probability of variable a is 0, outside (0, 1)",
+            "probability of variable b is 1, outside (0, 1)",
+        ],
+        EVERY_ROUTE,
+    ),
+    "not a Fraction": (
+        [(("t",), "a")],
+        {"a": 0.5},
+        ("pr", "epr"),
+        ["probability of variable a is 0.5, not a Fraction"],
+        ("bare",),
+    ),
+    "missing probability": (
+        [(("t",), "a | b")],
+        {"a": HALF},
+        ("pr",),
+        ["event variables without probabilities: b"],
+        EVERY_ROUTE,
+    ),
+}
+
+
+def _build(route: str, model: str, rows, var_probs):
+    """The relation of the given rows and var_probs, built by route."""
+    cls = PrRelation if model == "pr" else EprRelation
+    pairs = [(t, parse_formula(text)) for t, text in rows]
+    if route == "bare":
+        return cls(tuple(PrTuple(t, f) for t, f in pairs), var_probs=var_probs)
+    if route == "of":
+        return cls.of(pairs, var_probs=var_probs)
+    doc = {"model": model, "rows": [{"tuple": list(t), "event": text} for t, text in rows]}
+    if var_probs is not None:
+        doc["var_probs"] = {name: str(p) for name, p in var_probs.items()}
+    return parse_document(doc)
+
+
+@pytest.mark.parametrize("model", ["pr", "epr"])
+@pytest.mark.parametrize("case", INVALID_RELATIONS)
+def test_every_route_rejects_an_invalid_relation_alike(case, model):
+    rows, var_probs, invalid_in, violations, routes = INVALID_RELATIONS[case]
+    for route in routes:
+        if model in invalid_in:
+            with pytest.raises(ValidationError) as err:
+                _build(route, model, rows, var_probs)
+            assert err.value.violations == violations, route
+        else:
+            assert _build(route, model, rows, var_probs).var_probs == var_probs, route
+
+
 def test_a_pr_relation_is_an_epr_relation_without_constraints():
     r1, _ = office_pr_sources()
     same = EprRelation.of(r1.rows, (), r1.var_probs)
@@ -145,6 +224,8 @@ def test_every_relation_carries_the_variables_its_formulas_use(seed):
         "pr document": parse_document(json.loads(dumps_json(document_of(r)))),
         "epr document": parse_document(json.loads(dumps_json(document_of(q)))),
     }
+    # Each value above was built through its constructor's checks, so every
+    # integrate_pr result, encoding and pair here is a valid relation.
     for k, pair in enumerate(enumerate_pairs(q)):
         routes[f"pair {k} r"], routes[f"pair {k} s"] = pair.r, pair.s
     # r shares every name with itself, so both copies are renamed; x and y
@@ -249,10 +330,13 @@ def test_unused_probabilities_change_nothing():
 
 def test_missing_probabilities_are_reported_before_the_cap():
     _, r2 = office_pr_sources()
-    partial = PrRelation(r2.rows, var_probs={"b1": Fraction(1, 2)})
     with pytest.raises(MissingVarProb) as err:
-        expand_pr(partial, cap=1)
-    assert err.value.names == ("b2", "b3")
+        expand_pr(PrRelation(r2.rows), cap=1)
+    assert err.value.names == ("b1", "b2", "b3")
+    # A pr-relation given probabilities needs one for every variable.
+    with pytest.raises(ValidationError) as err:
+        PrRelation(r2.rows, var_probs={"b1": Fraction(1, 2)})
+    assert err.value.violations == ["event variables without probabilities: b2, b3"]
 
 
 def test_a_twenty_variable_chain_encoding_expands_to_its_source():
@@ -273,7 +357,8 @@ def test_a_twenty_variable_chain_encoding_expands_to_its_source():
 
 def _random_relation(rng: random.Random) -> PrRelation:
     """Rows over 1-9 variables using every connective and constant; a few
-    variables lack a probability and a few probabilities name no variable."""
+    probabilities name no variable, and when a used variable lacks one the
+    relation carries none."""
     names = [f"v{i}" for i in range(rng.randint(1, 9))]
     rows = tuple(
         PrTuple((f"t{i}",), gen_formula(rng, names, rng.randint(0, 4)))
@@ -282,7 +367,8 @@ def _random_relation(rng: random.Random) -> PrRelation:
     probs = {name: gen_prob(rng) for name in names if rng.random() < 0.97}
     if rng.random() < 0.1:
         probs["unused"] = gen_prob(rng)
-    return PrRelation(rows, var_probs=probs)
+    used = {name for row in rows for name in iter_vars(row.event)}
+    return PrRelation(rows, var_probs=probs if probs.keys() >= used else None)
 
 
 @settings(max_examples=300, deadline=None)
