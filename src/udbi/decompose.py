@@ -194,8 +194,7 @@ def build_pair(q: EprRelation, v, w) -> PrPair:
     """
     v, w = frozenset(v), frozenset(w)
     scan = row_vars, constraint_vars, matches = _scan(q)
-    names = set().union(*row_vars, *(lv | rv for lv, rv in constraint_vars))
-    if (v & w) or (v | w) != names:
+    if (v & w) or (v | w) != q.names:
         raise ValidationError("v and w must partition the variables of the relation")
     if not (
         all(used <= v or used <= w for used in row_vars)

@@ -42,7 +42,7 @@ from .logic import (
     shannon_leaves,
     to_text,
 )
-from .pwdb import Tuple, UncertainDB, World, format_tuple, format_world, world_key
+from .pwdb import Tuple, UncertainDB, World, as_fraction, format_tuple, world_key
 
 _NAME_FRAGMENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -77,13 +77,14 @@ def _check_var_probs(var_probs: dict, names: Set[str]) -> None:
 
 def _coerce_var_probs(var_probs) -> dict | None:
     """var_probs with each valid name as a str and its probability as a
-    Fraction; an invalid name keeps its entry for the constructor to report."""
+    Fraction; an invalid name, and a probability that Fraction() cannot read,
+    keep their entry for the constructor to report."""
     if var_probs is None:
         return None
     coerced = {}
     for name, p in var_probs.items():
         if is_valid_name(str(name)):
-            name, p = str(name), p if type(p) is Fraction else Fraction(p)
+            name, p = str(name), as_fraction(p)
         coerced[name] = p
     return coerced
 
@@ -150,7 +151,8 @@ class EprRelation:
     @classmethod
     def of(cls, rows, constraints=(), var_probs=None) -> "EprRelation":
         """Build from loose input: rows as PrTuples or (tuple, formula) pairs,
-        constraints as pairs, and probabilities that Fraction() reads."""
+        constraints as pairs, and probabilities that Fraction() reads; one it
+        cannot read is reported as not a Fraction."""
         constraints = tuple((lhs, rhs) for lhs, rhs in constraints)
         return cls(_coerce_rows(rows), constraints, _coerce_var_probs(var_probs))
 
@@ -188,36 +190,6 @@ class PrRelation(EprRelation):
         return cls(_coerce_rows(rows), var_probs=_coerce_var_probs(var_probs))
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Worlds with exact probabilities, in canonical world order."""
-
-    entries: tuple[tuple[World, Fraction], ...]
-
-    @classmethod
-    def of(cls, pairs) -> "Distribution":
-        entries = tuple(
-            sorted(((frozenset(w), Fraction(p)) for w, p in pairs), key=lambda e: world_key(e[0]))
-        )
-        seen = set()
-        bad = []
-        for w, p in entries:
-            if w in seen:
-                bad.append(f"duplicate world {format_world(w)}")
-            seen.add(w)
-            if not 0 < p <= 1:
-                bad.append(f"probability {p} outside (0, 1]")
-        total = sum((p for _, p in entries), Fraction(0))
-        if total != 1:
-            bad.append(f"probabilities sum to {total} != 1")
-        if bad:
-            raise ValidationError(bad)
-        return cls(entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 # --- expansion ----------------------------------------------------------------
 
 def require_var_probs(rel: EprRelation, names) -> None:
@@ -227,8 +199,11 @@ def require_var_probs(rel: EprRelation, names) -> None:
         raise MissingVarProb(missing)
 
 
-def expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP) -> tuple[UncertainDB, Distribution]:
-    """Every world of r with its exact probability, by Shannon expansion.
+def expand_pr(
+    r: PrRelation, cap: int = DEFAULT_VAR_CAP
+) -> tuple[UncertainDB, tuple[tuple[World, Fraction], ...]]:
+    """Every world of r with its exact probability, by Shannon expansion:
+    the UncertainDB and its (world, probability) pairs, in canonical order.
 
     Walks logic.shannon_leaves over the rows: a leaf's mass is the product of
     P(a) or 1 - P(a) over the variables on its path, and the variables never
@@ -254,7 +229,7 @@ def expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP) -> tuple[UncertainDB, D
         tuple(w for w, _ in ordered),
         tuple(p for _, p in ordered),
     )
-    return udb, Distribution(tuple(zip(udb.worlds, udb.probs)))
+    return udb, tuple(zip(udb.worlds, udb.probs))
 
 
 def expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> list[tuple[World, dict[str, bool]]]:

@@ -52,7 +52,7 @@ def epr_distribution(
     the identical distribution in the possible-worlds model; the default
     limit builds pair 0 alone, as does limit 0, and None builds every pair.
     """
-    require_var_probs(q, q.variables())
+    require_var_probs(q, q.names)
     pairs = enumerate_pairs(q, None if limit is None else max(limit, 1))
     pair = pairs[0]
     udb_r, _ = expand_pr(pair.r, cap)

@@ -6,15 +6,22 @@ rational probabilities.  Two worlds from different sources are compatible
 when they agree on every tuple both sources know about; integration keeps
 exactly the unions of compatible world pairs.
 
+Probabilistic integration is three steps: compatibility_graph finds the
+components (the trace classes), check_prob_constraints checks that each
+component's two sides carry equal mass, and integrate_checked weights each
+compatible pair by P(D_i) * P(D'_j) / P.  integrate_pw_prob chains the
+three, and integrate_pw unions the pairs of each component, unweighted.
+
 An UncertainDB checks its own invariants when it is built (validate_udb
-lists them), so the functions below take their arguments as valid; the
-probabilistic ones check only that both sources carry probabilities.
+lists them), so the functions below take their arguments as valid; only
+check_prob_constraints checks that both sources carry probabilities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import EmptyIntegration, ProbConstraintViolation, ValidationError
@@ -36,12 +43,26 @@ def format_world(world: World) -> str:
     return "{" + ", ".join(format_tuple(t) for t in world_key(world)) + "}"
 
 
+def as_fraction(p):
+    """p as a Fraction, or p itself when Fraction() cannot read it, so that
+    the constructor that receives it reports it as not a Fraction."""
+    if type(p) is Fraction:
+        return p
+    try:
+        return Fraction(p)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        return p
+
+
 @dataclass(frozen=True)
 class UncertainDB:
     """A tuple set, its possible worlds, and optional world probabilities.
 
-    Valid once built: the constructor raises ValidationError carrying
-    validate_udb's report, so every function here trusts its arguments.
+    The one type for weighted worlds.  Valid once built: the constructor
+    raises ValidationError carrying validate_udb's report, so every
+    function here trusts its arguments.  ``integer_probs`` is computed at
+    most once per value, by validate_udb's sum check; equality, hashing
+    and repr ignore it.
     """
 
     tuple_set: frozenset[Tuple]
@@ -55,12 +76,24 @@ class UncertainDB:
 
     @classmethod
     def of(cls, tuple_set, worlds, probs=None) -> "UncertainDB":
-        """Build from loose iterables, coercing probabilities to exact rationals."""
+        """Build from loose iterables, coercing probabilities to exact
+        rationals; one that Fraction() cannot read is reported as not a
+        Fraction."""
         return cls(
             frozenset(tuple(t) for t in tuple_set),
             tuple(frozenset(tuple(t) for t in w) for w in worlds),
-            None if probs is None else tuple(Fraction(p) for p in probs),
+            None if probs is None else tuple(map(as_fraction, probs)),
         )
+
+    @cached_property
+    def integer_probs(self) -> tuple[tuple[int, ...], int]:
+        """(n, d) with probs[i] == n[i] / d, d the lcm of the denominators.
+
+        Sums and products of these integers cost no gcd; the caller builds
+        one Fraction per result.  Only for a value with probabilities.
+        """
+        denominator = lcm(*(p.denominator for p in self.probs))
+        return tuple(p.numerator * (denominator // p.denominator) for p in self.probs), denominator
 
 
 def validate_udb(u: UncertainDB) -> list[str]:
@@ -97,50 +130,11 @@ def validate_udb(u: UncertainDB) -> list[str]:
         elif not 0 < p.numerator <= p.denominator:
             report.append(f"probability of world {i} is {p}, outside (0, 1]")
     if exact and u.probs:
-        numerators, denominator = _over_common_denominator(u.probs)
+        numerators, denominator = u.integer_probs
         total = Fraction(sum(numerators), denominator)
         if total != 1:
             report.append(f"probabilities sum to {total} != 1")
     return report
-
-
-def _over_common_denominator(probs) -> tuple[list[int], int]:
-    """(n, d) with probs[i] == n[i] / d, d the lcm of the denominators.
-
-    Sums and products of these integers cost no gcd; the caller builds one
-    Fraction per result.
-    """
-    denominator = lcm(*(p.denominator for p in probs))
-    return [p.numerator * (denominator // p.denominator) for p in probs], denominator
-
-
-def _require_probs(s1: UncertainDB, s2: UncertainDB) -> None:
-    """Raise ValidationError naming the first source that carries no probabilities."""
-    for u, role in ((s1, "first source"), (s2, "second source")):
-        if u.probs is None:
-            raise ValidationError(f"{role} carries no probabilities")
-
-
-def _trace_classes(s1: UncertainDB, s2: UncertainDB) -> tuple:
-    """Sorted components of the compatibility graph, in O(|W1| + |W2|).
-
-    Worlds are compatible exactly when their traces on the common tuples are
-    equal, so a trace class with worlds on both sides is one component; a
-    world whose trace the other side lacks is a component of its own.
-    """
-    common = s1.tuple_set & s2.tuple_set
-    classes: dict = {}
-    for side, u in enumerate((s1, s2)):
-        for i, w in enumerate(u.worlds):
-            classes.setdefault(w & common, ([], []))[side].append(i)
-    components = []
-    for left, right in classes.values():
-        if left and right:
-            components.append((tuple(left), tuple(right)))
-        else:
-            components.extend(((i,), ()) for i in left)
-            components.extend(((), (j,)) for j in right)
-    return tuple(sorted(components))
 
 
 def integrate_pw(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
@@ -152,7 +146,7 @@ def integrate_pw(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
     """
     unions = {
         s1.worlds[i] | s2.worlds[j]
-        for left, right in _trace_classes(s1, s2)
+        for left, right in compatibility_graph(s1, s2).components
         for i in left
         for j in right
     }
@@ -186,11 +180,27 @@ class CompatibilityGraph:
 
 
 def compatibility_graph(s1: UncertainDB, s2: UncertainDB) -> CompatibilityGraph:
-    """Edges join compatible world pairs; components are the trace classes.
+    """Edges join compatible world pairs; components are the trace classes,
+    sorted, found in O(|W1| + |W2|).
 
+    Worlds are compatible exactly when their traces on the common tuples are
+    equal, so a trace class with worlds on both sides is one component; a
+    world whose trace the other side lacks is a component of its own.
     Checks nothing: both sources are valid once built.
     """
-    return CompatibilityGraph(len(s1.worlds), len(s2.worlds), _trace_classes(s1, s2))
+    common = s1.tuple_set & s2.tuple_set
+    classes: dict = {}
+    for side, u in enumerate((s1, s2)):
+        for i, w in enumerate(u.worlds):
+            classes.setdefault(w & common, ([], []))[side].append(i)
+    components = []
+    for left, right in classes.values():
+        if left and right:
+            components.append((tuple(left), tuple(right)))
+        else:
+            components.extend(((i,), ()) for i in left)
+            components.extend(((), (j,)) for j in right)
+    return CompatibilityGraph(len(s1.worlds), len(s2.worlds), tuple(sorted(components)))
 
 
 @dataclass(frozen=True)
@@ -215,21 +225,20 @@ class ComponentSummary:
 def check_prob_constraints(
     s1: UncertainDB, s2: UncertainDB, graph: CompatibilityGraph
 ) -> list[tuple[ComponentSummary, str | None]]:
-    """Per component, compare the two sides' probability mass.
+    """Per component of ``graph``, compare the two sides' probability mass.
 
     Integration requires the sums to agree exactly; a world with no
-    compatible partner strands its mass and is reported too.  The only
-    check made is that both sources carry probabilities (ValidationError).
+    compatible partner strands its mass and is reported too.  This is the
+    one step of the layer that checks for probabilities: it raises
+    ValidationError naming the first source that carries none.
     """
-    _require_probs(s1, s2)
-    return _balance(s1, s2, graph.components)
-
-
-def _balance(s1: UncertainDB, s2: UncertainDB, components) -> list:
-    n1, d1 = _over_common_denominator(s1.probs)
-    n2, d2 = _over_common_denominator(s2.probs)
+    for u, role in ((s1, "first source"), (s2, "second source")):
+        if u.probs is None:
+            raise ValidationError(f"{role} carries no probabilities")
+    n1, d1 = s1.integer_probs
+    n2, d2 = s2.integer_probs
     out = []
-    for k, (left, right) in enumerate(components):
+    for k, (left, right) in enumerate(graph.components):
         left_sum = Fraction(sum(map(n1.__getitem__, left)), d1)
         right_sum = Fraction(sum(map(n2.__getitem__, right)), d2)
         summary = ComponentSummary(left, right, left_sum, right_sum)
@@ -257,14 +266,15 @@ def _balance(s1: UncertainDB, s2: UncertainDB, components) -> list:
 def integrate_pw_prob(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
     """Integrate two probabilistic sources under partial independence.
 
-    Each compatible pair contributes P(D_i) * P(D'_j) / P, where P is the
-    probability constant of the pair's component; duplicate union worlds
-    accumulate.  Raises ProbConstraintViolation when any component is
-    unbalanced, which includes the case of no compatible pairs.  The only
-    check made is that both sources carry probabilities (ValidationError).
+    The three steps chained: compatibility_graph, check_prob_constraints
+    and integrate_checked.  Each compatible pair contributes
+    P(D_i) * P(D'_j) / P, where P is the probability constant of the pair's
+    component; duplicate union worlds accumulate.  Raises
+    ProbConstraintViolation when any component is unbalanced, which
+    includes the case of no compatible pairs, and ValidationError when a
+    source carries no probabilities.
     """
-    _require_probs(s1, s2)
-    return integrate_checked(s1, s2, _balance(s1, s2, _trace_classes(s1, s2)))
+    return integrate_checked(s1, s2, check_prob_constraints(s1, s2, compatibility_graph(s1, s2)))
 
 
 def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
@@ -285,8 +295,8 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
     failures = [(c, reason) for c, reason in checks if reason is not None]
     if failures:
         raise ProbConstraintViolation(failures)
-    n1, d1 = _over_common_denominator(s1.probs)
-    n2, d2 = _over_common_denominator(s2.probs)
+    n1, d1 = s1.integer_probs
+    n2, d2 = s2.integer_probs
     m = lcm(*(summary.constant.numerator for summary, _ in checks))
     merged: dict = {}
     for summary, _ in checks:

@@ -31,7 +31,7 @@ from udbi.logic import (
     to_text,
 )
 from udbi.gen import gen_formula
-from udbi.prdb import Distribution, EprRelation, PrRelation, PrTuple
+from udbi.prdb import EprRelation, PrRelation, PrTuple
 from udbi.pwdb import UncertainDB, world_key
 
 CS100 = ("Bob", "CS100")
@@ -263,7 +263,7 @@ def brute_expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP):
         tuple(w for w, _ in ordered),
         tuple(p for _, p in ordered),
     )
-    return udb, Distribution.of(ordered)
+    return udb, tuple(ordered)
 
 
 def brute_expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP):

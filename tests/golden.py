@@ -67,6 +67,19 @@ _OFFICE = {
     ),
 }
 
+# A pw pair with two components, both unbalanced: 1/2 on the left against
+# 1/3 on the right, and 1/2 against 2/3.
+_UNBALANCED = {
+    "a": {
+        "model": "pw", "tuples": [["t"], ["u"]],
+        "worlds": [{"tuples": [0], "prob": "1/2"}, {"tuples": [1], "prob": "1/2"}],
+    },
+    "b": {
+        "model": "pw", "tuples": [["t"]],
+        "worlds": [{"tuples": [0], "prob": "1/3"}, {"tuples": [], "prob": "2/3"}],
+    },
+}
+
 _PROB_TEXTS = [
     "3/7", "06/08", "0", "1", "2/4", "5/4", "1/0", "0/0", "+1/2", "-1/2", " 1/2",
     "1_0/3", "", "/", "1/2/3", "٣/٧", "0.5", ".5", "1e-3", "1E3", "1e-5000",
@@ -92,6 +105,7 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     from udbi.documents import document_of, parse_document
     from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
     from udbi.prdb import encode_pw, integrate_pr
+    from udbi.pwdb import UncertainDB
 
     files: dict[str, str] = {}
     cases: list[tuple[str, list[str]]] = []
@@ -137,6 +151,16 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
         rendered(f"{case}/check", ["check", a_doc, b_doc])
         rendered(f"{case}/gen", ["gen", "--model", "pw", "--seed", str(seed)])
         cases.append((f"{case}/chain-prob", ["prob", chain]))
+        if seed < 5:
+            # The same worlds without probabilities.
+            a_plain = save(f"{case}-a-plain.json", document_of(UncertainDB(a.tuple_set, a.worlds)))
+            b_plain = save(f"{case}-b-plain.json", document_of(UncertainDB(b.tuple_set, b.worlds)))
+            rendered(f"{case}/integrate-plain", ["integrate", a_plain, b_plain, "--model", "pw"])
+            rendered(f"{case}/check-plain", ["check", a_plain, b_plain])
+
+    unbalanced = [save(f"unbalanced-{side}.json", doc) for side, doc in _UNBALANCED.items()]
+    rendered("unbalanced/integrate", ["integrate", *unbalanced, "--model", "pw"])
+    rendered("unbalanced/check", ["check", *unbalanced])
 
     office = {name: save(f"{name}.json", doc) for name, doc in _OFFICE.items()}
     rendered("office/integrate", ["integrate", *office.values(), "--model", "pr"])

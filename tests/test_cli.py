@@ -22,7 +22,7 @@ from conftest import (
     variable_nodes,
     world,
 )
-from udbi import cli, decompose, documents, errors, logic, prdb, probcalc
+from udbi import cli, decompose, documents, errors, logic, prdb, probcalc, pwdb
 from udbi.cli import main
 from udbi.documents import (
     _parse_prob,
@@ -748,6 +748,25 @@ def test_check_unbalanced_sources_exit_five(tmp_path, capsys):
     )
     assert code == 5
     assert "balance: VIOLATED" in out
+
+
+def test_each_pw_value_finds_its_common_denominator_once(tmp_path, capsys, monkeypatch):
+    # One lcm per source read, and for integrate one over the component
+    # constants and one for the result.
+    calls = []
+    lcm = pwdb.lcm
+
+    def counted(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(pwdb, "lcm", counted)
+    a, b = gen_consistent_pw_pair(5)
+    paths = save(tmp_path, "a.json", a), save(tmp_path, "b.json", b)
+    for argv, expected in ((["integrate", *paths, "--model", "pw"], 4), (["check", *paths], 2)):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == expected, argv[0]
 
 
 # --- decompose ---------------------------------------------------------------------------

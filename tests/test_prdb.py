@@ -57,7 +57,6 @@ from udbi.logic import (
     parse_formula,
 )
 from udbi.prdb import (
-    Distribution,
     EprRelation,
     PrRelation,
     PrTuple,
@@ -187,6 +186,21 @@ def test_every_route_rejects_an_invalid_relation_alike(case, model):
             assert _build(route, model, rows, var_probs).var_probs == var_probs, route
 
 
+@pytest.mark.parametrize("p", ["x", "1/0", None, float("inf"), float("nan")])
+def test_of_reports_a_probability_fraction_cannot_read_as_not_a_fraction(p):
+    rows = [(("t",), Variable("a"))]
+    for build in (
+        lambda: PrRelation.of(rows, {"a": p}),
+        lambda: EprRelation.of(rows, (), {"a": p}),
+    ):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert err.value.violations == [f"probability of variable a is {p!r}, not a Fraction"]
+    with pytest.raises(ValidationError) as err:
+        UncertainDB.of([CS100], [world(CS100), world()], [p, "1/2"])
+    assert err.value.violations == [f"probability of world 0 is {p!r}, not a Fraction"]
+
+
 def test_a_pr_relation_is_an_epr_relation_without_constraints():
     r1, _ = office_pr_sources()
     same = EprRelation.of(r1.rows, (), r1.var_probs)
@@ -237,13 +251,6 @@ def test_every_relation_carries_the_variables_its_formulas_use(seed):
     for route, rel in routes.items():
         assert set(rel.names) == walked_names(rel), route
         assert rel.variables() == tuple(sorted(walked_names(rel))), route
-
-
-def test_distribution_rejects_bad_entries():
-    with pytest.raises(ValidationError, match="sum to 9/10"):
-        Distribution.of([(world(CS100), "9/10")])
-    with pytest.raises(ValidationError, match="duplicate world"):
-        Distribution.of([(world(CS100), "1/2"), (world(CS100), "1/2")])
 
 
 # --- expansion -------------------------------------------------------------------------
@@ -318,7 +325,7 @@ def test_semantic_tautologies_and_contradictions_are_decided():
 def test_a_relation_without_rows_expands_to_one_empty_world():
     udb, dist = expand_pr(PrRelation.of([]))
     assert (udb.tuple_set, udb.worlds, udb.probs) == (frozenset(), (world(),), (Fraction(1),))
-    assert dist.entries == ((world(), Fraction(1)),)
+    assert dist == ((world(), Fraction(1)),)
 
 
 def test_unused_probabilities_change_nothing():

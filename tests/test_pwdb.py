@@ -40,6 +40,15 @@ def test_validate_accepts_the_golden_sources():
         assert validate_udb(u) == []
 
 
+def test_integer_probabilities_are_kept_out_of_equality_hash_and_repr():
+    s1, _ = office_pw_sources()
+    fresh = UncertainDB(s1.tuple_set, s1.worlds, s1.probs)
+    numerators, denominator = s1.integer_probs
+    assert [Fraction(n, denominator) for n in numerators] == list(s1.probs)
+    assert "integer_probs" in vars(s1)
+    assert (fresh, hash(fresh), repr(fresh)) == (s1, hash(s1), repr(s1))
+
+
 def violations(*args) -> list[str]:
     """The report UncertainDB.of(*args) raises; the test fails if it builds."""
     with pytest.raises(ValidationError) as err:
