@@ -99,6 +99,53 @@ _DEEP = {
     "parens": _deep("(" * 3_000 + "x" + ")" * 3_000, ["x"]),
 }
 
+# Documents whose form the reader rejects, as JSON text, one message each.
+_FORM_FAULTS = {
+    "not_object": "[]",
+    "no_model": '{"rows": []}',
+    "unknown_key": '{"model": "pr", "rows": [], "extra": 1}',
+    "repeated_key": '{"model": "pr", "model": "pr", "rows": []}',
+    "tuples_type": '{"model": "pw", "tuples": {}, "worlds": []}',
+    "worlds_type": '{"model": "pw", "tuples": [], "worlds": 1}',
+    "constraints_type": '{"model": "epr", "rows": [], "constraints": {}}',
+    "rows_type": '{"model": "pr", "rows": "t"}',
+    "var_probs_type": '{"model": "pr", "rows": [], "var_probs": []}',
+    "world_entry": '{"model": "pw", "tuples": [], "worlds": [[]]}',
+    "world_key": '{"model": "pw", "tuples": [], "worlds": [{"tuples": [], "p": "1"}]}',
+    "constraint_entry": '{"model": "epr", "rows": [], "constraints": ["a = b"]}',
+    "row_entry": '{"model": "pr", "rows": [["t"]]}',
+    "row_key": '{"model": "pr", "rows": [{"tuple": ["t"], "event": "a", "p": "1"}]}',
+    "world_indices": '{"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [1]}]}',
+    "repeated_index": '{"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [0, 0]}]}',
+    "mixed_prob": (
+        '{"model": "pw", "tuples": [["t"]],'
+        ' "worlds": [{"tuples": [0], "prob": "1/2"}, {"tuples": []}]}'
+    ),
+    "empty_tuple": '{"model": "pr", "rows": [{"tuple": [], "event": "a"}]}',
+    "tuple_item": '{"model": "pw", "tuples": [[1]], "worlds": []}',
+    "event_type": '{"model": "pr", "rows": [{"tuple": ["t"], "event": 1}]}',
+    "lhs_type": '{"model": "epr", "rows": [], "constraints": [{"lhs": true, "rhs": "a"}]}',
+}
+
+# Documents of a valid form that a constructor or a command rejects.
+_VALUE_FAULTS = {
+    "parse_end": _pr_doc([("t", "a &")], {"a": "1/2"}),
+    "parse_char": _pr_doc([("t", "a $ b")], {"a": "1/2", "b": "1/2"}),
+    "shared_tuple": {
+        "model": "pr", "rows": [{"tuple": ["t"], "event": "a"}, {"tuple": ["t"], "event": "b"}],
+    },
+    "partial_pr": _pr_doc([("t", "a | b")], {"a": "1/2"}),
+    "no_worlds": {"model": "pw", "tuples": [["t"]], "worlds": []},
+    "same_worlds": {"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [0]}, {"tuples": [0]}]},
+    "no_assignment": _pr_doc([("t", "a")], {"a": "1/2"}, [("a", "!a")]),
+}
+
+# Two pw sources without probabilities that no pair of worlds joins.
+_CONTRADICTION = {
+    "a": {"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [0]}]},
+    "b": {"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": []}]},
+}
+
 
 def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     """The documents (name to text) and the cases (id, argv)."""
@@ -208,6 +255,57 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
             "model": "pw", "tuples": [["a"], ["a"]], "worlds": [{"tuples": w} for w in worlds],
         })
         cases.append((f"repeat{k}/expand", ["expand", doc]))
+
+    monday = office["monday"]
+    rendered("office/expand-worlds-only", ["expand", "--worlds-only", monday])
+    # A source integrated with itself: every variable name is shared, so both
+    # copies are renamed apart.
+    rendered("self/integrate", ["integrate", monday, monday, "--model", "pr"])
+    monday_rel = parse_document(_OFFICE["monday"])
+    relation_commands("self", save("self-q.json", document_of(integrate_pr(monday_rel, monday_rel))))
+
+    # The office pair without probabilities: integration and decomposition
+    # need none, expansion and the distribution do, and say so before the cap
+    # and before recognition.
+    stripped = {
+        name: {key: value for key, value in doc.items() if key != "var_probs"}
+        for name, doc in _OFFICE.items()
+    }
+    plain = [save(f"{name}-plain.json", doc) for name, doc in stripped.items()]
+    plain_q = save("plain-q.json", document_of(integrate_pr(*map(parse_document, stripped.values()))))
+    rendered("plain/integrate", ["integrate", *plain, "--model", "pr"])
+    rendered("plain/decompose", ["decompose", plain_q])
+    rendered("plain/decompose-all", ["decompose", "--all", plain_q])
+    rendered("plain/expand-q", ["expand", plain_q])
+    cases.append(("plain/expand-r", ["expand", plain[0]]))
+    cases.append(("plain/expand-r-cap", ["--cap", "0", "expand", plain[0]]))
+    cases.append(("plain/check-rs", ["check", *plain]))
+    cases.append(("plain/prob", ["prob", plain_q]))
+    cases.append(("plain/prob-cap", ["--cap", "0", "prob", plain_q]))
+    cases.append(("plain/check-q", ["check", plain_q]))
+    unrecognized = {k: v for k, v in _RECOGNITION["no_match"].items() if k != "var_probs"}
+    cases.append(("plain/prob-unrecognized", ["prob", save("no_match-plain.json", unrecognized)]))
+    partial = json.loads(files[joint])
+    del partial["var_probs"]["c2"]
+    partial = save("partial-q.json", partial)
+    cases.append(("partial_q/prob", ["prob", partial]))
+    cases.append(("partial_q/check", ["check", partial]))
+
+    for name, text in _FORM_FAULTS.items():
+        cases.append((f"form_{name}/expand", ["expand", save(f"form_{name}.json", text)]))
+    for name, doc in _VALUE_FAULTS.items():
+        cases.append((f"{name}/expand", ["expand", save(f"{name}.json", doc)]))
+    cases.append(("office/expand-q-cap", ["--cap", "1", "expand", joint]))
+    contradiction = [save(f"contradiction-{side}.json", doc) for side, doc in _CONTRADICTION.items()]
+    cases.append(("contradiction/integrate", ["integrate", *contradiction, "--model", "pw"]))
+    cases.append(("mismatch/integrate-pw", ["integrate", monday, monday, "--model", "pw"]))
+    cases.append(("mismatch/integrate-pr", ["integrate", *unbalanced, "--model", "pr"]))
+    cases.append(("mismatch/prob", ["prob", unbalanced[0]]))
+    cases.append(("mismatch/check", ["check", joint, unbalanced[0]]))
+    cases.append(("negative/cap", ["--cap", "-1", "expand", monday]))
+    cases.append(("negative/limit", ["decompose", "--limit", "-1", joint]))
+    for flag, value in (("max-tuples", "9"), ("max-vars", "0"), ("max-depth", "4"), ("overlap", "1.5")):
+        cases.append((f"gen_range/{flag}", ["gen", f"--{flag}", value]))
     return files, cases
 
 
