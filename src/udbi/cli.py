@@ -4,8 +4,11 @@ Commands: expand, integrate, prob, check, decompose, gen.  Global flags
 --cap (expansion variable cap) and --format (json or table) may appear
 before or after the subcommand.  Exit codes: 0 ok, 1 failed verdict,
 2 parse/validation error, 3 expansion cap exceeded, 4 empty integration,
-5 probabilistic-constraint violation, 6 not recognized as integrated;
-``_EXIT_CODES`` maps each error type to its code.
+5 probabilistic-constraint violation, 6 not recognized as integrated,
+7 internal error.  ``_EXIT_CODES`` maps each error type of this package to
+its code; any other exception, a fault of this program or running out of
+memory, exits 7 with a one-line message naming its type.
+KeyboardInterrupt and SystemExit pass through.
 Parentheses in formula text nest without limit.  Input nested deeper than
 Python's recursion limit exits 2 with "error: input nested too deeply"
 until the remaining traversals are iterative: deeply nested JSON and a long
@@ -66,6 +69,7 @@ EXIT_CAP = 3
 EXIT_EMPTY = 4
 EXIT_UNBALANCED = 5
 EXIT_NOT_INTEGRATED = 6
+EXIT_INTERNAL = 7
 
 # The exit code of each error type this package raises.
 _EXIT_CODES = {
@@ -446,13 +450,17 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as err:
-        # Only Python's int-to-str digit limit: inputs are bounded when read,
-        # but a computed probability can still outgrow it.
-        if "integer string conversion" not in str(err):
-            raise
-        print("error: a result is too long to print", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as err:
+        if isinstance(err, ValueError) and "integer string conversion" in str(err):
+            # Python's int-to-str digit limit: inputs are bounded when read,
+            # but a computed probability can still outgrow it.
+            print("error: a result is too long to print", file=sys.stderr)
+            return EXIT_INPUT
+        message = type(err).__name__
+        if str(err):
+            message += ": " + " ".join(str(err).split())  # on one line
+        print(f"error: internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if enabled:
             gc.enable()

@@ -24,23 +24,15 @@ from .pwdb import UncertainDB, format_tuple
 # without bound.
 _MAX_EXPONENT = 4300
 _EXPONENT_RE = re.compile(r"[eE][-+]?(\d+)")
-# "N" or "N/M" in ASCII digits, which the document writer produces: read by
-# int() without Fraction()'s general pattern.  Any other text takes that.
-_PLAIN_FRACTION_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_prob(value, where: str) -> Fraction:
+    """value as a Fraction, by one route for every text: the exponent bound,
+    the "_" rejection, then Fraction()."""
     if not isinstance(value, str):
         raise ValidationError(
             f"{where}: probabilities must be strings like \"0.3\" or \"9/13\", got {value!r}"
         )
-    plain = _PLAIN_FRACTION_RE.fullmatch(value)
-    if plain:
-        numerator, denominator = plain.groups()
-        try:
-            return Fraction(int(numerator), int(denominator or 1))
-        except (ValueError, ZeroDivisionError):  # too many digits, or "/0"
-            raise ValidationError(f"{where}: cannot read probability {value!r}") from None
     exponent = _EXPONENT_RE.search(value)
     if exponent:
         digits = exponent[1].lstrip("0")

@@ -53,8 +53,8 @@ class ValidationError(UdbError):
 class EmptyIntegration(UdbError):
     """Raised when two sources admit no compatible pair of worlds."""
 
-    def __init__(self, message: str = "no pair of worlds is compatible; the sources contradict each other"):
-        super().__init__(message)
+    def __init__(self):
+        super().__init__("no pair of worlds is compatible; the sources contradict each other")
 
 
 class ProbConstraintViolation(UdbError):
@@ -72,16 +72,12 @@ class ProbConstraintViolation(UdbError):
 class NotIntegrated(UdbError):
     """Raised when a relation cannot be recognized as the result of an integration."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class NoValidAssignment(UdbError):
     """Raised when event constraints rule out every truth assignment."""
 
-    def __init__(self, message: str = "event constraints admit no valid assignment"):
-        super().__init__(message)
+    def __init__(self):
+        super().__init__("event constraints admit no valid assignment")
 
 
 class MissingVarProb(UdbError):

@@ -12,6 +12,7 @@ import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 from .errors import ExpansionTooLarge, ParseError, UnboundVariable
 
@@ -378,50 +379,22 @@ def _share(f: Formula, seen: dict, table: dict) -> Formula:
     return out
 
 
-def _shared_root(rows, constraints) -> tuple | None:
-    """The root of the Shannon walk: _settle of the rows and constraints, each
-    formula shared through one table, or made the constant it evaluates to
-    when it uses no variable."""
-    seen: dict = {}
-    table: dict = {}
-
-    def root(f):
-        f = _share(f, seen, table)
-        return f if next(iter_vars(f), None) else _const(evaluate(f, {}))
-
-    return _settle((), ((tag, root(f)) for tag, f in rows), map(root, constraints))
-
-
-def _settle(chosen: tuple, rows, constraints) -> tuple | None:
-    """Decide the formulas that are constants; (chosen, open rows, open constraints).
-
-    restrict leaves a formula constant exactly when no variable is left, so
-    once _shared_root has evaluated the closed formulas, the constants are
-    the decided formulas.
-    A row that holds adds its tag to ``chosen`` and one that fails drops
-    out; a constraint that holds is dropped.  None when a constraint fails.
-    """
-    constraints = list(constraints)
-    if any(isinstance(c, Const) and not c.value for c in constraints):
-        return None
-    rows = list(rows)
-    return (
-        chosen + tuple(tag for tag, f in rows if isinstance(f, Const) and f.value),
-        tuple((tag, f) for tag, f in rows if not isinstance(f, Const)),
-        tuple(c for c in constraints if not isinstance(c, Const)),
-    )
+# The tag shannon_leaves gives a constraint: a formula that must hold.
+_MUST_HOLD = object()
 
 
 def shannon_leaves(rows, constraints=()) -> Iterator[tuple[tuple, tuple]]:
     """The leaves of a depth-first Shannon expansion of rows under constraints.
 
     ``rows`` are (tag, formula) pairs and ``constraints`` are formulas that
-    must hold.  Each node branches on the first variable of the first open
-    row, or of the first open constraint once every row is decided, and
-    restricts every open formula both ways, false first.  A row restricted
-    to true selects its tag and one restricted to false drops out; a
-    constraint restricted to false ends its branch, and one restricted to
-    true is dropped.  A leaf is a node with nothing open.
+    must hold.  The walk keeps a node's open formulas in one list of (tag,
+    formula) pairs: the rows, then each constraint under a tag of its own.
+    Popping a node settles its list in one pass: a constraint restricted to
+    false ends the node, a row restricted to true selects its tag, and every
+    decided formula drops out.  A node with nothing open is a leaf; any
+    other branches on the first variable of its first open formula, a row
+    while any is open, and restricts every open formula both ways, false
+    first.
 
     Yields (tags, path) per leaf: the tags of the rows that hold, in the
     order they were decided, and the (name, value) pairs branched on, root
@@ -430,28 +403,41 @@ def shannon_leaves(rows, constraints=()) -> Iterator[tuple[tuple, tuple]]:
     every satisfying assignment.
 
     At the root, equal subformulas of all the rows and constraints become
-    one node (_share); each branch then restricts every open formula
-    through one memo, so a node shared by many formulas is restricted once
-    per branch and its result stays shared.  The work follows the nodes
-    reached times the number of distinct open subformulas, not 2^n.
+    one node (_share), and a formula that uses no variable becomes the
+    constant it evaluates to; restrict leaves a formula constant exactly
+    when no variable is left, so from then on the constants are the decided
+    formulas.  Each branch restricts every open formula through one memo,
+    so a node shared by many formulas is restricted once per branch and its
+    result stays shared.  The work follows the nodes reached times the
+    number of distinct open subformulas, not 2^n.
     """
-    node = _shared_root(rows, constraints)
-    stack = [] if node is None else [(*node, ())]
+    seen: dict = {}
+    table: dict = {}
+    formulas = []
+    for tag, f in chain(rows, ((_MUST_HOLD, c) for c in constraints)):
+        f = _share(f, seen, table)
+        formulas.append((tag, f if next(iter_vars(f), None) else _const(evaluate(f, {}))))
+    stack = [((), formulas, ())]
     while stack:
-        chosen, rows, constraints, path = stack.pop()
-        if not rows and not constraints:
-            yield chosen, path
-            continue
-        name = next(iter_vars(rows[0][1] if rows else constraints[0]))
-        for value in (True, False):
-            memo: dict = {}
-            node = _settle(
-                chosen,
-                ((tag, restrict(f, name, value, memo)) for tag, f in rows),
-                (restrict(c, name, value, memo) for c in constraints),
-            )
-            if node is not None:
-                stack.append((*node, path + ((name, value),)))
+        chosen, formulas, path = stack.pop()
+        open_formulas = []
+        for tag, f in formulas:
+            if type(f) is not Const:
+                open_formulas.append((tag, f))
+            elif tag is _MUST_HOLD:
+                if not f.value:
+                    break
+            elif f.value:
+                chosen += (tag,)
+        else:
+            if not open_formulas:
+                yield chosen, path
+                continue
+            name = next(iter_vars(open_formulas[0][1]))
+            for value in (True, False):  # the false branch is popped, and walked, first
+                memo: dict = {}
+                restricted = [(tag, restrict(f, name, value, memo)) for tag, f in open_formulas]
+                stack.append((chosen, restricted, path + ((name, value),)))
 
 
 def equivalent(f: Formula, g: Formula, cap: int = DEFAULT_VAR_CAP) -> bool:

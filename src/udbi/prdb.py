@@ -192,13 +192,6 @@ class PrRelation(EprRelation):
 
 # --- expansion ----------------------------------------------------------------
 
-def require_var_probs(rel: EprRelation, names) -> None:
-    """Raise MissingVarProb for the names in ``names`` that rel gives no probability."""
-    missing = set(names) - set(rel.var_probs or ())
-    if missing:
-        raise MissingVarProb(missing)
-
-
 def expand_pr(
     r: PrRelation, cap: int = DEFAULT_VAR_CAP
 ) -> tuple[UncertainDB, tuple[tuple[World, Fraction], ...]]:
@@ -209,11 +202,13 @@ def expand_pr(
     P(a) or 1 - P(a) over the variables on its path, and the variables never
     branched on sum out to mass 1.  Leaves reaching the same world
     accumulate, so the cost follows the branch nodes times formula size,
-    not 2^n.  Raises MissingVarProb if a row variable has no probability
-    and ExpansionTooLarge when the variable count exceeds the cap.
+    not 2^n.  Raises MissingVarProb when r has variables and no
+    ``var_probs`` (the constructor refuses partial ones), and then
+    ExpansionTooLarge when the variable count exceeds the cap.
     """
     names = r.variables()
-    require_var_probs(r, names)
+    if names and r.var_probs is None:
+        raise MissingVarProb(names)
     if len(names) > cap:
         raise ExpansionTooLarge(len(names), cap)
     weights = {name: (1 - r.var_probs[name], r.var_probs[name]) for name in names}

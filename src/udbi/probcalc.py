@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .decompose import PrPair, enumerate_pairs
 from .logic import DEFAULT_VAR_CAP
-from .prdb import EprRelation, expand_pr, require_var_probs
+from .errors import MissingVarProb
+from .prdb import EprRelation, expand_pr
 from .pwdb import (
     ComponentSummary,
     UncertainDB,
@@ -51,8 +52,12 @@ def epr_distribution(
     UncertainDBs, valid once built.  ``agreed`` is True iff pairs 1.. give
     the identical distribution in the possible-worlds model; the default
     limit builds pair 0 alone, as does limit 0, and None builds every pair.
+    Raises MissingVarProb first, before the cap and recognition, for the
+    variables of q without a probability: an EprRelation may leave some out.
     """
-    require_var_probs(q, q.names)
+    missing = q.names - (q.var_probs or {}).keys()
+    if missing:
+        raise MissingVarProb(missing)
     pairs = enumerate_pairs(q, None if limit is None else max(limit, 1))
     pair = pairs[0]
     udb_r, _ = expand_pr(pair.r, cap)

@@ -979,12 +979,37 @@ def test_main_pauses_the_garbage_collector_and_restores_the_callers_state(
             main(["--format", "xml", *cases[0]])
         assert gc.isenabled() is enabled
         monkeypatch.setattr(cli, "load_document", failing)
-        with pytest.raises(RuntimeError):
-            main(cases[0])
+        assert run(capsys, *cases[0])[0] == 7
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if before else gc.disable)()
     assert len(during) == 8 and not any(during)
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError(), "error: internal error: MemoryError\n"),
+        (RuntimeError("two\nlines"), "error: internal error: RuntimeError: two lines\n"),
+        (ValueError("not a digit limit"), "error: internal error: ValueError: not a digit limit\n"),
+    ],
+)
+def test_a_crash_exits_seven_in_one_line_without_a_traceback(capsys, monkeypatch, error, line):
+    def failing(path):
+        raise error
+
+    monkeypatch.setattr(cli, "load_document", failing)
+    assert run(capsys, "expand", "r.json") == (7, "", line)
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_or_exit_passes_through_main(monkeypatch, error):
+    def failing(path):
+        raise error
+
+    monkeypatch.setattr(cli, "load_document", failing)
+    with pytest.raises(error):
+        main(["expand", "r.json"])
 
 
 FUZZ_NAMES = ("a", "b", "s::a")

@@ -16,7 +16,7 @@ from conftest import (
 from udbi import probcalc
 from udbi.decompose import PrPair
 from udbi.errors import MissingVarProb, NotIntegrated, ProbConstraintViolation
-from udbi.gen import gen_integrated_epr
+from udbi.gen import gen_integrated_epr, gen_pr_pair
 from udbi.logic import Variable
 from udbi.prdb import EprRelation, expand_epr, expand_pr, integrate_pr
 from udbi.probcalc import cross_check, epr_distribution
@@ -117,6 +117,28 @@ def test_stranded_worlds_make_the_integration_undefined():
         with pytest.raises(ProbConstraintViolation) as err:
             epr_distribution(weighted)
         assert any("no compatible partner" in reason for _, reason in err.value.failures)
+
+
+def test_a_source_integrated_with_itself_keeps_its_own_distribution():
+    # r shares every variable name with itself, so integration renames both
+    # copies apart.  Under partial independence each world of r is its own
+    # component, weighted P(D) * P(D) / P(D) = P(D).  Where two rows share
+    # a formula, a constraint matches both, and recognition refuses the
+    # result (condition 3).
+    kept = refused = 0
+    for seed in range(200):
+        r, _ = gen_pr_pair(seed)
+        q = integrate_pr(r, r)
+        assert q.names.isdisjoint(r.names)
+        events = [row.event for row in r.rows]
+        if len(set(events)) == len(events):
+            assert epr_distribution(q).distribution == expand_pr(r)[0]
+            kept += 1
+        else:
+            with pytest.raises(NotIntegrated):
+                epr_distribution(q)
+            refused += 1
+    assert (kept, refused) == (174, 26)
 
 
 @settings(max_examples=50, deadline=None)
