@@ -236,7 +236,7 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
 
     for name, doc in _DEEP.items():
         path = save(f"{name}.json", doc)
-        for command in ("expand", "prob", "decompose"):
+        for command in ("expand", "prob", "check", "decompose"):
             cases.append((f"{name}/{command}", [command, path]))
     arrays = save("json_arrays.json", "[" * 100_000 + "]" * 100_000)
     cases.append(("json_arrays/expand", ["expand", arrays]))
@@ -290,6 +290,7 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     partial = save("partial-q.json", partial)
     cases.append(("partial_q/prob", ["prob", partial]))
     cases.append(("partial_q/check", ["check", partial]))
+    cases.append(("partial_q/decompose", ["decompose", partial]))
 
     for name, text in _FORM_FAULTS.items():
         cases.append((f"form_{name}/expand", ["expand", save(f"form_{name}.json", text)]))
