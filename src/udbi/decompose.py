@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import NotIntegrated, ValidationError
+from .errors import MissingVarProb, NotIntegrated, ValidationError
 from .logic import Formula, iter_vars
 from .prdb import EprRelation, PrRelation, PrTuple
 
@@ -261,9 +261,13 @@ def enumerate_pairs(q: EprRelation, limit: int | None = None) -> list[PrPair]:
 
     Pair k sends free group i to the V side iff bit i of k is set, so pair 0
     (every free group on the W side) is the deterministic default.
-    partition raises NotIntegrated when recognition fails.  Every pair is
-    built from the one scan that partition made.
+    Raises MissingVarProb first, before recognition, for the variables of q
+    without a probability when q carries any; then partition raises
+    NotIntegrated when recognition fails.  Every pair is built from the one
+    scan that partition made.
     """
+    if q.var_probs is not None and not q.var_probs.keys() >= q.names:
+        raise MissingVarProb(q.names - q.var_probs.keys())
     part = partition(q)
     total = 1 << len(part.free_groups)
     count = total if limit is None else min(limit, total)

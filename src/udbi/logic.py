@@ -2,7 +2,8 @@
 
 The concrete syntax is the connectives of the ``_PREFIX`` and ``_INFIX``
 tables below, the constants ``true`` and ``false``, parentheses, and ``#``
-line comments.
+line comments.  Text in the printer's own form is read by one split, and
+the root it yields keeps that text for printing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ Assignment = Mapping[str, bool]
 # arise only from rename_vars, but the parser accepts them so that printed
 # formulas always parse back.
 _SEGMENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME_RE = re.compile(rf"{_SEGMENT}(?:::{_SEGMENT})*\Z")
+_NAME = rf"{_SEGMENT}(?:::{_SEGMENT})*"
+_NAME_RE = re.compile(rf"{_NAME}\Z")
 
 
 def is_valid_name(name: str) -> bool:
@@ -33,9 +35,13 @@ def is_valid_name(name: str) -> bool:
 
 
 class Formula:
-    """Base class for formula nodes.  All nodes are immutable and compare structurally."""
+    """Base class for formula nodes.  All nodes are immutable and compare structurally.
 
-    __slots__ = ()
+    ``_text`` is set on the root of a plain-text parse only: its rendering,
+    as read.  It is no dataclass field, so ==, hash and repr ignore it.
+    """
+
+    __slots__ = ("_text",)
 
     def __invert__(self) -> Formula:
         return Not(self)
@@ -111,6 +117,7 @@ _set_name = Variable.name.__set__
 _set_child = Not.child.__set__
 _set_left = Binary.left.__set__
 _set_right = Binary.right.__set__
+_set_text = Formula._text.__set__
 
 
 # --- syntax ------------------------------------------------------------------
@@ -134,7 +141,7 @@ _TOKEN_RE = re.compile(
     rf"""
     \s*(?:\#[^\n]*\s*)*
     (?:
-        (?P<name>{_SEGMENT}(?:::{_SEGMENT})*)
+        (?P<name>{_NAME})
       | (?P<prefix>{"|".join(map(re.escape, _PREFIX))})
       | (?P<infix>{"|".join(map(re.escape, _INFIX))})  # none is a prefix of another
       | (?P<close>\))
@@ -150,6 +157,13 @@ _CONSTANTS = {"true": TRUE, "false": FALSE}
 _ATOM_EXPECTED = ("!", "(", "identifier", "true", "false")
 _INFIX_EXPECTED = (*_INFIX, "end of input")
 
+# The printer's form: operands "!*name" joined by infix symbols between
+# single spaces, and nothing else.
+_OPERAND = rf"!*{_NAME}"
+_PLAIN_RE = re.compile(
+    rf"{_OPERAND}(?: (?:{'|'.join(map(re.escape, _INFIX))}) {_OPERAND})*\Z"
+)
+
 
 def parse_formula(text: str, names: dict[str, Variable] | None = None) -> Formula:
     """Parse formula text into a syntax tree.  Raises ParseError on bad input.
@@ -159,10 +173,40 @@ def parse_formula(text: str, names: dict[str, Variable] | None = None) -> Formul
     Variable per name across them.
 
     Shunting-yard: an infix operator first applies the stacked operators that
-    may stand unparenthesized as its left operand.  Nothing recurses.
+    may stand unparenthesized as its left operand.  Nothing recurses.  Text
+    in the printer's form (_PLAIN_RE) is split on its spaces, and the root
+    keeps the text for to_text; any other text is read token by token.
     """
     if names is None:
         names = {}
+    if not _PLAIN_RE.match(text):
+        return _parse_tokens(text, names)
+    operands: list[Formula] = []
+    operators: list[tuple] = []
+    for k, part in enumerate(text.split(" ")):
+        if k & 1:
+            entry = _INFIX[part]
+            _reduce(operands, operators, entry[1] + entry[2])
+            operators.append(entry)
+        else:
+            name = part.lstrip("!")
+            operators += [_PREFIX["!"]] * (len(part) - len(name))
+            operands.append(_leaf(name, names))
+    _reduce(operands, operators, 1)
+    _set_text(operands[0], text)
+    return operands[0]
+
+
+def _leaf(name: str, names: dict[str, Variable]) -> Formula:
+    """The constant or the one Variable of a name; ``names`` takes a new one."""
+    node = names.get(name) or _CONSTANTS.get(name)
+    if node is None:
+        node = names[name] = _variable(name)
+    return node
+
+
+def _parse_tokens(text: str, names: dict[str, Variable]) -> Formula:
+    """parse_formula of any text, token by token."""
     operands: list[Formula] = []
     operators: list[tuple] = []
     want_operand = True
@@ -171,11 +215,7 @@ def parse_formula(text: str, names: dict[str, Variable] | None = None) -> Formul
         kind = m.lastindex
         if want_operand:
             if kind == _NAME_TOKEN:
-                name = m[kind]
-                node = names.get(name) or _CONSTANTS.get(name)
-                if node is None:
-                    node = names[name] = _variable(name)
-                operands.append(node)
+                operands.append(_leaf(m[kind], names))
                 want_operand = False
             elif kind == _PREFIX_TOKEN:
                 operators.append(_PREFIX[m[kind]])
@@ -240,8 +280,10 @@ def _render(f: Formula, min_level: int = 0) -> str:
 
 
 def to_text(f: Formula) -> str:
-    """Render a formula with the minimal parentheses needed to parse back identically."""
-    return _render(f)
+    """Render a formula with the minimal parentheses needed to parse back
+    identically; a root that keeps its plain text returns that text."""
+    text = getattr(f, "_text", None)
+    return _render(f) if text is None else text
 
 
 # --- semantics ---------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import (
     FREE_GROUP_PROBS,
     formula_texts,
     free_group_epr,
+    lines_run,
     office_epr,
     office_pr_sources,
     office_pw_sources,
@@ -33,7 +34,7 @@ from udbi.documents import (
 )
 from udbi.errors import ValidationError
 from udbi.gen import gen_consistent_pw_pair, gen_pr_pair, gen_pw_db
-from udbi.logic import Variable, to_text
+from udbi.logic import And, Not, Variable, to_text
 from udbi.prdb import EprRelation, PrRelation
 from udbi.pwdb import UncertainDB
 
@@ -440,6 +441,34 @@ def test_each_variable_name_is_one_node_per_document(tmp_path):
     assert all(node == nodes[node.name] and node is not nodes[node.name] for node in again)
 
 
+def relation_doc(n: int, model: str) -> dict:
+    """A pr or epr document of n rows over n + 2 variables: three-variable
+    formulas, every fourth one parenthesized and the others in the printer's
+    form, and for epr one constraint per two rows pairing their formulas."""
+    rows = []
+    for k in range(n):
+        a, b, c = (f"v{k + j}" for j in range(3))
+        event = f"({a} | !{b}) & {c}" if k % 4 == 0 else f"{a} & !{b} | {c}"
+        rows.append({"tuple": [f"t{k:06d}"], "event": event})
+    doc = {"model": model, "rows": rows}
+    if model == "epr":
+        doc["constraints"] = [
+            {"lhs": rows[k]["event"], "rhs": rows[k + 1]["event"]} for k in range(0, n, 2)
+        ]
+    doc["var_probs"] = {f"v{k}": f"{k % 7 + 1}/9" for k in range(n + 2)}
+    return doc
+
+
+@pytest.mark.parametrize("model", ["pr", "epr"])
+def test_loading_a_relation_document_grows_with_its_rows(tmp_path, model):
+    work = []
+    for n in (2_000, 4_000, 8_000):
+        path = tmp_path / f"{model}{n}.json"
+        path.write_text(json.dumps(relation_doc(n, model)), encoding="utf-8")
+        work.append(sum(lines_run(module, load_document, path) for module in (logic, documents)))
+    assert work[1] <= 2 * work[0] and work[2] <= 2 * work[1], work
+
+
 # --- expand ---------------------------------------------------------------------------
 
 def test_expand_prints_exact_fractions(tmp_path, capsys):
@@ -781,6 +810,44 @@ def test_decompose_emits_the_default_pair(tmp_path, capsys):
     r1, r2 = office_pr_sources()
     assert parse_document(doc["pairs"][0]["r"]) == r2
     assert parse_document(doc["pairs"][0]["s"]) == r1
+
+
+def test_plain_documents_integrate_and_decompose_without_rendering(tmp_path, capsys, monkeypatch):
+    """Every formula integrate --model pr and decompose write was read in the
+    same command, so each prints the text its root kept."""
+    r, s = (save(tmp_path, f"{name}.json", rel) for name, rel in zip("rs", office_pr_sources()))
+    q, out = str(tmp_path / "q.json"), str(tmp_path / "out.json")
+    rendered = []
+    render = logic._render
+
+    def counting(f, min_level=0):
+        rendered.append(f)
+        return render(f, min_level)
+
+    monkeypatch.setattr(logic, "_render", counting)
+    runs = [
+        ["integrate", r, s, "--model", "pr", "--out", q],
+        ["integrate", r, s, "--model", "pr"],
+        ["--format", "json", "integrate", r, s, "--model", "pr"],
+        ["decompose", "--all", q],
+        ["--format", "json", "decompose", "--all", q],
+        ["decompose", q, "--out", out],
+    ]
+    for argv in runs:
+        assert run(capsys, *argv)[0] == 0
+    assert rendered == []
+    assert to_text(Not(And(Variable("a"), Variable("b")))) == "!(a & b)"
+    assert rendered  # the count sees a formula built, not read
+
+
+def test_decompose_names_missing_probabilities_as_prob_and_check_do(tmp_path, capsys):
+    doc = document_of(office_epr())
+    del doc["var_probs"]["c2"]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("prob", "check", "decompose"):
+        expected = (2, "", "error: missing probabilities for variables: c2\n")
+        assert run(capsys, command, str(path)) == expected
 
 
 def test_decompose_all_lists_every_pair(tmp_path, capsys):
@@ -1151,12 +1218,19 @@ def test_input_nested_too_deeply_exits_two(tmp_path, capsys, name):
     path = tmp_path / name
     path.write_text(DEEP_INPUTS[name], encoding="utf-8")
     for command in ("expand", "prob", "check", "decompose"):
-        code, out, err = run(capsys, command, str(path))
+        code, out, err = run(capsys, "--format", "json", command, str(path))
         assert "Traceback" not in err
-        if name == "or_chain.json" and command != "decompose":
+        if name != "json_arrays.json" and command == "decompose":
+            # Both chains are plain text, so the root keeps its text and
+            # nothing renders it: the one row is a free group, which pair 0
+            # puts on the s side, as read.
+            empty = {"model": "pr", "rows": [], "var_probs": {}}
+            pairs = [{"r": empty, "s": json.loads(DEEP_INPUTS[name])}]
+            assert (code, json.loads(out), err) == (0, {"pairs": pairs}, "")
+            continue
+        if name == "or_chain.json":
             # The long chain loads, its variables are known from the read, and
             # without constraints no row formula is hashed: it meets the cap.
-            # decompose still prints the formula, recursively.
             expected = (3, "", "error: expansion over 2000 variables exceeds cap of 20\n")
         else:
             expected = (2, "", "error: input nested too deeply\n")

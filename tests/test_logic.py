@@ -136,6 +136,7 @@ AT_INFIX = " (expected &, |, ->, <->, end of input)"
         ("a b", "unexpected input 'b' at position 2" + AT_INFIX, 2, INFIX),
         ("a & | b", "unexpected input '|' at position 4" + AT_ATOM, 4, ATOM),
         ("a @ b", "unexpected character '@' at position 2", 2, ()),
+        ("café", "unexpected character 'é' at position 3", 3, ()),
         # A bad character wins over an earlier syntax error.
         ("a & | b @", "unexpected character '@' at position 8", 8, ()),
     ],
@@ -195,13 +196,21 @@ def parse_outcome(text, names=None):
         return str(err), err.position, err.expected
 
 
+def token_outcome(text):
+    """parse_outcome of text by the token route alone."""
+    try:
+        return logic_module._parse_tokens(text, {})
+    except ParseError as err:
+        return str(err), err.position, err.expected
+
+
 @given(st.lists(formula_texts(), min_size=1, max_size=8))
 @settings(max_examples=300)
 def test_a_shared_names_memo_parses_as_a_fresh_parse_does(texts):
     names = {}
     for text in texts:
         shared = parse_outcome(text, names)
-        assert shared == parse_outcome(text)
+        assert shared == parse_outcome(text) == token_outcome(text)
         if isinstance(shared, Formula):
             assert all(node is names[node.name] for node in variable_nodes(shared))
     assert all(node == v(name) for name, node in names.items())
@@ -395,8 +404,54 @@ def formulas(draw, max_depth=4):
 @given(formulas())
 @settings(max_examples=200)
 def test_print_parse_round_trip(f):
-    """Printed text parses back to the identical tree."""
-    assert parse_formula(to_text(f)) == f
+    """Printed text parses back to the identical tree, by either route."""
+    text = to_text(f)
+    assert parse_formula(text) == f
+    assert logic_module._parse_tokens(text, {}) == f
+
+
+# --- the plain route -------------------------------------------------------------
+
+@st.composite
+def plain_texts(draw):
+    """Text in the printer's form: "!*name" operands joined by " op "."""
+    operand = st.builds(
+        str.__add__,
+        st.sampled_from(["", "!", "!!", "!!!"]),
+        st.sampled_from(["a", "b", "x1", "s::a", "s::t::b", "true", "false"]),
+    )
+    parts = [draw(operand)]
+    for _ in range(draw(st.integers(0, 7))):
+        parts += [draw(st.sampled_from(["&", "|", "->", "<->"])), draw(operand)]
+    return " ".join(parts)
+
+
+@given(plain_texts())
+@settings(max_examples=300)
+def test_a_plain_text_is_kept_on_its_root_and_is_its_rendering(text):
+    f = parse_formula(text)
+    assert to_text(f) is text
+    assert logic_module._render(f) == text
+    assert f == logic_module._parse_tokens(text, {})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(a)", "a  & b", "a&b", "! a", " a", "a ", "a\t& b", "a & b # note", "# note\na", "café",
+     "a & (b | c)", "a &", "a & | b"],
+)
+def test_other_texts_keep_the_token_route_and_store_no_text(text):
+    outcome = parse_outcome(text, {})
+    assert outcome == token_outcome(text)
+    if isinstance(outcome, Formula):
+        assert not hasattr(outcome, "_text")
+        assert to_text(outcome) == logic_module._render(outcome)
+
+
+def test_a_kept_text_changes_no_equality_hash_or_repr():
+    parsed, built = parse_formula("a & !b"), And(v("a"), Not(v("b")))
+    assert parsed._text == "a & !b" and not hasattr(built, "_text")
+    assert (parsed, hash(parsed), repr(parsed)) == (built, hash(built), repr(built))
 
 
 @given(formulas(), formulas())
