@@ -121,6 +121,19 @@ _FORM_FAULTS = {
         '{"model": "pw", "tuples": [["t"]],'
         ' "worlds": [{"tuples": [0], "prob": "1/2"}, {"tuples": []}]}'
     ),
+    # Two faulty worlds, world 0's fault of a kind checked after world 1's:
+    # the message names world 0.
+    "first_world_prob": (
+        '{"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [0], "prob": "1/0"}, []]}'
+    ),
+    "first_world_repeat": (
+        '{"model": "pw", "tuples": [["t"]],'
+        ' "worlds": [{"tuples": [0, 0]}, {"tuples": [0], "p": "1"}]}'
+    ),
+    "first_world_null": (
+        '{"model": "pw", "tuples": [["t"]],'
+        ' "worlds": [{"tuples": [], "prob": null}, {"tuples": [1], "prob": "1"}]}'
+    ),
     "empty_tuple": '{"model": "pr", "rows": [{"tuple": [], "event": "a"}]}',
     "tuple_item": '{"model": "pw", "tuples": [[1]], "worlds": []}',
     "event_type": '{"model": "pr", "rows": [{"tuple": ["t"], "event": 1}]}',
@@ -208,6 +221,15 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     unbalanced = [save(f"unbalanced-{side}.json", doc) for side, doc in _UNBALANCED.items()]
     rendered("unbalanced/integrate", ["integrate", *unbalanced, "--model", "pw"])
     rendered("unbalanced/check", ["check", *unbalanced])
+    # The same worlds without probabilities: nothing to balance.
+    unbalanced_plain = [
+        save(f"unbalanced-{side}-plain.json", {
+            **doc, "worlds": [{"tuples": w["tuples"]} for w in doc["worlds"]],
+        })
+        for side, doc in _UNBALANCED.items()
+    ]
+    rendered("unbalanced/integrate-plain", ["integrate", *unbalanced_plain, "--model", "pw"])
+    rendered("unbalanced/check-plain", ["check", *unbalanced_plain])
 
     office = {name: save(f"{name}.json", doc) for name, doc in _OFFICE.items()}
     rendered("office/integrate", ["integrate", *office.values(), "--model", "pr"])
@@ -229,6 +251,17 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
         })
         cases.append((f"prob{k:02d}/pr", ["expand", pr]))
         cases.append((f"prob{k:02d}/pw", ["expand", pw]))
+
+    # A prob that cannot be read, beside a world without one and after a valid
+    # world: the unreadable text is named, wherever the missing prob stands.
+    for k, value in enumerate(["", None, "x"]):
+        bad, missing = {"tuples": [], "prob": value}, {"tuples": [1]}
+        for order, worlds in (("bad", [bad, missing]), ("missing", [missing, bad])):
+            doc = save(f"no_prob{k}-{order}.json", {
+                "model": "pw", "tuples": [["t"], ["u"]],
+                "worlds": [{"tuples": [0], "prob": "1/2"}, *worlds],
+            })
+            cases.append((f"no_prob{k}/{order}-first", ["expand", doc]))
 
     for k, name in enumerate(_BAD_NAMES):
         doc = save(f"name{k}.json", _pr_doc([("t", "x")], {"x": "1/2", name: "1/2"}))
