@@ -12,6 +12,7 @@ import random
 import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -338,11 +339,26 @@ def variable_nodes(f):
             stack += f.right, f.left
 
 
+def consistent_pw_docs(worlds: int, seed: int = 0) -> tuple[dict, dict]:
+    """The two pw documents of ``perfbench.workloads.consistent_pw_pair`` with
+    ``worlds`` worlds each, over 10 common and 10 private tuples: the inputs
+    of the benchmark's pw workload, at any size."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.workloads import consistent_pw_pair
+
+    left, right, _ = consistent_pw_pair(random.Random(seed), worlds, 10, 10)
+    return left, right
+
+
 def lines_run(module, fn, *args) -> int:
     """Line events run in ``module``'s source file while fn(*args) runs.
 
     Measures work from outside the code under test, through sys.settrace;
-    the tracer that was installed before is restored afterwards.
+    the tracer that was installed before is restored afterwards.  A line
+    event is one Python line run, so the work a builtin does inside one line
+    (``map``, ``sorted``, ``set``, ``sum`` over every world) counts once.
     """
     path = module.__file__
     count = 0

@@ -14,18 +14,23 @@ from conftest import (
     CS202,
     OFFICE_DISTRIBUTION,
     compatible,
+    consistent_pw_docs,
     fraction_integrate_pw_prob,
+    lines_run,
     office_pw_sources,
     pairwise_graph,
     roster_pw_sources,
     world,
 )
+from udbi import documents, pwdb
+from udbi.documents import document_of, dumps_json, parse_document
 from udbi.errors import EmptyIntegration, ProbConstraintViolation, ValidationError
 from udbi.gen import gen_consistent_pw_pair, gen_pw_db
 from udbi.pwdb import (
     UncertainDB,
     check_prob_constraints,
     compatibility_graph,
+    format_tuple,
     integrate_checked,
     integrate_pw,
     integrate_pw_prob,
@@ -114,6 +119,91 @@ def test_validate_reports_empty_world_set_and_count_mismatch():
     assert violations([CS100], []) == ["database has no possible worlds"]
     report = violations([CS100], [world(CS100)], ["1/2", "1/2"])
     assert "2 probabilities given for 1 worlds" in report
+
+
+def reference_report(tuple_set, worlds, probs) -> list[str]:
+    """validate_udb's report, one tuple, world and probability at a time."""
+    report = []
+    if any(len(t) == 0 for t in tuple_set):
+        report.append("tuple set contains an empty tuple")
+    if not worlds:
+        report.append("database has no possible worlds")
+    for i, w in enumerate(worlds):
+        if not w <= tuple_set:
+            outside = ", ".join(format_tuple(t) for t in sorted(w - tuple_set))
+            report.append(f"world {i} uses tuples outside the tuple set: {outside}")
+    seen = {}
+    for i, w in enumerate(worlds):
+        if w in seen:
+            report.append(f"worlds {seen[w]} and {i} are identical")
+        else:
+            seen[w] = i
+    if probs is None:
+        return report
+    if len(probs) != len(worlds):
+        report.append(f"{len(probs)} probabilities given for {len(worlds)} worlds")
+    exact = True
+    for i, p in enumerate(probs):
+        if not isinstance(p, Fraction):
+            report.append(f"probability of world {i} is {p!r}, not a Fraction")
+            exact = False
+        elif not 0 < p <= 1:
+            report.append(f"probability of world {i} is {p}, outside (0, 1]")
+    if exact and probs:
+        total = sum(probs, Fraction(0))
+        if total != 1:
+            report.append(f"probabilities sum to {total} != 1")
+    return report
+
+
+FAULTS = ("empty tuple", "outside", "repeated world", "count", "not a fraction", "range", "sum")
+
+
+@st.composite
+def faulty_values(draw):
+    """(tuple set, worlds, probs) of a valid value, with 0 to 3 faults put in."""
+    tuples = [(f"t{k}",) for k in range(draw(st.integers(1, 4)))]
+    worlds = draw(
+        st.lists(st.frozensets(st.sampled_from(tuples)), min_size=1, max_size=6, unique=True)
+    )
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(worlds), max_size=len(worlds)))
+    probs = [Fraction(w, sum(weights)) for w in weights]
+    tuple_set = set(tuples)
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        index = st.integers(0, len(worlds) - 1)
+        if fault == "empty tuple":
+            tuple_set.add(())
+        elif fault == "outside":
+            i = draw(index)
+            worlds[i] = worlds[i] | {(f"x{i}",)}
+        elif fault == "repeated world":
+            i, k = draw(index), draw(index)
+            worlds.insert(k, worlds[i])
+            probs.insert(k, probs[i])
+        elif fault == "count":
+            probs.append(Fraction(1, 7))
+        elif fault == "not a fraction":
+            probs[draw(index)] = draw(st.sampled_from([0.5, "1/2", None, 1, True]))
+        elif fault == "range":
+            out_of_range = [Fraction(0), Fraction(-1, 3), Fraction(3, 2)]
+            probs[draw(index)] = draw(st.sampled_from(out_of_range))
+        else:
+            i = draw(index)
+            if isinstance(probs[i], Fraction):
+                probs[i] /= 2
+    return frozenset(tuple_set), tuple(worlds), draw(st.sampled_from([tuple(probs), None]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_values())
+def test_the_constructor_raises_exactly_the_reference_report(value):
+    expected = reference_report(*value)
+    if expected:
+        with pytest.raises(ValidationError) as err:
+            UncertainDB(*value)
+        assert err.value.violations == expected
+    else:
+        assert validate_udb(UncertainDB(*value)) == []
 
 
 # --- compatibility -----------------------------------------------------------------
@@ -373,3 +463,47 @@ def test_integer_integration_matches_the_fraction_oracle(seed, reweight):
     oracle = fraction_integrate_pw_prob(s1, s2)
     assert result.worlds == oracle.worlds
     assert result.probs == oracle.probs
+
+
+# --- work-scaling laws ---------------------------------------------------------------
+#
+# Each law counts line events (conftest.lines_run) at 200, 400 and 800 worlds
+# per source and bounds each doubling's growth by the growth of the worlds
+# read plus the worlds written.  Line events do not count the work a builtin
+# does inside one line, such as a map() or sorted() over every world, so a
+# law bounds the Python statements run, not the C-level passes.
+
+PW_SIZES = (200, 400, 800)
+
+
+def pw_law_runs():
+    """(sources, result) at each size in PW_SIZES."""
+    runs = []
+    for n in PW_SIZES:
+        sources = [parse_document(doc) for doc in consistent_pw_docs(n)]
+        runs.append((sources, integrate_pw_prob(*sources)))
+    return runs
+
+
+def assert_grows_with(work, size):
+    for k in (1, 2):
+        assert work[k] / work[k - 1] <= size[k] / size[k - 1], (work, size)
+
+
+def test_pw_integration_grows_with_the_worlds_in_and_out():
+    runs = pw_law_runs()
+    work = [lines_run(pwdb, integrate_pw_prob, *sources) for sources, _ in runs]
+    size = [sum(len(u.worlds) for u in (*sources, result)) for sources, result in runs]
+    assert_grows_with(work, size)
+
+
+def test_reading_a_pw_document_grows_with_its_worlds():
+    docs = [consistent_pw_docs(n)[0] for n in PW_SIZES]
+    work = [sum(lines_run(m, parse_document, doc) for m in (documents, pwdb)) for doc in docs]
+    assert_grows_with(work, [len(doc["worlds"]) for doc in docs])
+
+
+def test_writing_a_pw_result_grows_with_its_worlds():
+    results = [result for _, result in pw_law_runs()]
+    work = [lines_run(documents, lambda u: dumps_json(document_of(u)), u) for u in results]
+    assert_grows_with(work, [len(u.worlds) for u in results])
