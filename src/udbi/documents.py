@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
 from .logic import parse_formula, to_text
 from .prdb import EprRelation, PrRelation, PrTuple
-from .pwdb import UncertainDB, format_tuple
+from .pwdb import UncertainDB, format_tuple, world_ranks
 
 # A larger exponent gives a numerator or denominator longer than Python prints
 # by default (4,300 digits), and a far larger one keeps Fraction() busy
@@ -59,8 +60,11 @@ def _parse_prob_once(value, memo: dict, where: str, key) -> Fraction:
     return prob
 
 
-# isinstance(x, str) as a function that map() calls without a frame.
+# isinstance(x, str), and for dict and list, as functions that map() calls
+# without a frame.
 _is_str = str.__instancecheck__
+_is_dict = dict.__instancecheck__
+_is_list = list.__instancecheck__
 
 
 def _parse_tuple(value, where: str, key) -> tuple[str, ...]:
@@ -112,14 +116,88 @@ _CONSTRAINT_KEYS = frozenset({"lhs", "rhs"})
 _ROW_KEYS = frozenset({"tuple", "event"})
 
 
-def _reject_entry(entry, allowed: frozenset, where: str):
-    """Raise the error for an array entry that is not an object with keys in allowed."""
+def _entry_fault(entry, allowed: frozenset, where: str) -> str | None:
+    """The error for an array entry that is not an object with keys in
+    allowed, or None for one that is."""
     if not isinstance(entry, dict):
-        raise ValidationError(f"{where}: must be an object")
-    _require_keys(entry, allowed, where)
+        return f"{where}: must be an object"
+    if not entry.keys() <= allowed:
+        return f"{where}: unknown keys {sorted(set(entry) - allowed)}"
+    return None
+
+
+# The checks of one world's fields, each giving the error for a faulty field
+# or None; _parse_pw calls them only to name the first faulty world.
+
+def _index_list_fault(indices, n: int, where: str) -> str | None:
+    if not isinstance(indices, list) or indices and (
+        set(map(type, indices)) != {int} or min(indices) < 0 or max(indices) >= n
+    ):
+        return f"{where}: \"tuples\" must be an array of tuple indices"
+    return None
+
+
+def _repeated_index_fault(indices: list, where: str) -> str | None:
+    if len(set(indices)) < len(indices):
+        return f"{where} lists tuple {_repeated(indices)} twice"
+    return None
+
+
+def _prob_fault(entry: dict, where: str) -> str | None:
+    if "prob" in entry:
+        try:
+            _parse_prob(entry["prob"], where)
+        except ValidationError as err:
+            return str(err)
+    return None
+
+
+def _first_fault(worlds: list, fault, *args) -> tuple[int, str]:
+    """(i, message) for the first i at which fault(worlds[i], *args,
+    "worlds[i]") gives a message; called only when one does."""
+    for i, field in enumerate(worlds):
+        message = fault(field, *args, f"worlds[{i}]")
+        if message:
+            return i, message
+    raise AssertionError("no faulty world")
+
+
+def _index_lists(lists: list, n: int) -> bool:
+    """Whether every item is a list of ints in range(n)."""
+    if not all(map(_is_list, lists)):
+        return False
+    indices = list(chain.from_iterable(lists))
+    return not indices or (
+        set(map(type, indices)) == {int} and min(indices) >= 0 and max(indices) < n
+    )
+
+
+def _read_probs(texts: list) -> dict | None:
+    """Each distinct text to its Fraction, each read once, so equal texts
+    share one; None when some item is not a text _parse_prob reads."""
+    if not all(map(_is_str, texts)):
+        return None
+    memo = dict.fromkeys(texts)
+    try:
+        for text in memo:
+            memo[text] = _parse_prob(text, "")
+    except ValidationError:
+        return None
+    return memo
 
 
 def _parse_pw(obj: dict) -> UncertainDB:
+    """A "pw" document's UncertainDB.
+
+    Each check of the worlds is one pass over all of them, field by field:
+    each entry an object with known keys, each index list a list of ints in
+    range, no index twice in one list, each prob a text Fraction() reads,
+    and then a prob on every world or on none.  A pass that fails finds its
+    first faulty world, and the passes after it cover only the worlds before
+    that one; so the error is the one for the first faulty world in world
+    order, from the first of its fields that is at fault, whatever else is
+    wrong after it.  Equal prob texts are read once and share one Fraction.
+    """
     _require_keys(obj, {"model", "tuples", "worlds"}, "pw document")
     raw_tuples = obj.get("tuples")
     if not isinstance(raw_tuples, list):
@@ -129,34 +207,35 @@ def _parse_pw(obj: dict) -> UncertainDB:
     for i, t in enumerate(tuples):
         if first.setdefault(t, i) != i:
             raise ValidationError(f"tuples {first[t]} and {i} repeat the tuple {format_tuple(t)}")
-    raw_worlds = obj.get("worlds")
-    if not isinstance(raw_worlds, list):
+    entries = obj.get("worlds")
+    if not isinstance(entries, list):
         raise ValidationError("pw document: \"worlds\" must be an array")
-    worlds = []
-    probs = []
-    memo: dict = {}
-    for i, entry in enumerate(raw_worlds):
-        if not (isinstance(entry, dict) and entry.keys() <= _WORLD_KEYS):
-            _reject_entry(entry, _WORLD_KEYS, f"worlds[{i}]")
-        indices = entry.get("tuples")
-        if not isinstance(indices, list) or indices and (
-            set(map(type, indices)) != {int} or min(indices) < 0 or max(indices) >= len(tuples)
-        ):
-            raise ValidationError(f"worlds[{i}]: \"tuples\" must be an array of tuple indices")
-        world = frozenset(map(tuples.__getitem__, indices))
-        if len(world) < len(indices):
-            raise ValidationError(f"worlds[{i}] lists tuple {_repeated(indices)} twice")
-        worlds.append(world)
-        if "prob" in entry:
-            probs.append(_parse_prob_once(entry["prob"], memo, "worlds[{}]", i))
-        else:
-            probs.append(None)
-    if any(p is None for p in probs) and any(p is not None for p in probs):
+    fault = None  # (index, message) of the first faulty world found so far
+    if not (all(map(_is_dict, entries)) and all(map(_WORLD_KEYS.issuperset, entries))):
+        fault = _first_fault(entries, _entry_fault, _WORLD_KEYS)
+        entries = entries[: fault[0]]
+    lists = list(map(dict.get, entries, repeat("tuples")))
+    if not _index_lists(lists, len(tuples)):
+        fault = _first_fault(lists, _index_list_fault, len(tuples))
+        lists = lists[: fault[0]]
+    worlds = list(map(frozenset, map(map, repeat(tuples.__getitem__), lists)))
+    if sum(map(len, worlds)) < sum(map(len, lists)):
+        fault = _first_fault(lists, _repeated_index_fault)
+        worlds = worlds[: fault[0]]
+    entries = entries[: len(worlds)]
+    given = list(map(dict.__contains__, entries, repeat("prob")))
+    texts = list(compress(map(dict.get, entries, repeat("prob")), given))
+    memo = _read_probs(texts)
+    if memo is None:
+        fault = _first_fault(entries, _prob_fault)
+    if fault:
+        raise ValidationError(fault[1])
+    if texts and len(texts) < len(worlds):
         raise ValidationError("pw document: either every world has a prob or none does")
     return UncertainDB(
         frozenset(tuples),
         tuple(worlds),
-        None if not probs or probs[0] is None else tuple(probs),
+        tuple(map(memo.__getitem__, texts)) if texts else None,
     )
 
 
@@ -179,7 +258,7 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
     constraints = []
     for i, entry in enumerate(raw):
         if not (isinstance(entry, dict) and entry.keys() <= _CONSTRAINT_KEYS):
-            _reject_entry(entry, _CONSTRAINT_KEYS, f"constraints[{i}]")
+            raise ValidationError(_entry_fault(entry, _CONSTRAINT_KEYS, f"constraints[{i}]"))
         constraints.append(
             (
                 _parse_event(entry.get("lhs"), "constraints[{}].lhs", i, parsed, names),
@@ -192,7 +271,7 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
     rows = []
     for i, entry in enumerate(raw):
         if not (isinstance(entry, dict) and entry.keys() <= _ROW_KEYS):
-            _reject_entry(entry, _ROW_KEYS, f"rows[{i}]")
+            raise ValidationError(_entry_fault(entry, _ROW_KEYS, f"rows[{i}]"))
         rows.append(
             PrTuple(
                 _parse_tuple(entry.get("tuple"), "rows[{}].tuple", i),
@@ -239,14 +318,13 @@ def document_of(value) -> dict:
     """Serialize a model value to its JSON document (inverse of parse_document)."""
     if isinstance(value, UncertainDB):
         tuples = sorted(value.tuple_set)
-        index = {t: k for k, t in enumerate(tuples)}
-        worlds = []
-        for i, w in enumerate(value.worlds):
-            entry = {"tuples": sorted(map(index.__getitem__, w))}
-            if value.probs is not None:
-                entry["prob"] = str(value.probs[i])
-            worlds.append(entry)
-        return {"model": "pw", "tuples": [list(t) for t in tuples], "worlds": worlds}
+        lists = world_ranks(value.worlds, tuples)
+        if value.probs is None:
+            worlds = [{"tuples": indices} for indices in lists]
+        else:
+            texts = map(str, value.probs)
+            worlds = [{"tuples": indices, "prob": text} for indices, text in zip(lists, texts)]
+        return {"model": "pw", "tuples": list(map(list, tuples)), "worlds": worlds}
     if isinstance(value, EprRelation):
         is_pr = isinstance(value, PrRelation)
         doc = {"model": "pr" if is_pr else "epr", "rows": _rows_doc(value.rows)}

@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count, repeat
 from math import lcm
+from operator import floordiv, mul
 
 from .errors import EmptyIntegration, ProbConstraintViolation, ValidationError
 
@@ -33,6 +35,21 @@ World = frozenset[Tuple]
 def world_key(world: World) -> tuple[Tuple, ...]:
     """Canonical sort key: the world's tuples in lexicographic order."""
     return tuple(sorted(world))
+
+
+def world_ranks(worlds, tuples: list[Tuple]) -> list[list[int]]:
+    """Each world as the sorted positions of its tuples in ``tuples``, a
+    sorted list that holds them all.  Positions keep the order of the
+    tuples, so the lists compare as the worlds' world_key does."""
+    rank = dict(zip(tuples, count()))
+    return list(map(sorted, map(map, repeat(rank.__getitem__), worlds)))
+
+
+def world_order(worlds: list[World], tuple_set) -> list[int]:
+    """The positions of worlds, each a subset of tuple_set, in world_key
+    order, found by comparing their world_ranks."""
+    keys = world_ranks(worlds, sorted(tuple_set))
+    return sorted(range(len(worlds)), key=keys.__getitem__)
 
 
 def format_tuple(t: Tuple) -> str:
@@ -92,68 +109,85 @@ class UncertainDB:
         Sums and products of these integers cost no gcd; the caller builds
         one Fraction per result.  Only for a value with probabilities.
         """
-        denominator = lcm(*(p.denominator for p in self.probs))
-        return tuple(p.numerator * (denominator // p.denominator) for p in self.probs), denominator
+        numerators, denominators = zip(*map(Fraction.as_integer_ratio, self.probs))
+        denominator = lcm(*denominators)
+        scales = map(floordiv, repeat(denominator), denominators)
+        return tuple(map(mul, numerators, scales)), denominator
 
 
 def validate_udb(u: UncertainDB) -> list[str]:
     """Every invariant u breaks, as strings, never raising.
 
     UncertainDB's constructor raises this report, so a built value gives [].
+    Each invariant is one pass over all worlds or probabilities; only one
+    that fails is gone over again, item by item, to name its culprits in
+    world order.  The report lists the invariants in a fixed order, and the
+    items of each in world order.
     """
     report = []
-    if any(len(t) == 0 for t in u.tuple_set):
+    if 0 in map(len, u.tuple_set):
         report.append("tuple set contains an empty tuple")
     if not u.worlds:
         report.append("database has no possible worlds")
-    for i, w in enumerate(u.worlds):
-        if not w <= u.tuple_set:
-            report.append(
-                f"world {i} uses tuples outside the tuple set: "
-                + ", ".join(format_tuple(t) for t in sorted(w - u.tuple_set))
-            )
-    seen = {}
-    for i, w in enumerate(u.worlds):
-        if w in seen:
-            report.append(f"worlds {seen[w]} and {i} are identical")
-        else:
-            seen[w] = i
+    if not all(map(u.tuple_set.issuperset, u.worlds)):
+        for i, w in enumerate(u.worlds):
+            if not w <= u.tuple_set:
+                report.append(
+                    f"world {i} uses tuples outside the tuple set: "
+                    + ", ".join(format_tuple(t) for t in sorted(w - u.tuple_set))
+                )
+    if len(set(u.worlds)) < len(u.worlds):
+        seen = {}
+        for i, w in enumerate(u.worlds):
+            if w in seen:
+                report.append(f"worlds {seen[w]} and {i} are identical")
+            else:
+                seen[w] = i
     if u.probs is None:
         return report
     if len(u.probs) != len(u.worlds):
         report.append(f"{len(u.probs)} probabilities given for {len(u.worlds)} worlds")
-    exact = True
-    for i, p in enumerate(u.probs):
-        if not isinstance(p, Fraction):
-            report.append(f"probability of world {i} is {p!r}, not a Fraction")
-            exact = False
-        elif not 0 < p.numerator <= p.denominator:
-            report.append(f"probability of world {i} is {p}, outside (0, 1]")
-    if exact and u.probs:
-        numerators, denominator = u.integer_probs
-        total = Fraction(sum(numerators), denominator)
-        if total != 1:
-            report.append(f"probabilities sum to {total} != 1")
+    if not u.probs:
+        return report
+    # integer_probs is read only once every probability is a Fraction.
+    if set(map(type, u.probs)) != {Fraction} or not _in_unit_range(*u.integer_probs):
+        exact = True
+        for i, p in enumerate(u.probs):
+            if not isinstance(p, Fraction):
+                report.append(f"probability of world {i} is {p!r}, not a Fraction")
+                exact = False
+            elif not 0 < p.numerator <= p.denominator:
+                report.append(f"probability of world {i} is {p}, outside (0, 1]")
+        if not exact:
+            return report
+    numerators, denominator = u.integer_probs
+    if sum(numerators) != denominator:
+        report.append(f"probabilities sum to {Fraction(sum(numerators), denominator)} != 1")
     return report
+
+
+def _in_unit_range(numerators, denominator: int) -> bool:
+    """Whether every numerator / denominator lies in (0, 1]."""
+    return 0 < min(numerators) and max(numerators) <= denominator
 
 
 def integrate_pw(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
     """Integrate two sources world-by-world, ignoring probabilities.
 
-    The result has tuple set T1 | T2 and one world per compatible pair,
-    duplicate unions merged.  Raises EmptyIntegration if no pair of worlds
-    is compatible.  Checks nothing: both sources are valid once built.
+    The result has tuple set T1 | T2 and one world per compatible pair: no
+    two pairs give the same union, as a union's tuples in T1 and in T2 are
+    its pair's two worlds.  Raises EmptyIntegration if no pair of worlds is
+    compatible.  Checks nothing: both sources are valid once built.
     """
-    unions = {
-        s1.worlds[i] | s2.worlds[j]
-        for left, right in compatibility_graph(s1, s2).components
-        for i in left
-        for j in right
-    }
+    unions = []
+    for left, right in compatibility_graph(s1, s2).components:
+        rights = list(map(s2.worlds.__getitem__, right))
+        for i in left:
+            unions += map(s1.worlds[i].__or__, rights)
     if not unions:
         raise EmptyIntegration()
-    worlds = tuple(sorted(unions, key=world_key))
-    return UncertainDB(s1.tuple_set | s2.tuple_set, worlds)
+    tuple_set = s1.tuple_set | s2.tuple_set
+    return UncertainDB(tuple_set, tuple(map(unions.__getitem__, world_order(unions, tuple_set))))
 
 
 @dataclass(frozen=True)
@@ -269,7 +303,7 @@ def integrate_pw_prob(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
     The three steps chained: compatibility_graph, check_prob_constraints
     and integrate_checked.  Each compatible pair contributes
     P(D_i) * P(D'_j) / P, where P is the probability constant of the pair's
-    component; duplicate union worlds accumulate.  Raises
+    component; no two pairs give the same union world.  Raises
     ProbConstraintViolation when any component is unbalanced, which
     includes the case of no compatible pairs, and ValidationError when a
     source carries no probabilities.
@@ -289,8 +323,9 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
     P(D'_j) = n2[j]/d2 over each source's common denominator, a component
     constant P = a/b, and m the lcm of every component's a, the pair (i, j)
     contributes P(D_i) * P(D'_j) / P = n1[i] * n2[j] * b * (m // a) over
-    d1 * d2 * m.  Integer numerators accumulate per union world, and each
-    output world gets one Fraction.
+    d1 * d2 * m.  Each compatible pair gives its own union world, whose
+    tuples in T1 and in T2 are the pair's two worlds, so each output world
+    gets one numerator and one Fraction.
     """
     failures = [(c, reason) for c, reason in checks if reason is not None]
     if failures:
@@ -298,15 +333,15 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
     n1, d1 = s1.integer_probs
     n2, d2 = s2.integer_probs
     m = lcm(*(summary.constant.numerator for summary, _ in checks))
-    merged: dict = {}
+    unions, numerators = [], []
     for summary, _ in checks:
         scale = summary.constant.denominator * (m // summary.constant.numerator)
+        rights = list(map(s2.worlds.__getitem__, summary.right))
+        masses = list(map(n2.__getitem__, summary.right))
         for i in summary.left:
-            share = n1[i] * scale
-            for j in summary.right:
-                union = s1.worlds[i] | s2.worlds[j]
-                merged[union] = merged.get(union, 0) + share * n2[j]
-    worlds = tuple(sorted(merged, key=world_key))
-    denominator = d1 * d2 * m
-    probs = tuple(Fraction(merged[w], denominator) for w in worlds)
-    return UncertainDB(s1.tuple_set | s2.tuple_set, worlds, probs)
+            unions += map(s1.worlds[i].__or__, rights)
+            numerators += map((n1[i] * scale).__mul__, masses)
+    tuple_set = s1.tuple_set | s2.tuple_set
+    order = world_order(unions, tuple_set)
+    probs = map(Fraction, map(numerators.__getitem__, order), repeat(d1 * d2 * m))
+    return UncertainDB(tuple_set, tuple(map(unions.__getitem__, order)), tuple(probs))

@@ -335,6 +335,74 @@ def test_equal_probability_texts_share_one_fraction_within_a_document(tmp_path):
         assert not {id(p) for p in first} & {id(p) for p in second}
 
 
+def reference_parse_pw_worlds(worlds: list, n: int):
+    """The worlds and probabilities of a pw document's "worlds" array over n
+    tuples, read one world at a time with every check of that world before
+    the next world, raising the reader's messages."""
+    read, probs = [], []
+    for i, entry in enumerate(worlds):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"worlds[{i}]: must be an object")
+        extra = set(entry) - {"tuples", "prob"}
+        if extra:
+            raise ValidationError(f"worlds[{i}]: unknown keys {sorted(extra)}")
+        indices = entry.get("tuples")
+        if not isinstance(indices, list) or any(
+            type(k) is not int or not 0 <= k < n for k in indices
+        ):
+            raise ValidationError(f'worlds[{i}]: "tuples" must be an array of tuple indices')
+        for k, index in enumerate(indices):
+            if index in indices[:k]:
+                raise ValidationError(f"worlds[{i}] lists tuple {index} twice")
+        read.append(frozenset(indices))
+        prob = entry.get("prob", probs)  # probs stands for a missing prob
+        probs.append(None if prob is probs else reference_parse_prob(prob, f"worlds[{i}]"))
+    if None in probs and any(p is not None for p in probs):
+        raise ValidationError("pw document: either every world has a prob or none does")
+    return read, probs
+
+
+# World entries: valid ones, and each fault the reader names.
+WORLD_ENTRIES = st.one_of(
+    st.fixed_dictionaries(
+        {"tuples": st.lists(st.integers(0, 2), max_size=3)},
+        optional={"prob": st.sampled_from(["1/2", "1/4", "1", "", "x", "1/0", None, 1, ["1/2"]])},
+    ),
+    st.fixed_dictionaries(
+        {"tuples": st.sampled_from([[3], [-1], [True], [0.0], "0", None, {}])},
+        optional={"prob": st.just("1/2")},
+    ),
+    st.fixed_dictionaries({"tuples": st.just([0]), "p": st.just("1")}),
+    st.sampled_from([[], "w", None, 0]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(WORLD_ENTRIES, max_size=5))
+def test_pw_worlds_read_as_a_world_by_world_reading_reads_them(worlds):
+    doc = {"model": "pw", "tuples": [["t"], ["u"], ["v"]], "worlds": worlds}
+    tuples = [("t",), ("u",), ("v",)]
+    try:
+        indices, probs = reference_parse_pw_worlds(worlds, len(tuples))
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as ours:
+            parse_document(doc)
+        assert str(ours.value) == str(err)
+        return
+    try:
+        expected = UncertainDB(
+            frozenset(tuples),
+            tuple(frozenset(tuples[k] for k in w) for w in indices),
+            None if not probs or probs[0] is None else tuple(probs),
+        )
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as ours:
+            parse_document(doc)
+        assert ours.value.violations == err.violations
+    else:
+        assert parse_document(doc) == expected
+
+
 def test_a_repeated_bad_probability_is_reported_at_its_first_occurrence():
     worlds = [
         {"tuples": [0], "prob": "1/2"},
