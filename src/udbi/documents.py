@@ -5,6 +5,12 @@ A document is an object with a ``model`` tag: "pw" carries ``tuples`` plus
 ({tuple, event}) plus optional ``var_probs``, and "epr" adds ``constraints``
 ({lhs, rhs} formula strings).  Probabilities are decimal or fraction
 strings; numbers are rejected since binary floats are not exact.
+
+A document with several faults raises the error for the first faulty item
+in document order, with the message that item alone would give; for the
+worlds of a "pw" document this holds although each check is one pass over
+all worlds (_parse_pw).  No set's or dict's iteration order decides the
+order of worlds in an output or which error is raised.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
+from operator import not_
 from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
@@ -354,10 +361,12 @@ def dumps_json(doc) -> str:
     walks the containers in Python and hands every string to the C encoder.
     An object is written with one join over its members: a string value, and
     a list of only strings or only ints, are encoded inline, and only other
-    values take a call.  A list of objects (relation rows, constraints, pw
-    worlds, check components) computes its separators once and writes each
-    object with that one join.  An int longer than Python prints raises the
-    same ValueError.
+    values take a call.  A list of objects that share their keys (relation
+    rows, constraints, pw worlds, check components) is written one member
+    at a time across all its objects: a member whose values are all strings,
+    or all lists of one leaf type, is encoded in one pass, and then each
+    object is one join.  An int longer than Python prints raises the same
+    ValueError.
     """
     return _dumps_indented(doc, "\n")
 
@@ -376,25 +385,69 @@ def _separators(newline: str) -> tuple[str, str, str, str]:
     return inner, "," + inner, inner + "  ", "," + inner + "  "
 
 
+def _dumps_member(item, separators) -> str:
+    """A member's value written inside an object; separators as _dumps_object's."""
+    inner, _, leaf_inner, leaf_comma = separators
+    kind = type(item)
+    if kind is str:
+        return _quote(item)
+    if (
+        kind is list
+        and item
+        and (leaf := type(item[0])) in _LEAF_ENCODERS  # spares the set for other lists
+        and set(map(type, item)) == {leaf}
+    ):
+        return f"[{leaf_inner}{leaf_comma.join(map(_LEAF_ENCODERS[leaf], item))}{inner}]"
+    return _dumps_indented(item, inner)
+
+
 def _dumps_object(obj: dict, newline: str, separators) -> str:
     """A nonempty object written after newline; separators is _separators(newline)."""
-    inner, comma, leaf_inner, leaf_comma = separators
-    members = []
-    for key, item in obj.items():
-        kind = type(item)
-        if kind is str:
-            text = _quote(item)
-        elif (
-            kind is list
-            and item
-            and (leaf := type(item[0])) in _LEAF_ENCODERS  # spares the set for other lists
-            and set(map(type, item)) == {leaf}
-        ):
-            text = f"[{leaf_inner}{leaf_comma.join(map(_LEAF_ENCODERS[leaf], item))}{inner}]"
-        else:
-            text = _dumps_indented(item, inner)
-        members.append(f"{_quote(key)}: {text}")
+    inner, comma = separators[:2]
+    members = [f"{_quote(key)}: {_dumps_member(item, separators)}" for key, item in obj.items()]
     return f"{{{inner}{comma.join(members)}{newline}}}"
+
+
+def _dumps_column(values: list, separators) -> list[str]:
+    """_dumps_member of each of values, as one pass when all are strings or
+    all are lists whose items share one leaf type."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(_quote, values))
+    if kinds == {list}:
+        leaves = set(map(type, chain.from_iterable(values)))
+        if len(leaves) == 1 and (leaf := leaves.pop()) in _LEAF_ENCODERS:
+            inner, _, leaf_inner, leaf_comma = separators
+            items = map(leaf_comma.join, map(map, repeat(_LEAF_ENCODERS[leaf]), values))
+            texts = [f"[{leaf_inner}{text}{inner}]" for text in items]
+            for k in compress(count(), map(not_, values)):
+                texts[k] = "[]"
+            return texts
+    return [_dumps_member(item, separators) for item in values]
+
+
+def _dumps_objects(objs: list, newline: str):
+    """The items of a list that starts with an object, each written after
+    newline.  Nonempty objects that all have the same keys, in the same
+    order, are written one member at a time across all of them
+    (_dumps_column), then joined object by object in one pass."""
+    separators = _separators(newline)
+    if objs[0] and set(map(type, objs)) == {dict} and len(set(map(tuple, objs))) == 1:
+        inner, comma = separators[:2]
+        n = len(objs)
+        parts = []
+        before = "{" + inner
+        for key in objs[0]:
+            values = list(map(dict.__getitem__, objs, repeat(key)))
+            parts += repeat(f"{before}{_quote(key)}: ", n), _dumps_column(values, separators)
+            before = comma
+        return map("".join, zip(*parts, repeat(newline + "}", n)))
+    return [
+        _dumps_object(item, newline, separators)
+        if type(item) is dict and item
+        else _dumps_indented(item, newline)
+        for item in objs
+    ]
 
 
 def _dumps_indented(value, newline: str) -> str:
@@ -411,13 +464,7 @@ def _dumps_indented(value, newline: str) -> str:
         if kind in _LEAF_ENCODERS and set(map(type, value)) == {kind}:
             items = map(_LEAF_ENCODERS[kind], value)
         elif kind is dict:
-            separators = _separators(inner)
-            items = [
-                _dumps_object(item, inner, separators)
-                if type(item) is dict and item
-                else _dumps_indented(item, inner)
-                for item in value
-            ]
+            items = _dumps_objects(value, inner)
         else:
             items = [_dumps_indented(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

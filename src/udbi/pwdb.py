@@ -15,6 +15,12 @@ three, and integrate_pw unions the pairs of each component, unweighted.
 An UncertainDB checks its own invariants when it is built (validate_udb
 lists them), so the functions below take their arguments as valid; only
 check_prob_constraints checks that both sources carry probabilities.
+
+Checks and conversions run one builtin pass per invariant or field over all
+worlds (map, zip, set, min, max, sum); a failing check alone is gone over
+again world by world, to name its worlds in world order.  No set's or
+dict's iteration order decides the order of worlds in a result or of the
+lines of a report.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, repeat
+from itertools import chain, count, product, repeat, starmap
 from math import lcm
-from operator import floordiv, mul
+from operator import add, floordiv, itemgetter, mul, or_
 
 from .errors import EmptyIntegration, ProbConstraintViolation, ValidationError
 
@@ -43,13 +49,6 @@ def world_ranks(worlds, tuples: list[Tuple]) -> list[list[int]]:
     tuples, so the lists compare as the worlds' world_key does."""
     rank = dict(zip(tuples, count()))
     return list(map(sorted, map(map, repeat(rank.__getitem__), worlds)))
-
-
-def world_order(worlds: list[World], tuple_set) -> list[int]:
-    """The positions of worlds, each a subset of tuple_set, in world_key
-    order, found by comparing their world_ranks."""
-    keys = world_ranks(worlds, sorted(tuple_set))
-    return sorted(range(len(worlds)), key=keys.__getitem__)
 
 
 def format_tuple(t: Tuple) -> str:
@@ -179,15 +178,34 @@ def integrate_pw(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
     its pair's two worlds.  Raises EmptyIntegration if no pair of worlds is
     compatible.  Checks nothing: both sources are valid once built.
     """
-    unions = []
-    for left, right in compatibility_graph(s1, s2).components:
-        rights = list(map(s2.worlds.__getitem__, right))
-        for i in left:
-            unions += map(s1.worlds[i].__or__, rights)
-    if not unions:
+    left, right = _pairs_in_world_order(s1, s2, compatibility_graph(s1, s2).components)
+    if not left:
         raise EmptyIntegration()
-    tuple_set = s1.tuple_set | s2.tuple_set
-    return UncertainDB(tuple_set, tuple(map(unions.__getitem__, world_order(unions, tuple_set))))
+    return UncertainDB(s1.tuple_set | s2.tuple_set, _unions(s1, s2, left, right))
+
+
+def _pairs_in_world_order(s1: UncertainDB, s2: UncertainDB, components):
+    """(left, right): the two world indices of each pair of left x right in
+    ``components``, ordered by world_key of the pair's union.
+
+    A union's world_ranks are its left world's and those of the tuples of
+    its right world that the left source lacks, sorted together; so the
+    keys come from ranks of the source worlds, and no union is built to be
+    sorted.
+    """
+    pairs = list(chain.from_iterable(starmap(product, components)))
+    left, right = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+    tuples = sorted(s1.tuple_set | s2.tuple_set)
+    ranks1 = world_ranks(s1.worlds, tuples)
+    ranks2 = world_ranks(map((s2.tuple_set - s1.tuple_set).__and__, s2.worlds), tuples)
+    keys = list(map(sorted, map(add, map(ranks1.__getitem__, left), map(ranks2.__getitem__, right))))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return list(map(left.__getitem__, order)), list(map(right.__getitem__, order))
+
+
+def _unions(s1: UncertainDB, s2: UncertainDB, left: list[int], right: list[int]):
+    """The union world of each pair (left[k], right[k])."""
+    return tuple(map(or_, map(s1.worlds.__getitem__, left), map(s2.worlds.__getitem__, right)))
 
 
 @dataclass(frozen=True)
@@ -333,15 +351,19 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
     n1, d1 = s1.integer_probs
     n2, d2 = s2.integer_probs
     m = lcm(*(summary.constant.numerator for summary, _ in checks))
-    unions, numerators = [], []
+    # n1[i] * b * (m // a) for each left world i, a/b its component's constant
+    shares = {}
     for summary, _ in checks:
         scale = summary.constant.denominator * (m // summary.constant.numerator)
-        rights = list(map(s2.worlds.__getitem__, summary.right))
-        masses = list(map(n2.__getitem__, summary.right))
-        for i in summary.left:
-            unions += map(s1.worlds[i].__or__, rights)
-            numerators += map((n1[i] * scale).__mul__, masses)
-    tuple_set = s1.tuple_set | s2.tuple_set
-    order = world_order(unions, tuple_set)
-    probs = map(Fraction, map(numerators.__getitem__, order), repeat(d1 * d2 * m))
-    return UncertainDB(tuple_set, tuple(map(unions.__getitem__, order)), tuple(probs))
+        shares.update(zip(summary.left, map(scale.__mul__, map(n1.__getitem__, summary.left))))
+    components = [(summary.left, summary.right) for summary, _ in checks]
+    left, right = _pairs_in_world_order(s1, s2, components)
+    numerators = list(map(mul, map(shares.__getitem__, left), map(n2.__getitem__, right)))
+    # Equal masses share one Fraction.
+    denominator = d1 * d2 * m
+    fractions = {n: Fraction(n, denominator) for n in set(numerators)}
+    return UncertainDB(
+        s1.tuple_set | s2.tuple_set,
+        _unions(s1, s2, left, right),
+        tuple(map(fractions.__getitem__, numerators)),
+    )

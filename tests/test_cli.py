@@ -215,6 +215,27 @@ def test_json_writer_escapes_and_nests_like_json_dumps_indent_2():
         assert dumps_json(leaf) == json.dumps(leaf, indent=2)
 
 
+def test_json_writer_writes_lists_of_objects_with_shared_keys_like_json_dumps():
+    values = [
+        # Each object's list of one leaf type, but not the same type in all.
+        [{"a": [1], "b": "x"}, {"a": ["s"], "b": "y"}, {"a": [], "b": "z"}],
+        # Lists that mix leaf types, and leaves that are not strings or ints.
+        [{"a": [1, "s"]}, {"a": [2]}],
+        [{"a": [True], "b": None}, {"a": [False, True], "b": 3}],
+        # Empty lists among leaf lists, and only empty lists.
+        [{"t": [], "p": "1"}, {"t": [0, 2], "p": "1/2"}, {"t": []}, {"t": [1]}],
+        [{"t": []}, {"t": []}],
+        # Nested objects and lists of lists as member values.
+        [{"r": {"x": [1]}, "s": [[0], []]}, {"r": {}, "s": [["a"]]}],
+        # The same keys in another order, and an empty object.
+        [{"a": "1", "b": "2"}, {"b": "3", "a": "4"}],
+        [{"a": "1"}, {}],
+    ]
+    for value in values:
+        assert dumps_json(value) == json.dumps(value, indent=2)
+        assert dumps_json({"k": value}) == json.dumps({"k": value}, indent=2)
+
+
 @pytest.mark.parametrize("digits", [4_301, 5_000])
 def test_json_writer_refuses_the_ints_json_dumps_refuses(digits):
     n = 10 ** (digits - 1)
