@@ -162,14 +162,14 @@ def _prob_fault(entry: dict, where: str) -> str | None:
 def _first_fault(worlds: list, fault, *args) -> tuple[int, str]:
     """(i, message) for the first i at which fault(worlds[i], *args,
     "worlds[i]") gives a message; called only when one does."""
-    for i, field in enumerate(worlds):
-        message = fault(field, *args, f"worlds[{i}]")
-        if message:
-            return i, message
-    raise AssertionError("no faulty world")
+    return next(
+        (i, message)
+        for i, field in enumerate(worlds)
+        if (message := fault(field, *args, f"worlds[{i}]"))
+    )
 
 
-def _index_lists(lists: list, n: int) -> bool:
+def _all_index_lists(lists: list, n: int) -> bool:
     """Whether every item is a list of ints in range(n)."""
     if not all(map(_is_list, lists)):
         return False
@@ -222,7 +222,7 @@ def _parse_pw(obj: dict) -> UncertainDB:
         fault = _first_fault(entries, _entry_fault, _WORLD_KEYS)
         entries = entries[: fault[0]]
     lists = list(map(dict.get, entries, repeat("tuples")))
-    if not _index_lists(lists, len(tuples)):
+    if not _all_index_lists(lists, len(tuples)):
         fault = _first_fault(lists, _index_list_fault, len(tuples))
         lists = lists[: fault[0]]
     worlds = list(map(frozenset, map(map, repeat(tuples.__getitem__), lists)))
