@@ -169,16 +169,6 @@ def _first_fault(worlds: list, fault, *args) -> tuple[int, str]:
     )
 
 
-def _all_index_lists(lists: list, n: int) -> bool:
-    """Whether every item is a list of ints in range(n)."""
-    if not all(map(_is_list, lists)):
-        return False
-    indices = list(chain.from_iterable(lists))
-    return not indices or (
-        set(map(type, indices)) == {int} and min(indices) >= 0 and max(indices) < n
-    )
-
-
 def _read_probs(texts: list) -> dict | None:
     """Each distinct text to its Fraction, each read once, so equal texts
     share one; None when some item is not a text _parse_prob reads."""
@@ -222,10 +212,16 @@ def _parse_pw(obj: dict) -> UncertainDB:
         fault = _first_fault(entries, _entry_fault, _WORLD_KEYS)
         entries = entries[: fault[0]]
     lists = list(map(dict.get, entries, repeat("tuples")))
-    if not _all_index_lists(lists, len(tuples)):
+    # Every index list is a list of ints in range when the lists are, and
+    # when their concatenation is.
+    if not all(map(_is_list, lists)) or _index_list_fault(
+        list(chain.from_iterable(lists)), len(tuples), "worlds"
+    ):
         fault = _first_fault(lists, _index_list_fault, len(tuples))
         lists = lists[: fault[0]]
     worlds = list(map(frozenset, map(map, repeat(tuples.__getitem__), lists)))
+    # The tuples are distinct, so a world is shorter than its index list
+    # only when the list repeats an index.
     if sum(map(len, worlds)) < sum(map(len, lists)):
         fault = _first_fault(lists, _repeated_index_fault)
         worlds = worlds[: fault[0]]
