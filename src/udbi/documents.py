@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from operator import not_
 from json.encoder import encode_basestring_ascii
 
@@ -404,22 +404,23 @@ def _dumps_object(obj: dict, newline: str, separators) -> str:
     return f"{{{inner}{comma.join(members)}{newline}}}"
 
 
-def _dumps_column(values: list, separators) -> list[str]:
-    """_dumps_member of each of values, as one pass when all are strings or
-    all are lists whose items share one leaf type."""
+def _dumps_column(values: list, separators):
+    """_dumps_member of each of values, as a lazy iterator, encoded in one
+    pass when all are strings or all are lists whose items share one leaf
+    type.  Lazy, so that _dumps_objects holds one object's member texts at a
+    time."""
     kinds = set(map(type, values))
     if kinds == {str}:
-        return list(map(_quote, values))
+        return map(_quote, values)
     if kinds == {list}:
         leaves = set(map(type, chain.from_iterable(values)))
         if len(leaves) == 1 and (leaf := leaves.pop()) in _LEAF_ENCODERS:
             inner, _, leaf_inner, leaf_comma = separators
             items = map(leaf_comma.join, map(map, repeat(_LEAF_ENCODERS[leaf]), values))
-            texts = [f"[{leaf_inner}{text}{inner}]" for text in items]
-            for k in compress(count(), map(not_, values)):
-                texts[k] = "[]"
-            return texts
-    return [_dumps_member(item, separators) for item in values]
+            texts = map("".join, zip(repeat("[" + leaf_inner), items, repeat(inner + "]")))
+            # An empty list is written "[]": not_(value) picks it.
+            return map(tuple.__getitem__, zip(texts, repeat("[]")), map(not_, values))
+    return map(_dumps_member, values, repeat(separators))
 
 
 def _dumps_objects(objs: list, newline: str):
