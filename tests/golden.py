@@ -329,6 +329,10 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
         cases.append((f"form_{name}/expand", ["expand", save(f"form_{name}.json", text)]))
     for name, doc in _VALUE_FAULTS.items():
         cases.append((f"{name}/expand", ["expand", save(f"{name}.json", doc)]))
+    # The relation's constructor rejects these two on reading, before integration.
+    for name in ("shared_tuple", "partial_pr"):
+        doc = f"{name}.json"
+        cases.append((f"{name}/integrate", ["integrate", doc, doc, "--model", "pr"]))
     cases.append(("office/expand-q-cap", ["--cap", "1", "expand", joint]))
     contradiction = [save(f"contradiction-{side}.json", doc) for side, doc in _CONTRADICTION.items()]
     cases.append(("contradiction/integrate", ["integrate", *contradiction, "--model", "pw"]))
