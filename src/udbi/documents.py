@@ -56,17 +56,6 @@ def _parse_prob(value, where: str) -> Fraction:
     raise ValidationError(f"{where}: cannot read probability {value!r}")
 
 
-def _parse_prob_once(value, memo: dict, where: str, key) -> Fraction:
-    """_parse_prob(value, where.format(key)), parsing each distinct text once:
-    ``memo`` maps the texts read so far in this document to their Fractions,
-    so equal texts share one.  Only a string is looked up, so any other value
-    reaches _parse_prob and its message."""
-    prob = memo.get(value) if type(value) is str else None
-    if prob is None:
-        prob = memo[value] = _parse_prob(value, where.format(key))
-    return prob
-
-
 # isinstance(x, str), and for dict and list, as functions that map() calls
 # without a frame.
 _is_str = str.__instancecheck__
@@ -134,7 +123,7 @@ def _entry_fault(entry, allowed: frozenset, where: str) -> str | None:
 
 
 # The checks of one world's fields, each giving the error for a faulty field
-# or None; _parse_pw calls them only to name the first faulty world.
+# or None; _world_fault chains them.
 
 def _index_list_fault(indices, n: int, where: str) -> str | None:
     if not isinstance(indices, list) or indices and (
@@ -159,14 +148,19 @@ def _prob_fault(entry: dict, where: str) -> str | None:
     return None
 
 
-def _first_fault(worlds: list, fault, *args) -> tuple[int, str]:
-    """(i, message) for the first i at which fault(worlds[i], *args,
-    "worlds[i]") gives a message; called only when one does."""
-    return next(
-        (i, message)
-        for i, field in enumerate(worlds)
-        if (message := fault(field, *args, f"worlds[{i}]"))
-    )
+def _world_fault(entries: list, n: int) -> ValidationError:
+    """The error for the first faulty world in world order, from the first
+    of its fields at fault; called when a pass over all worlds has failed."""
+    for i, entry in enumerate(entries):
+        where = f"worlds[{i}]"
+        message = (
+            _entry_fault(entry, _WORLD_KEYS, where)
+            or _index_list_fault(entry.get("tuples"), n, where)
+            or _repeated_index_fault(entry["tuples"], where)
+            or _prob_fault(entry, where)
+        )
+        if message:
+            return ValidationError(message)
 
 
 def _read_probs(texts: list) -> dict | None:
@@ -189,11 +183,10 @@ def _parse_pw(obj: dict) -> UncertainDB:
     Each check of the worlds is one pass over all of them, field by field:
     each entry an object with known keys, each index list a list of ints in
     range, no index twice in one list, each prob a text Fraction() reads,
-    and then a prob on every world or on none.  A pass that fails finds its
-    first faulty world, and the passes after it cover only the worlds before
-    that one; so the error is the one for the first faulty world in world
-    order, from the first of its fields that is at fault, whatever else is
-    wrong after it.  Equal prob texts are read once and share one Fraction.
+    and then a prob on every world or on none.  When a pass fails, one pass
+    world by world (_world_fault) names the first faulty world in world
+    order, from the first of its fields at fault, whatever else is wrong
+    after it.  Equal prob texts are read once and share one Fraction.
     """
     _require_keys(obj, {"model", "tuples", "worlds"}, "pw document")
     raw_tuples = obj.get("tuples")
@@ -207,32 +200,26 @@ def _parse_pw(obj: dict) -> UncertainDB:
     entries = obj.get("worlds")
     if not isinstance(entries, list):
         raise ValidationError("pw document: \"worlds\" must be an array")
-    fault = None  # (index, message) of the first faulty world found so far
+    n = len(tuples)
     if not (all(map(_is_dict, entries)) and all(map(_WORLD_KEYS.issuperset, entries))):
-        fault = _first_fault(entries, _entry_fault, _WORLD_KEYS)
-        entries = entries[: fault[0]]
+        raise _world_fault(entries, n)
     lists = list(map(dict.get, entries, repeat("tuples")))
     # Every index list is a list of ints in range when the lists are, and
     # when their concatenation is.
     if not all(map(_is_list, lists)) or _index_list_fault(
-        list(chain.from_iterable(lists)), len(tuples), "worlds"
+        list(chain.from_iterable(lists)), n, "worlds"
     ):
-        fault = _first_fault(lists, _index_list_fault, len(tuples))
-        lists = lists[: fault[0]]
+        raise _world_fault(entries, n)
     worlds = list(map(frozenset, map(map, repeat(tuples.__getitem__), lists)))
     # The tuples are distinct, so a world is shorter than its index list
     # only when the list repeats an index.
     if sum(map(len, worlds)) < sum(map(len, lists)):
-        fault = _first_fault(lists, _repeated_index_fault)
-        worlds = worlds[: fault[0]]
-    entries = entries[: len(worlds)]
-    given = list(map(dict.__contains__, entries, repeat("prob")))
+        raise _world_fault(entries, n)
+    given = map(dict.__contains__, entries, repeat("prob"))
     texts = list(compress(map(dict.get, entries, repeat("prob")), given))
     memo = _read_probs(texts)
     if memo is None:
-        fault = _first_fault(entries, _prob_fault)
-    if fault:
-        raise ValidationError(fault[1])
+        raise _world_fault(entries, n)
     if texts and len(texts) < len(worlds):
         raise ValidationError("pw document: either every world has a prob or none does")
     return UncertainDB(
@@ -285,10 +272,11 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
     if var_probs is not None:
         if not isinstance(var_probs, dict):
             raise ValidationError(f"{where}: \"var_probs\" must be an object")
-        memo: dict = {}
-        var_probs = {
-            name: _parse_prob_once(p, memo, "var_probs.{}", name) for name, p in var_probs.items()
-        }
+        memo = _read_probs(list(var_probs.values()))
+        if memo is None:
+            for name, p in var_probs.items():
+                _parse_prob(p, f"var_probs.{name}")
+        var_probs = {name: memo[p] for name, p in var_probs.items()}
     # names now holds every variable of the rows and constraints.
     relation = PrRelation if model == "pr" else EprRelation
     return relation(tuple(rows), tuple(constraints), var_probs, names.keys())
@@ -354,117 +342,37 @@ def dumps_json(doc) -> str:
     keys), lists, strings, ints, booleans and None that documents hold.
 
     json.dumps falls back to its pure-Python encoder when indenting; this
-    walks the containers in Python and hands every string to the C encoder.
-    An object is written with one join over its members: a string value, and
-    a list of only strings or only ints, are encoded inline, and only other
-    values take a call.  A list of objects that share their keys (relation
-    rows, constraints, pw worlds, check components) is written one member
-    at a time across all its objects: a member whose values are all strings,
-    or all lists of one leaf type, is encoded in one pass, and then each
-    object is one join.  An int longer than Python prints raises the same
-    ValueError.
+    walks the containers in Python and hands every string to the C encoder,
+    by one rule for the items of a list (_column): they are encoded in one
+    pass when all are leaves of one type (strings or ints), or all lists of
+    one leaf type.  Two or more objects with the same keys in the same order
+    (relation rows, constraints, pw worlds, check components) are written
+    member by member, each member's values a column by the same rule.  Any
+    other list is written item by item, and a lone object member by member.
+    An int longer than Python prints raises the same ValueError.
     """
-    return _dumps_indented(doc, "\n")
+    return _dumps(doc, "\n")
 
 
 _quote = encode_basestring_ascii
-# A list whose items all have one of these types is joined item by item:
-# world index lists, and the tuples of relation rows.
 _LEAF_ENCODERS = {int: int.__repr__, str: _quote}
 
 
-def _separators(newline: str) -> tuple[str, str, str, str]:
-    """What an object written after ``newline`` puts before its first member,
-    between members, before the first item of a leaf list member, and
-    between those items."""
-    inner = newline + "  "
-    return inner, "," + inner, inner + "  ", "," + inner + "  "
-
-
-def _dumps_member(item, separators) -> str:
-    """A member's value written inside an object; separators as _dumps_object's."""
-    inner, _, leaf_inner, leaf_comma = separators
-    kind = type(item)
-    if kind is str:
-        return _quote(item)
-    if (
-        kind is list
-        and item
-        and (leaf := type(item[0])) in _LEAF_ENCODERS  # spares the set for other lists
-        and set(map(type, item)) == {leaf}
-    ):
-        return f"[{leaf_inner}{leaf_comma.join(map(_LEAF_ENCODERS[leaf], item))}{inner}]"
-    return _dumps_indented(item, inner)
-
-
-def _dumps_object(obj: dict, newline: str, separators) -> str:
-    """A nonempty object written after newline; separators is _separators(newline)."""
-    inner, comma = separators[:2]
-    members = [f"{_quote(key)}: {_dumps_member(item, separators)}" for key, item in obj.items()]
-    return f"{{{inner}{comma.join(members)}{newline}}}"
-
-
-def _dumps_column(values: list, separators):
-    """_dumps_member of each of values, as a lazy iterator, encoded in one
-    pass when all are strings or all are lists whose items share one leaf
-    type.  Lazy, so that _dumps_objects holds one object's member texts at a
-    time."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return map(_quote, values)
-    if kinds == {list}:
-        leaves = set(map(type, chain.from_iterable(values)))
-        if len(leaves) == 1 and (leaf := leaves.pop()) in _LEAF_ENCODERS:
-            inner, _, leaf_inner, leaf_comma = separators
-            items = map(leaf_comma.join, map(map, repeat(_LEAF_ENCODERS[leaf]), values))
-            texts = map("".join, zip(repeat("[" + leaf_inner), items, repeat(inner + "]")))
-            # An empty list is written "[]": not_(value) picks it.
-            return map(tuple.__getitem__, zip(texts, repeat("[]")), map(not_, values))
-    return map(_dumps_member, values, repeat(separators))
-
-
-def _dumps_objects(objs: list, newline: str):
-    """The items of a list that starts with an object, each written after
-    newline.  Nonempty objects that all have the same keys, in the same
-    order, are written one member at a time across all of them
-    (_dumps_column), then joined object by object in one pass."""
-    separators = _separators(newline)
-    if objs[0] and set(map(type, objs)) == {dict} and len(set(map(tuple, objs))) == 1:
-        inner, comma = separators[:2]
-        n = len(objs)
-        parts = []
-        before = "{" + inner
-        for key in objs[0]:
-            values = list(map(dict.__getitem__, objs, repeat(key)))
-            parts += repeat(f"{before}{_quote(key)}: ", n), _dumps_column(values, separators)
-            before = comma
-        return map("".join, zip(*parts, repeat(newline + "}", n)))
-    return [
-        _dumps_object(item, newline, separators)
-        if type(item) is dict and item
-        else _dumps_indented(item, newline)
-        for item in objs
-    ]
-
-
-def _dumps_indented(value, newline: str) -> str:
+def _dumps(value, newline: str) -> str:
+    """value written after newline: its inner lines are indented two more spaces."""
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, dict):
-        return _dumps_object(value, newline, _separators(newline)) if value else "{}"
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        members = [f"{_quote(key)}: {_dumps(item, inner)}" for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(members)}{newline}}}"
     if isinstance(value, list):
         if not value:
             return "[]"
         inner = newline + "  "
-        # The test on value[0] spares the set for other lists.
-        kind = type(value[0])
-        if kind in _LEAF_ENCODERS and set(map(type, value)) == {kind}:
-            items = map(_LEAF_ENCODERS[kind], value)
-        elif kind is dict:
-            items = _dumps_objects(value, inner)
-        else:
-            items = [_dumps_indented(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return f"[{inner}{(',' + inner).join(_column(value, inner))}{newline}]"
     if value is None:
         return "null"
     if value is True:
@@ -474,3 +382,29 @@ def _dumps_indented(value, newline: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _column(values: list, newline: str):
+    """The texts of values, each written after newline, as a lazy iterator,
+    so that a list of objects holds one object's member texts at a time."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _LEAF_ENCODERS:
+        return map(_LEAF_ENCODERS[kind], values)
+    inner = newline + "  "
+    if kind is list:
+        leaves = set(map(type, chain.from_iterable(values)))
+        if len(leaves) == 1 and (leaf := leaves.pop()) in _LEAF_ENCODERS:
+            items = map(("," + inner).join, map(map, repeat(_LEAF_ENCODERS[leaf]), values))
+            texts = map("".join, zip(repeat("[" + inner), items, repeat(newline + "]")))
+            # An empty list is written "[]": not_(value) picks it.
+            return map(tuple.__getitem__, zip(texts, repeat("[]")), map(not_, values))
+    if kind is dict and len(values) > 1 and values[0] and len(set(map(tuple, values))) == 1:
+        parts = []
+        before = "{" + inner
+        for key in values[0]:
+            members = _column(list(map(dict.__getitem__, values, repeat(key))), inner)
+            parts += repeat(f"{before}{_quote(key)}: "), members
+            before = "," + inner
+        return map("".join, zip(*parts, repeat(newline + "}", len(values))))
+    return map(_dumps, values, repeat(newline))
