@@ -227,9 +227,18 @@ def test_json_writer_writes_lists_of_objects_with_shared_keys_like_json_dumps():
         [{"t": []}, {"t": []}],
         # Nested objects and lists of lists as member values.
         [{"r": {"x": [1]}, "s": [[0], []]}, {"r": {}, "s": [["a"]]}],
-        # The same keys in another order, and an empty object.
+        # The same keys in another order, an empty object, and only empty objects.
         [{"a": "1", "b": "2"}, {"b": "3", "a": "4"}],
         [{"a": "1"}, {}],
+        [{}, {}],
+        # A member column of objects that share their keys, one object with
+        # many members, and a column of lists of objects that share their keys.
+        [{"r": {"x": [1], "y": "a"}}, {"r": {"x": [], "y": "b"}}],
+        [{f"m{i}": [i] * i for i in range(6)}],
+        [
+            {"rows": [{"t": ["a"], "e": "x"}, {"t": ["b"], "e": "y"}]},
+            {"rows": [{"t": [], "e": "z"}]},
+        ],
     ]
     for value in values:
         assert dumps_json(value) == json.dumps(value, indent=2)
@@ -709,10 +718,11 @@ def test_prob_reports_the_six_exact_probabilities(tmp_path, capsys):
 
 
 def test_prob_json_document_carries_distribution_and_pair(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "prob", save(tmp_path, "q.json", office_epr()), "--format", "json"
-    )
+    q = save(tmp_path, "q.json", office_epr())
+    code, out, _ = run(capsys, "prob", q, "--format", "json")
     assert code == 0
+    # --format before the command prints the same bytes.
+    assert run(capsys, "--format", "json", "prob", q) == (0, out, "")
     doc = json.loads(out)
     worlds = parse_document(doc["distribution"])
     assert sum(worlds.probs, Fraction(0)) == 1
@@ -1441,7 +1451,7 @@ def test_gen_pr_output_parses_and_integrates(capsys):
 def test_gen_pw_pairs_integrate_without_violations(capsys):
     from udbi.pwdb import integrate_pw_prob
 
-    for seed in range(5):
+    for seed in range(8):
         code, out, _ = run(
             capsys, "gen", "--seed", str(seed), "--model", "pw", "--format", "json"
         )
