@@ -196,14 +196,15 @@ def _titled(title: str, table: str) -> list[str]:
 
 
 def _component_doc(summary, reason=None) -> dict:
+    balanced = summary.balanced
     doc = {
         "left": list(summary.left),
         "right": list(summary.right),
         "left_sum": str(summary.left_sum),
         "right_sum": str(summary.right_sum),
-        "balanced": summary.balanced,
+        "balanced": balanced,
     }
-    if summary.balanced:
+    if balanced:
         doc["constant"] = str(summary.constant)
     if reason is not None:
         doc["violation"] = reason
