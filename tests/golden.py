@@ -153,6 +153,10 @@ _VALUE_FAULTS = {
     "no_assignment": _pr_doc([("t", "a")], {"a": "1/2"}, [("a", "!a")]),
 }
 
+# Both constraints match the one row, so decomposition would give its tuple
+# twice to the side opposite the row's.
+_SAME_TUPLE = _pr_doc([("t", "a")], _HALVES, [("a", "b"), ("a", "c")])
+
 # Two pw sources without probabilities that no pair of worlds joins.
 _CONTRADICTION = {
     "a": {"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [0]}]},
@@ -162,6 +166,7 @@ _CONTRADICTION = {
 
 def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     """The documents (name to text) and the cases (id, argv)."""
+    from udbi.cli import main
     from udbi.documents import document_of, parse_document
     from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
     from udbi.prdb import encode_pw, integrate_pr
@@ -217,6 +222,16 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
             b_plain = save(f"{case}-b-plain.json", document_of(UncertainDB(b.tuple_set, b.worlds)))
             rendered(f"{case}/integrate-plain", ["integrate", a_plain, b_plain, "--model", "pw"])
             rendered(f"{case}/check-plain", ["check", a_plain, b_plain])
+
+    for seed in range(8):
+        # The pair that `gen --model pw` writes, read from its own output.
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            main(["--format", "json", "gen", "--model", "pw", "--seed", str(seed)])
+        pair = json.loads(stdout.getvalue())
+        a_doc, b_doc = (save(f"pwgen{seed}-{side}.json", pair[side]) for side in "ab")
+        cases.append((f"pwgen{seed}/integrate", ["integrate", a_doc, b_doc, "--model", "pw"]))
+        cases.append((f"pwgen{seed}/check", ["check", a_doc, b_doc]))
 
     unbalanced = [save(f"unbalanced-{side}.json", doc) for side, doc in _UNBALANCED.items()]
     rendered("unbalanced/integrate", ["integrate", *unbalanced, "--model", "pw"])
@@ -296,6 +311,9 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     rendered("self/integrate", ["integrate", monday, monday, "--model", "pr"])
     monday_rel = parse_document(_OFFICE["monday"])
     relation_commands("self", save("self-q.json", document_of(integrate_pr(monday_rel, monday_rel))))
+    # Constants are kept as they are when the copies are renamed apart.
+    constant = save("constant.json", _pr_doc([("t", "a | false"), ("u", "true")], {"a": "1/2"}))
+    rendered("constant_self/integrate", ["integrate", constant, constant, "--model", "pr"])
 
     # The office pair without probabilities: integration and decomposition
     # need none, expansion and the distribution do, and say so before the cap
@@ -333,6 +351,9 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     for name in ("shared_tuple", "partial_pr"):
         doc = f"{name}.json"
         cases.append((f"{name}/integrate", ["integrate", doc, doc, "--model", "pr"]))
+    same_tuple = save("same_tuple.json", _SAME_TUPLE)
+    for command in ("decompose", "prob", "check"):
+        cases.append((f"same_tuple/{command}", [command, same_tuple]))
     cases.append(("office/expand-q-cap", ["--cap", "1", "expand", joint]))
     contradiction = [save(f"contradiction-{side}.json", doc) for side, doc in _CONTRADICTION.items()]
     cases.append(("contradiction/integrate", ["integrate", *contradiction, "--model", "pw"]))
