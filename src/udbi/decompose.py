@@ -18,6 +18,7 @@ from itertools import chain
 from .errors import MissingVarProb, NotIntegrated, ValidationError
 from .logic import Formula, iter_vars
 from .prdb import EprRelation, PrRelation, PrTuple
+from .pwdb import format_tuple
 
 VarSet = tuple[str, ...]
 
@@ -238,7 +239,7 @@ def _build(q: EprRelation, scan, v: frozenset, w: frozenset) -> PrPair:
         if row.tuple in held[target]:
             raise NotIntegrated(
                 "two constraints resolve to the same tuple "
-                f"{row.tuple}; no source pair can produce that"
+                f"{format_tuple(row.tuple)}; no source pair can produce that"
             )
         rows[target].append(PrTuple(row.tuple, other))
         held[target].add(row.tuple)

@@ -195,7 +195,7 @@ def test_two_constraints_on_one_tuple_are_rejected():
         [(("t",), a), (("u",), b)],
         [(a, Variable("d")), (a, Variable("e"))],
     )
-    with pytest.raises(NotIntegrated, match="same tuple"):
+    with pytest.raises(NotIntegrated, match=r"same tuple \(t\);"):
         enumerate_pairs(q)
 
 
