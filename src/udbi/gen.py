@@ -1,22 +1,20 @@
-"""Seeded random instances: formulas, relations, databases, consistent pairs.
+"""Seeded random sources for ``udbi gen``: formulas, pr-relation pairs, consistent pw pairs.
 
 Everything here is deterministic in the seed, so generated cases can serve
 as reproducible test corpora.  Consistency matters for probabilistic
-integration: the *_consistent_* generators build both sources from one
-hidden joint distribution so that the per-component probability balance
-holds by construction.
+integration: gen_consistent_pw_pair builds both sources from one hidden
+joint distribution so that the per-component probability balance holds by
+construction.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
-from .errors import NotIntegrated
 from .logic import And, FALSE, Formula, Iff, Implies, Not, Or, TRUE, Variable
-from .prdb import EprRelation, PrRelation, PrTuple, encode_pw, integrate_pr
-from .pwdb import Tuple, UncertainDB, world_key
+from .prdb import PrRelation, PrTuple
+from .pwdb import UncertainDB, world_key
 
 
 def _rng(seed) -> random.Random:
@@ -89,23 +87,6 @@ def gen_pr_pair(
     )
 
 
-def gen_pw_db(seed, max_tuples: int = 4, max_worlds: int = 6, base: str = "t") -> UncertainDB:
-    """A random probabilistic uncertain database with exact probabilities."""
-    rng = _rng(seed)
-    n_tuples = rng.randint(1, max_tuples)
-    tuples = [(f"{base}{i}",) for i in range(n_tuples)]
-    subsets = [
-        frozenset(itertools.compress(tuples, bits))
-        for bits in itertools.product((0, 1), repeat=n_tuples)
-    ]
-    n_worlds = rng.randint(1, min(max_worlds, len(subsets)))
-    worlds = rng.sample(subsets, n_worlds)
-    worlds.sort(key=world_key)
-    return UncertainDB(
-        frozenset(tuples), tuple(worlds), tuple(gen_prob_vector(rng, n_worlds))
-    )
-
-
 def gen_consistent_pw_pair(
     seed, max_common: int = 3, max_private: int = 2, max_scenarios: int = 4
 ) -> tuple[UncertainDB, UncertainDB]:
@@ -151,33 +132,3 @@ def gen_consistent_pw_pair(
         marginal(lambda shared, left, right: shared | left, left_pool),
         marginal(lambda shared, left, right: shared | right, right_pool),
     )
-
-
-def gen_integrated_epr(seed) -> EprRelation:
-    """A random epr-relation in the image of integration, with consistent probs.
-
-    Both sources come from one hidden joint and are chain-encoded; about
-    half the instances also get an independent extra block on the left
-    source, whose variables end up as a free group in decomposition.
-    Instances where two rows happen to carry structurally equal formulas are
-    regenerated, since recognition requires constraints to match uniquely.
-    """
-    from .decompose import partition
-
-    for attempt in itertools.count():
-        rng = random.Random(f"{seed}:{attempt}")
-        left_db, right_db = gen_consistent_pw_pair(rng)
-        left = encode_pw(left_db, "a")
-        right = encode_pw(right_db, "b")
-        if rng.random() < 0.5:
-            extra = encode_pw(gen_pw_db(rng, max_tuples=2, max_worlds=3, base="x"), "e")
-            left = PrRelation.of(
-                left.rows + extra.rows,
-                {**(left.var_probs or {}), **(extra.var_probs or {})},
-            )
-        q = integrate_pr(left, right)
-        try:
-            partition(q)
-        except NotIntegrated:
-            continue
-        return q

@@ -43,18 +43,6 @@ class Formula:
 
     __slots__ = ("_text",)
 
-    def __invert__(self) -> Formula:
-        return Not(self)
-
-    def __and__(self, other: Formula) -> Formula:
-        return And(self, other)
-
-    def __or__(self, other: Formula) -> Formula:
-        return Or(self, other)
-
-    def __str__(self) -> str:
-        return to_text(self)
-
 
 @dataclass(frozen=True, slots=True)
 class Variable(Formula):

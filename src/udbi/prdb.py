@@ -54,9 +54,6 @@ class PrTuple:
     tuple: Tuple
     event: Formula
 
-    def __str__(self) -> str:
-        return f"{format_tuple(self.tuple)}@{to_text(self.event)}"
-
 
 def _check_var_probs(var_probs: dict, names: Set[str]) -> None:
     """Raise ValidationError listing, in var_probs order, each name that is not

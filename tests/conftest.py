@@ -10,14 +10,16 @@ whose probabilities are known in closed form.
 import itertools
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import strategies as st
 
+from reach import tracing
 from udbi import logic
-from udbi.errors import ExpansionTooLarge, MissingVarProb, NoValidAssignment
+from udbi.decompose import partition
+from udbi.errors import ExpansionTooLarge, MissingVarProb, NoValidAssignment, NotIntegrated
 from udbi.logic import (
     DEFAULT_VAR_CAP,
     FALSE,
@@ -31,9 +33,9 @@ from udbi.logic import (
     parse_formula,
     to_text,
 )
-from udbi.gen import gen_formula
-from udbi.prdb import EprRelation, PrRelation, PrTuple
-from udbi.pwdb import UncertainDB, world_key
+from udbi.gen import _rng, gen_consistent_pw_pair, gen_formula, gen_prob_vector
+from udbi.prdb import EprRelation, PrRelation, PrTuple, encode_pw, integrate_pr
+from udbi.pwdb import UncertainDB, format_tuple, world_key
 
 CS100 = ("Bob", "CS100")
 CS101 = ("Bob", "CS101")
@@ -339,6 +341,58 @@ def variable_nodes(f):
             stack += f.right, f.left
 
 
+def row_text(row: PrTuple) -> str:
+    """A row as ``(t)@event``."""
+    return f"{format_tuple(row.tuple)}@{to_text(row.event)}"
+
+
+# --- seeded generators for library tests --------------------------------------------
+
+def gen_pw_db(seed, max_tuples: int = 4, max_worlds: int = 6, base: str = "t") -> UncertainDB:
+    """A random probabilistic uncertain database with exact probabilities."""
+    rng = _rng(seed)
+    n_tuples = rng.randint(1, max_tuples)
+    tuples = [(f"{base}{i}",) for i in range(n_tuples)]
+    subsets = [
+        frozenset(itertools.compress(tuples, bits))
+        for bits in itertools.product((0, 1), repeat=n_tuples)
+    ]
+    n_worlds = rng.randint(1, min(max_worlds, len(subsets)))
+    worlds = rng.sample(subsets, n_worlds)
+    worlds.sort(key=world_key)
+    return UncertainDB(
+        frozenset(tuples), tuple(worlds), tuple(gen_prob_vector(rng, n_worlds))
+    )
+
+
+def gen_integrated_epr(seed) -> EprRelation:
+    """A random epr-relation in the image of integration, with consistent probs.
+
+    Both sources come from one hidden joint and are chain-encoded; about
+    half the instances also get an independent extra block on the left
+    source, whose variables end up as a free group in decomposition.
+    Instances where two rows happen to carry structurally equal formulas are
+    regenerated, since recognition requires constraints to match uniquely.
+    """
+    for attempt in itertools.count():
+        rng = random.Random(f"{seed}:{attempt}")
+        left_db, right_db = gen_consistent_pw_pair(rng)
+        left = encode_pw(left_db, "a")
+        right = encode_pw(right_db, "b")
+        if rng.random() < 0.5:
+            extra = encode_pw(gen_pw_db(rng, max_tuples=2, max_worlds=3, base="x"), "e")
+            left = PrRelation.of(
+                left.rows + extra.rows,
+                {**(left.var_probs or {}), **(extra.var_probs or {})},
+            )
+        q = integrate_pr(left, right)
+        try:
+            partition(q)
+        except NotIntegrated:
+            continue
+        return q
+
+
 def consistent_pw_docs(worlds: int, seed: int = 0) -> tuple[dict, dict]:
     """The two pw documents of ``perfbench.workloads.consistent_pw_pair`` with
     ``worlds`` worlds each, over 10 common and 10 private tuples: the inputs
@@ -355,30 +409,15 @@ def consistent_pw_docs(worlds: int, seed: int = 0) -> tuple[dict, dict]:
 def lines_run(module, fn, *args) -> int:
     """Line events run in ``module``'s source file while fn(*args) runs.
 
-    Measures work from outside the code under test, through sys.settrace;
-    the tracer that was installed before is restored afterwards.  A line
-    event is one Python line run, so the work a builtin does inside one line
-    (``map``, ``sorted``, ``set``, ``sum`` over every world) counts once.
+    Measures work from outside the code under test, through the tracer of
+    ``reach.tracing``: one event per Python line run, so the work a builtin
+    does inside one line (``map``, ``sorted``, ``set``, ``sum`` over every
+    world) counts once.
     """
-    path = module.__file__
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return local
-
-    def on_call(frame, event, arg):
-        return local if frame.f_code.co_filename == path else None
-
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
+    counts = Counter()
+    with tracing({module.__file__}, counts):
         fn(*args)
-    finally:
-        sys.settrace(previous)
-    return count
+    return counts.total()
 
 
 # Pieces of formula text: names (plain and qualified), constants, every

@@ -372,9 +372,11 @@ def _digest(data: bytes | None) -> str:
     return "-" if data is None else hashlib.sha256(data).hexdigest()[:16]
 
 
-def run_corpus() -> list[str]:
-    """One line per case, in corpus order."""
-    from udbi.cli import main
+def run_corpus(main=None) -> list[str]:
+    """One line per case, in corpus order.  Each case calls ``main`` with its
+    argv, ``udbi.cli.main`` unless another is given."""
+    if main is None:
+        from udbi.cli import main
 
     files, cases = corpus()
     lines = []

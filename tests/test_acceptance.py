@@ -17,6 +17,8 @@ from conftest import (
     OFFICE_DISTRIBUTION,
     compatible,
     free_group_epr,
+    gen_integrated_epr,
+    gen_pw_db,
     lines_run,
     office_epr,
     office_pr_sources,
@@ -31,7 +33,7 @@ from udbi.cli import main
 from udbi.decompose import enumerate_pairs
 from udbi.documents import document_of, dumps_json, parse_document
 from udbi.errors import EmptyIntegration, NoValidAssignment
-from udbi.gen import gen_integrated_epr, gen_pr_pair, gen_prob, gen_pw_db
+from udbi.gen import gen_pr_pair, gen_prob
 from udbi.logic import And, Not, Variable, equivalent, evaluate, parse_formula
 from udbi.prdb import (
     PrRelation,

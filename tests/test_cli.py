@@ -15,6 +15,7 @@ from conftest import (
     FREE_GROUP_PROBS,
     formula_texts,
     free_group_epr,
+    gen_pw_db,
     lines_run,
     office_epr,
     office_pr_sources,
@@ -33,7 +34,7 @@ from udbi.documents import (
     parse_document,
 )
 from udbi.errors import ValidationError
-from udbi.gen import gen_consistent_pw_pair, gen_pr_pair, gen_pw_db
+from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
 from udbi.logic import And, Not, Variable, to_text
 from udbi.prdb import EprRelation, PrRelation
 from udbi.pwdb import UncertainDB
@@ -963,7 +964,7 @@ def test_decompose_rejects_unrecognizable_relations(tmp_path, capsys):
     from udbi.prdb import EprRelation
 
     a, b = Variable("a"), Variable("b")
-    q = EprRelation.of([(("t",), a), (("u",), b)], [(a, a & b)])
+    q = EprRelation.of([(("t",), a), (("u",), b)], [(a, And(a, b))])
     code, _, err = run(capsys, "decompose", save(tmp_path, "bad.json", q))
     assert code == 6
     assert "not recognized as integrated" in err
@@ -1113,7 +1114,7 @@ def exit_code_cases(tmp_path) -> dict[int, list[str]]:
         5: ["prob", save(tmp_path, "skewed.json", skewed)],
         6: [
             "decompose",
-            save(tmp_path, "bad.json", EprRelation.of([(("t",), a), (("u",), b)], [(a, a & b)])),
+            save(tmp_path, "bad.json", EprRelation.of([(("t",), a), (("u",), b)], [(a, And(a, b))])),
         ],
     }
 

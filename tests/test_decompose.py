@@ -6,16 +6,17 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     FREE_GROUP_PROBS,
     free_group_epr,
+    gen_integrated_epr,
     lines_run,
     office_epr,
     office_pr_sources,
     roster_pr_sources,
+    row_text,
 )
 from udbi import decompose
 from udbi.decompose import PrPair, build_pair, enumerate_pairs, partition
 from udbi.errors import NotIntegrated, ValidationError
-from udbi.gen import gen_integrated_epr
-from udbi.logic import FALSE, TRUE, Not, Variable
+from udbi.logic import FALSE, TRUE, And, Not, Variable
 from udbi.prdb import EprRelation, PrRelation, PrTuple, integrate_pr
 
 
@@ -59,7 +60,7 @@ def test_constraint_free_relations_are_entirely_free():
 
 def test_constraint_touching_one_group_is_a_self_loop():
     a, b = Variable("a"), Variable("b")
-    q = EprRelation.of([(("t",), a), (("u",), b)], [(a, a & b)])
+    q = EprRelation.of([(("t",), a), (("u",), b)], [(a, And(a, b))])
     with pytest.raises(
         NotIntegrated, match=r"^constraint links variable group \{a, b\} to itself$"
     ):
@@ -100,7 +101,7 @@ def test_a_coloring_fault_is_reported_before_condition_three():
     a, b, c = Variable("a"), Variable("b"), Variable("c")
     rows = [(("t1",), a), (("t2",), b), (("t3",), c)]
     unmatched = (Not(a), Not(b))
-    self_loop = EprRelation.of(rows[:2], [(a, a & b), unmatched])
+    self_loop = EprRelation.of(rows[:2], [(a, And(a, b)), unmatched])
     with pytest.raises(NotIntegrated, match=r"^constraint links variable group \{a, b\} to"):
         partition(self_loop)
     odd_cycle = EprRelation.of(rows, [(a, b), (b, c), (c, a), unmatched])
@@ -168,8 +169,8 @@ def test_rebuilt_office_pair_splits_rows_and_probabilities():
 def test_pair_rows_and_probabilities_split_by_side():
     q = free_group_epr(FREE_GROUP_PROBS)
     pair = build_pair(q, {"a", "b"}, {"c", "d"})
-    assert [str(row) for row in pair.r.rows] == ["(t1)@a", "(t2)@b"]
-    assert [str(row) for row in pair.s.rows] == ["(t1)@c", "(t3)@!c | d"]
+    assert [row_text(row) for row in pair.r.rows] == ["(t1)@a", "(t2)@b"]
+    assert [row_text(row) for row in pair.s.rows] == ["(t1)@c", "(t3)@!c | d"]
     assert set(pair.r.var_probs) == {"a", "b"}
     assert set(pair.s.var_probs) == {"c", "d"}
 
@@ -203,16 +204,16 @@ def test_variable_free_row_goes_opposite_a_v_side_partner():
     a, b = Variable("a"), Variable("b")
     q = EprRelation.of([(("t",), TRUE), (("u",), b)], [(a, TRUE)])
     pair = build_pair(q, {"a"}, {"b"})
-    assert [str(row) for row in pair.r.rows] == ["(t)@a"]
-    assert [str(row) for row in pair.s.rows] == ["(t)@true", "(u)@b"]
+    assert [row_text(row) for row in pair.r.rows] == ["(t)@a"]
+    assert [row_text(row) for row in pair.s.rows] == ["(t)@true", "(u)@b"]
 
 
 def test_variable_free_row_goes_opposite_a_w_side_partner():
     a, b = Variable("a"), Variable("b")
     q = EprRelation.of([(("t",), TRUE), (("u",), b)], [(TRUE, a)])
     pair = build_pair(q, {"b"}, {"a"})
-    assert [str(row) for row in pair.r.rows] == ["(t)@true", "(u)@b"]
-    assert [str(row) for row in pair.s.rows] == ["(t)@a"]
+    assert [row_text(row) for row in pair.r.rows] == ["(t)@true", "(u)@b"]
+    assert [row_text(row) for row in pair.s.rows] == ["(t)@a"]
 
 
 def test_variable_free_row_without_a_partner_goes_to_r():
@@ -220,8 +221,8 @@ def test_variable_free_row_without_a_partner_goes_to_r():
     q = EprRelation.of([(("t",), FALSE), (("u",), b)])
     for v, w in (({"b"}, set()), (set(), {"b"})):
         pair = build_pair(q, v, w)
-        assert "(t)@false" in [str(row) for row in pair.r.rows]
-        assert "(t)@false" not in [str(row) for row in pair.s.rows]
+        assert "(t)@false" in [row_text(row) for row in pair.r.rows]
+        assert "(t)@false" not in [row_text(row) for row in pair.s.rows]
 
 
 def test_pair_sides_must_not_share_variables():
@@ -242,14 +243,14 @@ def test_free_group_relation_has_two_pairs_in_counter_order():
     q = free_group_epr(FREE_GROUP_PROBS)
     pairs = enumerate_pairs(q)
     assert len(pairs) == 2
-    assert [str(row) for row in pairs[0].r.rows] == ["(t1)@a"]
-    assert [str(row) for row in pairs[0].s.rows] == [
+    assert [row_text(row) for row in pairs[0].r.rows] == ["(t1)@a"]
+    assert [row_text(row) for row in pairs[0].s.rows] == [
         "(t1)@c",
         "(t2)@b",
         "(t3)@!c | d",
     ]
-    assert [str(row) for row in pairs[1].r.rows] == ["(t1)@a", "(t2)@b"]
-    assert [str(row) for row in pairs[1].s.rows] == ["(t1)@c", "(t3)@!c | d"]
+    assert [row_text(row) for row in pairs[1].r.rows] == ["(t1)@a", "(t2)@b"]
+    assert [row_text(row) for row in pairs[1].s.rows] == ["(t1)@c", "(t3)@!c | d"]
 
 
 def test_every_pair_reintegrates_to_the_same_relation():
@@ -289,7 +290,7 @@ def test_enumeration_is_deterministic():
 
 def test_self_loop_relations_raise_when_enumerated():
     a, b = Variable("a"), Variable("b")
-    q = EprRelation.of([(("t",), a), (("u",), b)], [(a, a & b)])
+    q = EprRelation.of([(("t",), a), (("u",), b)], [(a, And(a, b))])
     with pytest.raises(NotIntegrated, match="to itself"):
         enumerate_pairs(q)
 

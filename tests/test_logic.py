@@ -184,8 +184,8 @@ def test_parsed_and_renamed_names_are_matched_once(monkeypatch):
     f = parse_formula("a & !b | s::c")
     renamed = rename_vars(f, "p")
     assert matched == []
-    assert f == (Variable("a") & ~Variable("b")) | Variable("s::c")
-    assert renamed == (Variable("p::a") & ~Variable("p::b")) | Variable("p::s::c")
+    assert f == Or(And(Variable("a"), Not(Variable("b"))), Variable("s::c"))
+    assert renamed == Or(And(Variable("p::a"), Not(Variable("p::b"))), Variable("p::s::c"))
 
 
 def parse_outcome(text, names=None):

@@ -17,6 +17,8 @@ from conftest import (
     OFFICE_DISTRIBUTION,
     brute_expand_epr,
     brute_expand_pr,
+    gen_integrated_epr,
+    gen_pw_db,
     lines_run,
     office_epr,
     office_pr_sources,
@@ -37,10 +39,8 @@ from udbi.documents import document_of, dumps_json, parse_document
 from udbi.gen import (
     gen_consistent_pw_pair,
     gen_formula,
-    gen_integrated_epr,
     gen_pr_pair,
     gen_prob,
-    gen_pw_db,
 )
 from udbi import logic
 from udbi.logic import (

@@ -9,6 +9,7 @@ from conftest import (
     FREE_GROUP_PROBS,
     OFFICE_DISTRIBUTION,
     free_group_epr,
+    gen_integrated_epr,
     office_epr,
     office_pr_sources,
     roster_pr_sources,
@@ -16,8 +17,8 @@ from conftest import (
 from udbi import probcalc
 from udbi.decompose import PrPair
 from udbi.errors import MissingVarProb, NotIntegrated, ProbConstraintViolation
-from udbi.gen import gen_integrated_epr, gen_pr_pair
-from udbi.logic import Variable
+from udbi.gen import gen_pr_pair
+from udbi.logic import And, Variable
 from udbi.prdb import EprRelation, expand_epr, expand_pr, integrate_pr
 from udbi.probcalc import cross_check, epr_distribution
 
@@ -81,7 +82,7 @@ def test_distribution_without_a_limit_compares_every_pair(monkeypatch):
 
 def test_missing_probabilities_are_reported_before_recognition_fails():
     a, b = Variable("a"), Variable("b")
-    rows, self_loop = [(("t",), a), (("u",), b)], [(a, a & b)]
+    rows, self_loop = [(("t",), a), (("u",), b)], [(a, And(a, b))]
     with pytest.raises(NotIntegrated):
         cross_check(EprRelation.of(rows, self_loop, {"a": "1/2", "b": "1/2"}))
     q = EprRelation.of(rows, self_loop, {"a": "1/2"})

@@ -16,6 +16,7 @@ from conftest import (
     compatible,
     consistent_pw_docs,
     fraction_integrate_pw_prob,
+    gen_pw_db,
     lines_run,
     office_pw_sources,
     pairwise_graph,
@@ -25,7 +26,7 @@ from conftest import (
 from udbi import documents, pwdb
 from udbi.documents import document_of, dumps_json, parse_document
 from udbi.errors import EmptyIntegration, ProbConstraintViolation, ValidationError
-from udbi.gen import gen_consistent_pw_pair, gen_pw_db
+from udbi.gen import gen_consistent_pw_pair
 from udbi.pwdb import (
     UncertainDB,
     check_prob_constraints,
