@@ -40,7 +40,6 @@ from .logic import (
     iter_vars,
     rename_vars,
     shannon_leaves,
-    to_text,
 )
 from .pwdb import Tuple, UncertainDB, World, as_fraction, format_tuple, world_key
 

@@ -11,7 +11,7 @@ import reach
 
 def test_reach_report_matches_the_committed_file():
     run = subprocess.run(
-        [sys.executable, str(reach.Path(reach.__file__))],
+        [sys.executable, reach.__file__],
         capture_output=True, text=True, check=True,
     )
     found = reach.problems(reach.REPORT.read_text(encoding="utf-8"), run.stdout)
