@@ -157,6 +157,36 @@ _VALUE_FAULTS = {
 # twice to the side opposite the row's.
 _SAME_TUPLE = _pr_doc([("t", "a")], _HALVES, [("a", "b"), ("a", "c")])
 
+# Independent 2-world sources over their own two tuples, as (base, worlds by
+# tuple index, probabilities): chain-encoded, each has one variable, and
+# added to a source it becomes a free group of the integration.
+_BLOCKS = [
+    ("x", [[0], [0, 1]], ["1/3", "2/3"]),
+    ("y", [[], [1]], ["1/4", "3/4"]),
+    ("z", [[1], [0]], ["2/5", "3/5"]),
+]
+# The seed of the chain-encoded pw pair the blocks are added to: its q has a
+# 3-variable core on each side.
+_BLOCKS_SEED = 27
+
+# A 3-variable core against a 1-variable one, P = 1/8 on both, and two
+# 1-variable free groups: pair 0 splits 3 + 3 variables, pair 3 puts 5 on r.
+_CAP_SOURCES = {
+    "r": _pr_doc([("t", "a1")], {"a1": "1/8"}),
+    "s": _pr_doc(
+        [("t", "b1 & b2 & b3"), ("u", "f1"), ("v", "g1")],
+        {"b1": "1/2", "b2": "1/2", "b3": "1/2", "f1": "1/3", "g1": "2/5"},
+    ),
+}
+
+# A tautology over a free group {a} against the constant true on a common
+# tuple: the variable-free row of q goes to the side opposite {a} in every
+# pair.  {b} and {d} form the two cores, and {e} is a second free group.
+_ACROSS_SOURCES = {
+    "r": _pr_doc([("t", "a | !a"), ("v", "b")], {"a": "1/2", "b": "1/3"}),
+    "s": _pr_doc([("t", "true"), ("v", "!d"), ("w", "e")], {"d": "2/3", "e": "1/4"}),
+}
+
 # Two pw sources without probabilities that no pair of worlds joins.
 _CONTRADICTION = {
     "a": {"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [0]}]},
@@ -169,7 +199,7 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     from udbi.cli import main
     from udbi.documents import document_of, parse_document
     from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
-    from udbi.prdb import encode_pw, integrate_pr
+    from udbi.prdb import PrRelation, encode_pw, integrate_pr
     from udbi.pwdb import UncertainDB
 
     files: dict[str, str] = {}
@@ -222,6 +252,32 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
             b_plain = save(f"{case}-b-plain.json", document_of(UncertainDB(b.tuple_set, b.worlds)))
             rendered(f"{case}/integrate-plain", ["integrate", a_plain, b_plain, "--model", "pw"])
             rendered(f"{case}/check-plain", ["check", a_plain, b_plain])
+
+    # A chain-encoded pw pair with 2 and with 3 blocks added to its left source.
+    a, b = gen_consistent_pw_pair(_BLOCKS_SEED)
+    left = encode_pw(a, "a")
+    for count, (base, worlds, probs) in enumerate(_BLOCKS, 1):
+        tuples = [(f"{base}0",), (f"{base}1",)]
+        block = encode_pw(UncertainDB.of(tuples, [[tuples[i] for i in w] for w in worlds], probs), f"{base}v")
+        left = PrRelation.of(left.rows + block.rows, {**left.var_probs, **block.var_probs})
+        if count >= 2:
+            q = save(f"blocks{count}-q.json", document_of(integrate_pr(left, encode_pw(b, "b"))))
+            rendered(f"blocks{count}/prob", ["prob", q])
+            rendered(f"blocks{count}/check", ["check", q])
+            rendered(f"blocks{count}/decompose-all", ["decompose", "--all", q])
+    cap_sources = [save(f"cap-{side}.json", doc) for side, doc in _CAP_SOURCES.items()]
+    cap_q = save("cap-q.json", document_of(
+        integrate_pr(*(parse_document(doc) for doc in _CAP_SOURCES.values()))
+    ))
+    rendered("cap/integrate", ["integrate", *cap_sources, "--model", "pr"])
+    for command in ("check", "prob"):
+        cases.append((f"cap/{command}", ["--cap", "4", command, cap_q]))
+    across_q = save("across-q.json", document_of(
+        integrate_pr(*(parse_document(doc) for doc in _ACROSS_SOURCES.values()))
+    ))
+    rendered("across/prob", ["prob", across_q])
+    rendered("across/check", ["check", across_q])
+    rendered("across/decompose-all", ["decompose", "--all", across_q])
 
     for seed in range(8):
         # The pair that `gen --model pw` writes, read from its own output.
