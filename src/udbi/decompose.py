@@ -4,9 +4,12 @@ A relation q is recognized as an integration result when its event variables
 split into two sides such that every row formula lives wholly on one side,
 every constraint bridges the two sides, and every constraint matches exactly
 one row syntactically.  Variable groups touched by no constraint are free:
-either side works, and every choice yields the same distribution.
+either side works, and every choice yields the same distribution, since a
+free group shares no variable and no tuple with the rest of its side.
 partition finds the forced split or raises NotIntegrated at the first fault;
-build_pair and enumerate_pairs rebuild source pairs from a split.
+build_pair rebuilds the source pair of a given split.  split routes q's rows
+once into parts, the two cores and each free group, and enumerate_pairs
+merges every pair from those parts.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 
 from .errors import MissingVarProb, NotIntegrated, ValidationError
 from .logic import Formula, iter_vars
@@ -21,6 +25,8 @@ from .prdb import EprRelation, PrRelation, PrTuple
 from .pwdb import format_tuple
 
 VarSet = tuple[str, ...]
+
+_row_tuple = attrgetter("tuple")
 
 
 @dataclass(frozen=True)
@@ -203,80 +209,142 @@ def build_pair(q: EprRelation, v, w) -> PrPair:
         and matches is not None
     ):
         raise NotIntegrated("the relation is not recognized as an integration result")
-    return _build(q, scan, v, w)
+    r, s = _route(q, scan, {**dict.fromkeys(v, 0), **dict.fromkeys(w, 1)}, 2)
+    return PrPair(r, s)
 
 
-def _build(q: EprRelation, scan, v: frozenset, w: frozenset) -> PrPair:
-    """build_pair for a side split known to meet the three conditions.
+def _route(q: EprRelation, scan, slot_of: dict[str, int], slots: int) -> list[PrRelation]:
+    """q's rows routed in one pass to ``slots`` relations, for a split known
+    to meet the three conditions.
 
-    ``scan`` is _scan(q).  A variable-free row goes opposite the other side
-    of the first constraint that matches it, or to r when none does.  Each
-    side takes q's probabilities of its variables; its constructor raises
-    ValidationError when one of them has none.
+    ``scan`` is _scan(q), and ``slot_of`` gives each variable's slot.  Slots
+    come in opposite pairs 2j and 2j + 1, which always sit on opposite sides
+    of a source pair.  A row with variables goes to their slot; a
+    variable-free row goes opposite the slot of its partner, the other side
+    of the first constraint that matches it, or to slot 0 when that side has
+    no variables.  A constraint matching the row t@f in one slot adds t@g
+    to the opposite slot.  Each slot takes q's probabilities of its
+    variables.  Raises NotIntegrated when two constraints match one row.
     """
     row_vars, constraint_vars, matches = scan
     partners: dict[int, frozenset[str]] = {}
     for (k, on_lhs), (lv, rv) in zip(matches, constraint_vars):
-        partners.setdefault(k, rv if on_lhs else lv)
-    sides = []
-    rows = {"r": [], "s": []}
-    held = {"r": set(), "s": set()}
-    names = {"r": set(), "s": set()}
-    for k, (row, used) in enumerate(zip(q.rows, row_vars)):
-        if used:
-            side = "r" if used <= v else "s"
-        else:
-            partner_vars = partners.get(k)
-            side = "s" if partner_vars and partner_vars <= v else "r"
-        sides.append(side)
-        rows[side].append(row)
-        held[side].add(row.tuple)
-        names[side] |= used
-    for (lhs, rhs), (lv, rv), (k, on_lhs) in zip(q.constraints, constraint_vars, matches):
-        row = q.rows[k]
-        other, other_vars = (rhs, rv) if on_lhs else (lhs, lv)
-        target = "s" if sides[k] == "r" else "r"
-        if row.tuple in held[target]:
+        if k in partners:
             raise NotIntegrated(
                 "two constraints resolve to the same tuple "
-                f"{format_tuple(row.tuple)}; no source pair can produce that"
+                f"{format_tuple(q.rows[k].tuple)}; no source pair can produce that"
             )
-        rows[target].append(PrTuple(row.tuple, other))
-        held[target].add(row.tuple)
+        partners[k] = rv if on_lhs else lv
+    rows = [[] for _ in range(slots)]
+    names = [set() for _ in range(slots)]
+    where = []
+    for k, (row, used) in enumerate(zip(q.rows, row_vars)):
+        if used:
+            slot = slot_of[next(iter(used))]
+        else:
+            partner = partners.get(k)
+            slot = slot_of[next(iter(partner))] ^ 1 if partner else 0
+        where.append(slot)
+        rows[slot].append(row)
+        names[slot] |= used
+    for (lhs, rhs), (lv, rv), (k, on_lhs) in zip(q.constraints, constraint_vars, matches):
+        other, other_vars = (rhs, rv) if on_lhs else (lhs, lv)
+        target = where[k] ^ 1
+        rows[target].append(PrTuple(q.rows[k].tuple, other))
         names[target] |= other_vars
-    r_rows = tuple(sorted(rows["r"], key=lambda row: row.tuple))
-    s_rows = tuple(sorted(rows["s"], key=lambda row: row.tuple))
-    if q.var_probs is None:
-        r_probs = s_probs = None
-    else:
-        r_probs = {n: p for n, p in q.var_probs.items() if n in v}
-        s_probs = {n: p for n, p in q.var_probs.items() if n in w}
-    return PrPair(
-        PrRelation(r_rows, var_probs=r_probs, names=names["r"]),
-        PrRelation(s_rows, var_probs=s_probs, names=names["s"]),
-    )
+    probs = [None] * slots
+    if q.var_probs is not None:
+        probs = [{} for _ in range(slots)]
+        for name, p in q.var_probs.items():
+            slot = slot_of.get(name)
+            if slot is not None:
+                probs[slot][name] = p
+    return [
+        PrRelation(tuple(sorted(held, key=_row_tuple)), var_probs=p, names=used)
+        for held, p, used in zip(rows, probs, names)
+    ]
+
+
+@dataclass(frozen=True)
+class Parts:
+    """q split once into the relations its source pairs are merged from.
+
+    ``v`` and ``w`` are the cores: the rows of the variables that the
+    constraints force onto each side, the rows the constraints add, and the
+    variable-free rows routed there.  ``free`` holds, per free group, its
+    rows and the variable-free rows it sends to the other side (a row
+    whose matching constraint pairs it with the group), usually none.
+
+    Parts share no variable and no tuple, so the distribution of a pair side
+    is the product of its parts' distributions; a free group shares nothing
+    with the rest of either side, so its placement cannot change the
+    integrated distribution.
+    """
+
+    v: PrRelation
+    w: PrRelation
+    free: tuple[tuple[PrRelation, PrRelation], ...]
+
+    def sides(self, k: int) -> tuple[list[PrRelation], list[PrRelation]]:
+        """The parts of pair k's r side and of its s side, each led by its
+        core.  Free group i sits on the r side iff bit i of k is set, and
+        its variable-free partner rows on the other side; parts without rows
+        are left out, except a core."""
+        r, s = [self.v], [self.w]
+        for i, (own, across) in enumerate(self.free):
+            if k >> i & 1:
+                r.append(own)
+                s.append(across)
+            else:
+                s.append(own)
+                r.append(across)
+        return [r[0], *(p for p in r[1:] if p.rows)], [s[0], *(p for p in s[1:] if p.rows)]
+
+    def pair(self, k: int) -> PrPair:
+        """Pair k, each side merged from its parts; a side with one part
+        that has rows is that part."""
+        r, s = self.sides(k)
+        return PrPair(_merge(r), _merge(s))
+
+
+def _merge(parts: list[PrRelation]) -> PrRelation:
+    """One relation of parts that share no variable and no tuple."""
+    held = [p for p in parts if p.rows] or parts[:1]
+    if len(held) == 1:
+        return held[0]
+    rows = tuple(sorted(chain.from_iterable(p.rows for p in held), key=_row_tuple))
+    var_probs = None
+    if held[0].var_probs is not None:
+        var_probs = {name: p for part in held for name, p in part.var_probs.items()}
+    return PrRelation(rows, var_probs=var_probs, names=frozenset().union(*(p.names for p in held)))
+
+
+def split(q: EprRelation) -> Parts:
+    """q's cores and free groups, from one partition and one routing pass.
+
+    Raises MissingVarProb first, before recognition, for the variables of q
+    without a probability when q carries any; then partition raises
+    NotIntegrated when recognition fails, and routing when two constraints
+    match one row.
+    """
+    if q.var_probs is not None and not q.var_probs.keys() >= q.names:
+        raise MissingVarProb(q.names - q.var_probs.keys())
+    part = partition(q)
+    slot_of = {**dict.fromkeys(part.v1, 0), **dict.fromkeys(part.w1, 1)}
+    for i, group in enumerate(part.free_groups):
+        slot_of.update(dict.fromkeys(group, 2 + 2 * i))
+    v, w, *free = _route(q, part.scan, slot_of, 2 + 2 * len(part.free_groups))
+    return Parts(v, w, tuple(zip(free[::2], free[1::2])))
 
 
 def enumerate_pairs(q: EprRelation, limit: int | None = None) -> list[PrPair]:
     """All pairs reachable by assigning each free group to either side.
 
     Pair k sends free group i to the V side iff bit i of k is set, so pair 0
-    (every free group on the W side) is the deterministic default.
-    Raises MissingVarProb first, before recognition, for the variables of q
-    without a probability when q carries any; then partition raises
-    NotIntegrated when recognition fails.  Every pair is built from the one
-    scan that partition made.
+    (every free group on the W side) is the deterministic default.  Raises
+    as split does; every pair is merged from the one split.
     """
-    if q.var_probs is not None and not q.var_probs.keys() >= q.names:
-        raise MissingVarProb(q.names - q.var_probs.keys())
-    part = partition(q)
-    total = 1 << len(part.free_groups)
+    parts = split(q)
+    total = 1 << len(parts.free)
     count = total if limit is None else min(limit, total)
-    pairs = []
-    for k in range(count):
-        v = set(part.v1)
-        w = set(part.w1)
-        for i, group in enumerate(part.free_groups):
-            (v if k >> i & 1 else w).update(group)
-        pairs.append(_build(q, part.scan, frozenset(v), frozenset(w)))
-    return pairs
+    return [parts.pair(k) for k in range(count)]

@@ -58,7 +58,18 @@ def _check_var_probs(var_probs: dict, names: Set[str]) -> None:
     """Raise ValidationError listing, in var_probs order, each name that is not
     a variable name, each probability that is not a Fraction, and each one
     outside (0, 1).  A name in ``names``, a formula variable of the relation,
-    is one already."""
+    is one already.
+
+    One pass per invariant: the names outside ``names`` are tested, and each
+    distinct probability object once, as a document read shares one
+    Fraction per text.  Only when a check fails are the entries gone over
+    one by one, to name them in var_probs order."""
+    probs = var_probs.values()
+    distinct = dict(zip(map(id, probs), probs)).values()
+    if all(map(is_valid_name, map(str, var_probs.keys() - names))) and all(
+        isinstance(p, Fraction) and 0 < p.numerator < p.denominator for p in distinct
+    ):
+        return
     bad = []
     for name, p in var_probs.items():
         if name not in names and not is_valid_name(str(name)):
@@ -67,8 +78,7 @@ def _check_var_probs(var_probs: dict, names: Set[str]) -> None:
             bad.append(f"probability of variable {name} is {p!r}, not a Fraction")
         elif not 0 < p.numerator < p.denominator:
             bad.append(f"probability of variable {name} is {p}, outside (0, 1)")
-    if bad:
-        raise ValidationError(bad)
+    raise ValidationError(bad)
 
 
 def _coerce_var_probs(var_probs) -> dict | None:

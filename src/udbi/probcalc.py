@@ -3,18 +3,24 @@
 The relation is decomposed into a source pair, both sides are expanded to
 possible worlds, and the integrated probabilities follow the closed form
 P(D_i) * P(D'_j) / P per compatibility component.  Every alternative
-decomposition must give the identical distribution; epr_distribution
-compares as many as its limit asks for, and cross_check compares them all.
+decomposition gives the identical distribution: the pairs differ only in
+the side each free group sits on, and a free group shares no variable and no
+tuple with the rest of either side, so each side's distribution is the
+product of its parts' (the decomposable-conjunction rule).  epr_distribution
+expands each part once, the two cores and each free group, and takes every
+side's distribution as that product; it compares as many pairs as its limit
+asks for, and cross_check compares them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .decompose import PrPair, enumerate_pairs
+from .decompose import PrPair, split
 from .logic import DEFAULT_VAR_CAP
-from .errors import MissingVarProb
-from .prdb import EprRelation, expand_pr
+from .errors import ExpansionTooLarge, MissingVarProb
+from .prdb import EprRelation, PrRelation, expand_pr
 from .pwdb import (
     ComponentSummary,
     UncertainDB,
@@ -45,30 +51,51 @@ def epr_distribution(
 ) -> IntegratedDistribution:
     """Exact world probabilities of q under partial independence.
 
-    Pipeline: decompose once with enumerate_pairs(q, limit), expand both
-    sides of pair 0 (the default partition), check the per-component
-    probability balance, then weight each compatible world pair by
-    P(D_i) * P(D'_j) / P and merge duplicates.  Both expanded sides are
-    UncertainDBs, valid once built.  ``agreed`` is True iff pairs 1.. give
-    the identical distribution in the possible-worlds model; the default
-    limit builds pair 0 alone, as does limit 0, and None builds every pair.
-    Raises MissingVarProb first, before the cap and recognition, for the
-    variables of q without a probability: an EprRelation may leave some out.
+    Pipeline: split q once into its parts, expand each part of pair 0 (the
+    default partition) once, take each side's distribution as the product
+    of its parts', check the per-component probability balance, then
+    weight each compatible world pair by P(D_i) * P(D'_j) / P and merge
+    duplicates.  Every distribution is an UncertainDB, valid once built.
+    ``agreed`` is True iff pairs 1.. give the identical distribution in the
+    possible-worlds model, each compared as it is produced from the same
+    parts; the default limit compares none, as does limit 0, and None
+    compares every pair.  Raises MissingVarProb first, before the cap and
+    recognition, for the variables of q without a probability: an
+    EprRelation may leave some out.  The cap counts the variables of a whole
+    side, checked for pair 0's r side, then its s side, then each later pair
+    in order, each before that side is expanded or multiplied out.
     """
     missing = q.names - (q.var_probs or {}).keys()
     if missing:
         raise MissingVarProb(missing)
-    pairs = enumerate_pairs(q, None if limit is None else max(limit, 1))
-    pair = pairs[0]
-    udb_r, _ = expand_pr(pair.r, cap)
-    udb_s, _ = expand_pr(pair.s, cap)
+    parts = split(q)
+    total = 1 << len(parts.free)
+    count = total if limit is None else min(max(limit, 1), total)
+    expanded: dict[int, UncertainDB] = {}  # id of a part -> its worlds
+
+    def distribution(side: list[PrRelation]) -> UncertainDB:
+        size = sum(len(part.names) for part in side)
+        if size > cap:
+            raise ExpansionTooLarge(size, cap)
+        for part in side:
+            if id(part) not in expanded:
+                expanded[id(part)] = expand_pr(part, cap)[0]
+        return reduce(_product, [expanded[id(part)] for part in side])
+
+    r, s = parts.sides(0)
+    udb_r, udb_s = distribution(r), distribution(s)
     checks = check_prob_constraints(udb_r, udb_s, compatibility_graph(udb_r, udb_s))
     joint = integrate_checked(udb_r, udb_s, checks)
     agreed = all(
-        integrate_pw_prob(expand_pr(other.r, cap)[0], expand_pr(other.s, cap)[0]) == joint
-        for other in pairs[1:]
+        integrate_pw_prob(*map(distribution, parts.sides(k))) == joint for k in range(1, count)
     )
-    return IntegratedDistribution(joint, tuple(c for c, _ in checks), pair, agreed)
+    return IntegratedDistribution(joint, tuple(c for c, _ in checks), parts.pair(0), agreed)
+
+
+def _product(a: UncertainDB, b: UncertainDB) -> UncertainDB:
+    """The distribution of two independent parts: integrating sources with no
+    common tuple makes one trace class, with P = 1 on both sides."""
+    return integrate_checked(a, b, check_prob_constraints(a, b, compatibility_graph(a, b)))
 
 
 def cross_check(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> bool:

@@ -33,7 +33,7 @@ from udbi.logic import (
     parse_formula,
     to_text,
 )
-from udbi.gen import _rng, gen_consistent_pw_pair, gen_formula, gen_prob_vector
+from udbi.gen import _rng, gen_consistent_pw_pair, gen_formula, gen_pr_pair, gen_prob_vector
 from udbi.prdb import EprRelation, PrRelation, PrTuple, encode_pw, integrate_pr
 from udbi.pwdb import UncertainDB, format_tuple, world_key
 
@@ -365,12 +365,14 @@ def gen_pw_db(seed, max_tuples: int = 4, max_worlds: int = 6, base: str = "t") -
     )
 
 
-def gen_integrated_epr(seed) -> EprRelation:
+def gen_integrated_epr(seed, blocks: int | None = None) -> EprRelation:
     """A random epr-relation in the image of integration, with consistent probs.
 
     Both sources come from one hidden joint and are chain-encoded; about
     half the instances also get an independent extra block on the left
-    source, whose variables end up as a free group in decomposition.
+    source, whose variables end up as a free group in decomposition, and
+    ``blocks``, when given, adds exactly that many (a block of one world
+    has no variable, so it adds no group).
     Instances where two rows happen to carry structurally equal formulas are
     regenerated, since recognition requires constraints to match uniquely.
     """
@@ -379,8 +381,9 @@ def gen_integrated_epr(seed) -> EprRelation:
         left_db, right_db = gen_consistent_pw_pair(rng)
         left = encode_pw(left_db, "a")
         right = encode_pw(right_db, "b")
-        if rng.random() < 0.5:
-            extra = encode_pw(gen_pw_db(rng, max_tuples=2, max_worlds=3, base="x"), "e")
+        count = (rng.random() < 0.5) if blocks is None else blocks
+        for base, var_base in list(zip("xyzw", "efgh"))[:count]:
+            extra = encode_pw(gen_pw_db(rng, max_tuples=2, max_worlds=3, base=base), var_base)
             left = PrRelation.of(
                 left.rows + extra.rows,
                 {**(left.var_probs or {}), **(extra.var_probs or {})},
@@ -391,6 +394,21 @@ def gen_integrated_epr(seed) -> EprRelation:
         except NotIntegrated:
             continue
         return q
+
+
+def free_group_relations() -> list[EprRelation]:
+    """Recognized integrations with 0 to 3 free groups: those of the golden
+    corpus's gen_pr_pair seeds, and generated ones with 0 to 3 blocks."""
+    relations = []
+    for seed in range(50):
+        q = integrate_pr(*gen_pr_pair(seed))
+        try:
+            partition(q)
+        except NotIntegrated:
+            continue
+        relations.append(q)
+    relations += [gen_integrated_epr(seed, blocks) for seed in range(15) for blocks in range(4)]
+    return relations
 
 
 def consistent_pw_docs(worlds: int, seed: int = 0) -> tuple[dict, dict]:

@@ -779,25 +779,33 @@ def test_integrate_walks_no_formula_and_decompose_walks_each_once(
         assert sorted(walked) == sorted(texts)
 
 
+def with_free_groups(q: EprRelation, k: int) -> EprRelation:
+    """q with k more rows, each guarded by a variable of its own: k free groups."""
+    rows = q.rows + tuple(((f"free{i}",), Variable(f"f{i}")) for i in range(k))
+    return EprRelation.of(rows, q.constraints, {**q.var_probs, **{f"f{i}": "1/3" for i in range(k)}})
+
+
 def test_single_relation_check_decomposes_once(tmp_path, capsys, monkeypatch):
+    # Each part is expanded once: the two cores and each free group, not
+    # both sides of all 2^k pairs.
     calls = {}
-    partition, build = decompose.partition, decompose._build
+    partition, route, expand = decompose.partition, decompose._route, probcalc.expand_pr
 
-    def counted_partition(q):
-        calls["partition"] += 1
-        return partition(q)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_build(*args):
-        calls["pairs"] += 1
-        return build(*args)
-
-    monkeypatch.setattr(decompose, "partition", counted_partition)
-    monkeypatch.setattr(decompose, "_build", counted_build)
-    for q, pairs in ((office_epr(), 1), (free_group_epr(FREE_GROUP_PROBS), 2)):
-        calls.update(partition=0, pairs=0)
+    monkeypatch.setattr(decompose, "partition", counted("partition", partition))
+    monkeypatch.setattr(decompose, "_route", counted("route", route))
+    monkeypatch.setattr(probcalc, "expand_pr", counted("expand", expand))
+    for k in range(5):
+        q = with_free_groups(office_epr(), k)
+        calls.update(partition=0, route=0, expand=0)
         code, out, _ = run(capsys, "check", save(tmp_path, "q.json", q))
         assert code == 0 and "cross-check: ok" in out
-        assert calls == {"partition": 1, "pairs": pairs}
+        assert calls == {"partition": 1, "route": 1, "expand": 2 + k}
 
 
 def test_prob_of_a_pr_document_matches_the_epr_document_of_its_rows(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     FREE_GROUP_PROBS,
     free_group_epr,
+    free_group_relations,
     gen_integrated_epr,
     lines_run,
     office_epr,
@@ -14,7 +15,7 @@ from conftest import (
     row_text,
 )
 from udbi import decompose
-from udbi.decompose import PrPair, build_pair, enumerate_pairs, partition
+from udbi.decompose import PrPair, build_pair, enumerate_pairs, partition, split
 from udbi.errors import NotIntegrated, ValidationError
 from udbi.logic import FALSE, TRUE, And, Not, Variable
 from udbi.prdb import EprRelation, PrRelation, PrTuple, integrate_pr
@@ -315,6 +316,57 @@ def test_partition_accepts_generated_integrations(seed):
     part = partition(q)
     pair = build_pair(q, set(part.v1), set(part.w1) | {n for g in part.free_groups for n in g})
     assert pair == enumerate_pairs(q, limit=1)[0]
+
+
+def formulas_by_tuple(q: EprRelation) -> dict:
+    """Each tuple of a recognized q with the set of its formulas: its row's,
+    and the other side of the constraint that matches the row, if any."""
+    formulas = {row.tuple: {row.event} for row in q.rows}
+    for (lhs, rhs), (k, on_lhs) in zip(q.constraints, decompose._condition3(q)):
+        formulas[q.rows[k].tuple].add(rhs if on_lhs else lhs)
+    return formulas
+
+
+def test_pairs_merged_from_parts_are_the_pairs_of_their_splits():
+    # Oracle: each pair merged from the parts is build_pair's pair for the
+    # same split, routed from q directly, and integrates back to q: the
+    # integration has q's tuples, one constraint per tuple common to both
+    # sides, and q's formulas and probabilities for each tuple.
+    seen = set()
+    for q in free_group_relations():
+        part = partition(q)
+        pairs = enumerate_pairs(q)
+        assert len(pairs) == 1 << len(part.free_groups)
+        seen.add(len(part.free_groups))
+        for k, pair in enumerate(pairs):
+            v = set(part.v1)
+            for i, group in enumerate(part.free_groups):
+                v.update(group if k >> i & 1 else ())
+            assert pair == build_pair(q, v, q.names - v)
+            joint = integrate_pr(pair.r, pair.s)
+            assert joint.tuples() == q.tuples()
+            assert len(joint.constraints) == len(q.constraints)
+            formulas = {row.tuple: set() for row in q.rows}
+            for row in pair.r.rows + pair.s.rows:
+                formulas[row.tuple].add(row.event)
+            assert formulas == formulas_by_tuple(q)
+            assert joint.var_probs == {n: p for n, p in q.var_probs.items() if n in q.names}
+    assert seen == {0, 1, 2, 3}
+
+
+def test_parts_share_no_variable_and_no_tuple():
+    for q in free_group_relations():
+        parts = split(q)
+        every = [parts.v, parts.w, *(p for group in parts.free for p in group)]
+        names = [n for p in every for n in p.names]
+        assert len(names) == len(set(names)) and set(names) == q.names
+        for k in range(1 << len(parts.free)):
+            for side in parts.sides(k):
+                tuples = [row.tuple for p in side for row in p.rows]
+                assert len(tuples) == len(set(tuples))
+        # Only a free group's own part carries variables; the part it sends
+        # across holds variable-free rows alone.
+        assert all(not across.names for _, across in parts.free)
 
 
 def chain_relation(n: int) -> EprRelation:

@@ -42,7 +42,7 @@ from udbi.gen import (
     gen_pr_pair,
     gen_prob,
 )
-from udbi import logic
+from udbi import logic, prdb
 from udbi.logic import (
     FALSE,
     TRUE,
@@ -199,6 +199,45 @@ def test_of_reports_a_probability_fraction_cannot_read_as_not_a_fraction(p):
     with pytest.raises(ValidationError) as err:
         UncertainDB.of([CS100], [world(CS100), world()], [p, "1/2"])
     assert err.value.violations == [f"probability of world 0 is {p!r}, not a Fraction"]
+
+
+def reference_var_prob_report(var_probs: dict, names) -> list[str]:
+    """The relation constructor's probability report, entry by entry."""
+    bad = []
+    for name, p in var_probs.items():
+        if name not in names and not logic.is_valid_name(str(name)):
+            bad.append(f"invalid variable name {name!r} in probabilities")
+        elif not isinstance(p, Fraction):
+            bad.append(f"probability of variable {name} is {p!r}, not a Fraction")
+        elif not 0 < p.numerator < p.denominator:
+            bad.append(f"probability of variable {name} is {p}, outside (0, 1)")
+    return bad
+
+
+# One object each, so that entries share them as a document read's do.
+SHARED_PROBS = [Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(1), Fraction(5, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(["a", "b", "c", "s::a", "1x", "true", "", 7]),
+        st.one_of(
+            st.sampled_from(SHARED_PROBS),
+            st.fractions(),
+            st.sampled_from([0.5, "1/2", None, 1]),
+        ),
+    ),
+    st.sets(st.sampled_from(["a", "b", "c", "s::a"])),
+)
+def test_var_prob_check_reports_as_the_entry_by_entry_reference(var_probs, names):
+    want = reference_var_prob_report(var_probs, names)
+    if want:
+        with pytest.raises(ValidationError) as err:
+            prdb._check_var_probs(var_probs, frozenset(names))
+        assert err.value.violations == want
+    else:
+        prdb._check_var_probs(var_probs, frozenset(names))
 
 
 def test_a_pr_relation_is_an_epr_relation_without_constraints():

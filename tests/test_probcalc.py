@@ -1,6 +1,7 @@
 """End-to-end exact distributions for integrated epr-relations."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,17 +10,20 @@ from conftest import (
     FREE_GROUP_PROBS,
     OFFICE_DISTRIBUTION,
     free_group_epr,
+    free_group_relations,
     gen_integrated_epr,
+    outcome,
     office_epr,
     office_pr_sources,
     roster_pr_sources,
 )
 from udbi import probcalc
-from udbi.decompose import PrPair
-from udbi.errors import MissingVarProb, NotIntegrated, ProbConstraintViolation
+from udbi.decompose import PrPair, enumerate_pairs, split
+from udbi.errors import ExpansionTooLarge, MissingVarProb, NotIntegrated, ProbConstraintViolation
 from udbi.gen import gen_pr_pair
 from udbi.logic import And, Variable
 from udbi.prdb import EprRelation, expand_epr, expand_pr, integrate_pr
+from udbi.pwdb import integrate_pw_prob
 from udbi.probcalc import cross_check, epr_distribution
 
 
@@ -78,6 +82,53 @@ def test_distribution_without_a_limit_compares_every_pair(monkeypatch):
     assert result.agreed is True and len(compared) == 1
     assert result.distribution == epr_distribution(q).distribution
     assert cross_check(q) is True and len(compared) == 2
+
+
+def test_each_side_distribution_is_the_product_of_its_parts():
+    # A free group shares no variable and no tuple with the rest of its
+    # side, so the side's worlds are the products of its parts' worlds.
+    for q in free_group_relations():
+        parts = split(q)
+        for k, pair in enumerate(enumerate_pairs(q)):
+            for side, merged in zip(parts.sides(k), (pair.r, pair.s)):
+                product = reduce(probcalc._product, [expand_pr(p)[0] for p in side])
+                assert product == expand_pr(merged)[0]
+
+
+def test_distribution_matches_expanding_both_sides_of_every_pair():
+    # Oracle: the distribution from parts, and the agreement of every pair,
+    # against integrating the two expanded sides of each pair built whole.
+    for q in free_group_relations():
+        got = outcome(epr_distribution, q, limit=None)
+        pairs = enumerate_pairs(q)
+        want = outcome(integrate_pw_prob, expand_pr(pairs[0].r)[0], expand_pr(pairs[0].s)[0])
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert got.distribution == want and got.agreed is True
+        assert got.pair_used == pairs[0]
+        for pair in pairs[1:]:
+            assert integrate_pw_prob(expand_pr(pair.r)[0], expand_pr(pair.s)[0]) == want
+
+
+def test_the_cap_counts_a_whole_side_of_each_pair_in_order():
+    # A 3-variable core against a 1-variable one and two 1-variable free
+    # groups: pair 0 splits 3 + 3 variables, pairs 1 and 2 split 4 + 2, and
+    # pair 3 puts 5 on r.
+    a1, f1, g1 = Variable("a1"), Variable("f1"), Variable("g1")
+    b = And(And(Variable("b1"), Variable("b2")), Variable("b3"))
+    q = EprRelation.of(
+        [(("t",), b), (("u",), f1), (("v",), g1)],
+        [(a1, b)],
+        {"a1": "1/8", "b1": "1/2", "b2": "1/2", "b3": "1/2", "f1": "1/3", "g1": "2/5"},
+    )
+    assert epr_distribution(q, cap=4).agreed is True
+    for cap, limit in ((4, None), (4, 4), (2, 1)):
+        with pytest.raises(ExpansionTooLarge) as err:
+            epr_distribution(q, cap=cap, limit=limit)
+        assert (err.value.num_vars, err.value.cap) == ((5, 4) if cap == 4 else (3, 2))
+    assert epr_distribution(q, cap=4, limit=3).agreed is True
+    assert epr_distribution(q, cap=5, limit=None).agreed is True
 
 
 def test_missing_probabilities_are_reported_before_recognition_fails():
