@@ -209,7 +209,7 @@ def build_pair(q: EprRelation, v, w) -> PrPair:
         and matches is not None
     ):
         raise NotIntegrated("the relation is not recognized as an integration result")
-    r, s = _route(q, scan, {**dict.fromkeys(v, 0), **dict.fromkeys(w, 1)}, 2)
+    r, s = _route(q, scan, dict.fromkeys(v, 0) | dict.fromkeys(w, 1), 2)
     return PrPair(r, s)
 
 
@@ -221,8 +221,8 @@ def _route(q: EprRelation, scan, slot_of: dict[str, int], slots: int) -> list[Pr
     come in opposite pairs 2j and 2j + 1, which always sit on opposite sides
     of a source pair.  A row with variables goes to their slot; a
     variable-free row goes opposite the slot of its partner, the other side
-    of the first constraint that matches it, or to slot 0 when that side has
-    no variables.  A constraint matching the row t@f in one slot adds t@g
+    of the first constraint that matches it, or to slot 0 when it has no
+    partner or the partner has no variables.  A constraint matching the row t@f in one slot adds t@g
     to the opposite slot.  Each slot takes q's probabilities of its
     variables.  Raises NotIntegrated when two constraints match one row.
     """
@@ -286,10 +286,10 @@ class Parts:
     free: tuple[tuple[PrRelation, PrRelation], ...]
 
     def sides(self, k: int) -> tuple[list[PrRelation], list[PrRelation]]:
-        """The parts of pair k's r side and of its s side, each led by its
-        core.  Free group i sits on the r side iff bit i of k is set, and
-        its variable-free partner rows on the other side; parts without rows
-        are left out, except a core."""
+        """The parts of pair k's r side and of its s side.  Free group i
+        sits on the r side iff bit i of k is set, and the rows it sends
+        across on the s side.  A part without rows is left out, unless the
+        side has no other; then the side is its core alone."""
         r, s = [self.v], [self.w]
         for i, (own, across) in enumerate(self.free):
             if k >> i & 1:
@@ -298,25 +298,24 @@ class Parts:
             else:
                 s.append(own)
                 r.append(across)
-        return [r[0], *(p for p in r[1:] if p.rows)], [s[0], *(p for p in s[1:] if p.rows)]
+        return [p for p in r if p.rows] or r[:1], [p for p in s if p.rows] or s[:1]
 
     def pair(self, k: int) -> PrPair:
-        """Pair k, each side merged from its parts; a side with one part
-        that has rows is that part."""
+        """Pair k, each side merged from its parts."""
         r, s = self.sides(k)
         return PrPair(_merge(r), _merge(s))
 
 
 def _merge(parts: list[PrRelation]) -> PrRelation:
-    """One relation of parts that share no variable and no tuple."""
-    held = [p for p in parts if p.rows] or parts[:1]
-    if len(held) == 1:
-        return held[0]
-    rows = tuple(sorted(chain.from_iterable(p.rows for p in held), key=_row_tuple))
+    """One relation of parts that share no variable and no tuple; a lone
+    part is that relation."""
+    if len(parts) == 1:
+        return parts[0]
+    rows = tuple(sorted(chain.from_iterable(p.rows for p in parts), key=_row_tuple))
     var_probs = None
-    if held[0].var_probs is not None:
-        var_probs = {name: p for part in held for name, p in part.var_probs.items()}
-    return PrRelation(rows, var_probs=var_probs, names=frozenset().union(*(p.names for p in held)))
+    if parts[0].var_probs is not None:
+        var_probs = {name: p for part in parts for name, p in part.var_probs.items()}
+    return PrRelation(rows, var_probs=var_probs, names=frozenset().union(*(p.names for p in parts)))
 
 
 def split(q: EprRelation) -> Parts:
@@ -330,7 +329,7 @@ def split(q: EprRelation) -> Parts:
     if q.var_probs is not None and not q.var_probs.keys() >= q.names:
         raise MissingVarProb(q.names - q.var_probs.keys())
     part = partition(q)
-    slot_of = {**dict.fromkeys(part.v1, 0), **dict.fromkeys(part.w1, 1)}
+    slot_of = dict.fromkeys(part.v1, 0) | dict.fromkeys(part.w1, 1)
     for i, group in enumerate(part.free_groups):
         slot_of.update(dict.fromkeys(group, 2 + 2 * i))
     v, w, *free = _route(q, part.scan, slot_of, 2 + 2 * len(part.free_groups))

@@ -64,9 +64,9 @@ def _check_var_probs(var_probs: dict, names: Set[str]) -> None:
     distinct probability object once, as a document read shares one
     Fraction per text.  Only when a check fails are the entries gone over
     one by one, to name them in var_probs order."""
-    probs = var_probs.values()
+    keys, probs = var_probs.keys(), var_probs.values()
     distinct = dict(zip(map(id, probs), probs)).values()
-    if all(map(is_valid_name, map(str, var_probs.keys() - names))) and all(
+    if (keys <= names or all(map(is_valid_name, map(str, keys - names)))) and all(
         isinstance(p, Fraction) and 0 < p.numerator < p.denominator for p in distinct
     ):
         return

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
+from . import pwdb
 from .decompose import PrPair, split
 from .logic import DEFAULT_VAR_CAP
 from .errors import ExpansionTooLarge, MissingVarProb
@@ -70,7 +71,7 @@ def epr_distribution(
         raise MissingVarProb(missing)
     parts = split(q)
     total = 1 << len(parts.free)
-    count = total if limit is None else min(max(limit, 1), total)
+    count = total if limit is None else min(limit, total)
     expanded: dict[int, UncertainDB] = {}  # id of a part -> its worlds
 
     def distribution(side: list[PrRelation]) -> UncertainDB:
@@ -80,7 +81,11 @@ def epr_distribution(
         for part in side:
             if id(part) not in expanded:
                 expanded[id(part)] = expand_pr(part, cap)[0]
-        return reduce(_product, [expanded[id(part)] for part in side])
+        # Parts share no tuple, so their integration is their product: one
+        # trace class, with P = 1 on both sides.  Called through pwdb, so
+        # that replacing this module's integrate_pw_prob, which compares the
+        # pairs, leaves the products as they are.
+        return reduce(pwdb.integrate_pw_prob, [expanded[id(part)] for part in side])
 
     r, s = parts.sides(0)
     udb_r, udb_s = distribution(r), distribution(s)
@@ -90,12 +95,6 @@ def epr_distribution(
         integrate_pw_prob(*map(distribution, parts.sides(k))) == joint for k in range(1, count)
     )
     return IntegratedDistribution(joint, tuple(c for c, _ in checks), parts.pair(0), agreed)
-
-
-def _product(a: UncertainDB, b: UncertainDB) -> UncertainDB:
-    """The distribution of two independent parts: integrating sources with no
-    common tuple makes one trace class, with P = 1 on both sides."""
-    return integrate_checked(a, b, check_prob_constraints(a, b, compatibility_graph(a, b)))
 
 
 def cross_check(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> bool:

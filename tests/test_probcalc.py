@@ -91,7 +91,7 @@ def test_each_side_distribution_is_the_product_of_its_parts():
         parts = split(q)
         for k, pair in enumerate(enumerate_pairs(q)):
             for side, merged in zip(parts.sides(k), (pair.r, pair.s)):
-                product = reduce(probcalc._product, [expand_pr(p)[0] for p in side])
+                product = reduce(integrate_pw_prob, [expand_pr(p)[0] for p in side])
                 assert product == expand_pr(merged)[0]
 
 
