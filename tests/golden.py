@@ -179,6 +179,9 @@ _CAP_SOURCES = {
     ),
 }
 
+# Six independent one-variable rows: six free groups and empty cores.
+_FREE6 = _pr_doc([(f"t{i}", f"x{i}") for i in range(6)], {f"x{i}": f"1/{i + 2}" for i in range(6)})
+
 # A tautology over a free group {a} against the constant true on a common
 # tuple: the variable-free row of q goes to the side opposite {a} in every
 # pair.  {b} and {d} form the two cores, and {e} is a second free group.
@@ -272,6 +275,11 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     rendered("cap/integrate", ["integrate", *cap_sources, "--model", "pr"])
     for command in ("check", "prob"):
         cases.append((f"cap/{command}", ["--cap", "4", command, cap_q]))
+    for command in ("check", "prob"):
+        cases.append((f"cap/{command}-cap3", ["--cap", "3", command, cap_q]))
+    free6 = save("free6.json", _FREE6)
+    rendered("free6/prob", ["prob", free6])
+    rendered("free6/check", ["check", free6])
     across_q = save("across-q.json", document_of(
         integrate_pr(*(parse_document(doc) for doc in _ACROSS_SOURCES.values()))
     ))
