@@ -334,7 +334,7 @@ def _cmd_check(args) -> _Result:
 
     def document() -> dict:
         return {
-            # Always true: each component is one trace class (see CompatibilityGraph).
+            # Constant, kept for its readers: each component is one trace class.
             "complete_bipartite": True,
             "balanced": balanced,
             "components": None if checks is None else [_component_doc(c, r) for c, r in checks],
@@ -361,7 +361,7 @@ def _cmd_check(args) -> _Result:
 
 def _check_single(args) -> _Result:
     q = _load_relation(args.a)
-    result = epr_distribution(q, args.cap, None)
+    result = epr_distribution(q, args.cap, compare=True)
 
     def document() -> dict:
         return {

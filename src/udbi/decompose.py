@@ -8,9 +8,10 @@ either side works, and every choice yields the same distribution, since a
 free group shares no variable and no tuple with the rest of its side.
 partition finds the forced split or raises NotIntegrated at the first fault;
 build_pair rebuilds the source pair of a given split.  split routes q's rows
-once into parts, the two cores and each free group, and enumerate_pairs
-merges every pair from those parts.
-"""
+once into parts, the two cores and each free group.  enumerate_pairs merges
+all 2^k pairs of k free groups from those parts, as many as its limit allows:
+they are the output of decompose --all.  probcalc needs only pair 0 and each
+group flipped alone."""
 
 from __future__ import annotations
 
@@ -337,7 +338,7 @@ def split(q: EprRelation) -> Parts:
 
 
 def enumerate_pairs(q: EprRelation, limit: int | None = None) -> list[PrPair]:
-    """All pairs reachable by assigning each free group to either side.
+    """All 2^k pairs of k free groups, each on either side; the first ``limit`` if given.
 
     Pair k sends free group i to the V side iff bit i of k is set, so pair 0
     (every free group on the W side) is the deterministic default.  Raises

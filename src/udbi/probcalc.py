@@ -2,14 +2,13 @@
 
 The relation is decomposed into a source pair, both sides are expanded to
 possible worlds, and the integrated probabilities follow the closed form
-P(D_i) * P(D'_j) / P per compatibility component.  Every alternative
-decomposition gives the identical distribution: the pairs differ only in
-the side each free group sits on, and a free group shares no variable and no
+P(D_i) * P(D'_j) / P per compatibility component.  Pairs differ only in the
+side each free group sits on, and a free group shares no variable and no
 tuple with the rest of either side, so each side's distribution is the
-product of its parts' (the decomposable-conjunction rule).  epr_distribution
-expands each part once, the two cores and each free group, and takes every
-side's distribution as that product; it compares as many pairs as its limit
-asks for, and cross_check compares them all.
+product of its parts' (the decomposable-conjunction rule) and every pair
+gives the identical distribution.  epr_distribution expands each part once,
+the two cores and each free group; asked to compare, it checks pair 0
+against each free group flipped alone, which puts every part on both sides.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ class IntegratedDistribution:
 
 
 def epr_distribution(
-    q: EprRelation, cap: int = DEFAULT_VAR_CAP, limit: int | None = 1
+    q: EprRelation, cap: int = DEFAULT_VAR_CAP, compare: bool = False
 ) -> IntegratedDistribution:
     """Exact world probabilities of q under partial independence.
 
@@ -57,21 +56,20 @@ def epr_distribution(
     of its parts', check the per-component probability balance, then
     weight each compatible world pair by P(D_i) * P(D'_j) / P and merge
     duplicates.  Every distribution is an UncertainDB, valid once built.
-    ``agreed`` is True iff pairs 1.. give the identical distribution in the
-    possible-worlds model, each compared as it is produced from the same
-    parts; the default limit compares none, as does limit 0, and None
-    compares every pair.  Raises MissingVarProb first, before the cap and
-    recognition, for the variables of q without a probability: an
-    EprRelation may leave some out.  The cap counts the variables of a whole
-    side, checked for pair 0's r side, then its s side, then each later pair
-    in order, each before that side is expanded or multiplied out.
+    With ``compare``, ``agreed`` is True iff each pair 1 << i, free group i
+    flipped alone, gives the identical distribution in the possible-worlds
+    model, each compared as it is produced from the same parts; without it
+    no pair is compared and ``agreed`` is True.  Raises MissingVarProb
+    first, before the cap and recognition, for the variables of q without a
+    probability: an EprRelation may leave some out.  The cap counts the
+    variables of a whole side, checked for pair 0's r side, then its s side,
+    then each flip's r and s side in group order, each before that side is
+    expanded or multiplied out.
     """
     missing = q.names - (q.var_probs or {}).keys()
     if missing:
         raise MissingVarProb(missing)
     parts = split(q)
-    total = 1 << len(parts.free)
-    count = total if limit is None else min(limit, total)
     expanded: dict[int, UncertainDB] = {}  # id of a part -> its worlds
 
     def distribution(side: list[PrRelation]) -> UncertainDB:
@@ -82,21 +80,21 @@ def epr_distribution(
             if id(part) not in expanded:
                 expanded[id(part)] = expand_pr(part, cap)[0]
         # Parts share no tuple, so their integration is their product: one
-        # trace class, with P = 1 on both sides.  Called through pwdb, so
-        # that replacing this module's integrate_pw_prob, which compares the
-        # pairs, leaves the products as they are.
+        # trace class, with P = 1.  Called through pwdb, so that replacing this
+        # module's integrate_pw_prob, which compares pairs, leaves the products alone.
         return reduce(pwdb.integrate_pw_prob, [expanded[id(part)] for part in side])
 
     r, s = parts.sides(0)
     udb_r, udb_s = distribution(r), distribution(s)
     checks = check_prob_constraints(udb_r, udb_s, compatibility_graph(udb_r, udb_s))
     joint = integrate_checked(udb_r, udb_s, checks)
-    agreed = all(
-        integrate_pw_prob(*map(distribution, parts.sides(k))) == joint for k in range(1, count)
+    agreed = not compare or all(
+        integrate_pw_prob(*map(distribution, parts.sides(1 << i))) == joint
+        for i in range(len(parts.free))
     )
     return IntegratedDistribution(joint, tuple(c for c, _ in checks), parts.pair(0), agreed)
 
 
 def cross_check(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> bool:
-    """True iff every decomposition of q yields the identical exact distribution."""
-    return epr_distribution(q, cap, None).agreed
+    """True iff every decomposition of q gives one distribution; see epr_distribution."""
+    return epr_distribution(q, cap, compare=True).agreed

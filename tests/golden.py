@@ -170,7 +170,8 @@ _BLOCKS = [
 _BLOCKS_SEED = 27
 
 # A 3-variable core against a 1-variable one, P = 1/8 on both, and two
-# 1-variable free groups: pair 0 splits 3 + 3 variables, pair 3 puts 5 on r.
+# 1-variable free groups: pair 0 splits 3 + 3 variables, and each group
+# flipped alone 4 + 2, so `check` meets a cap of 4 and not one of 3.
 _CAP_SOURCES = {
     "r": _pr_doc([("t", "a1")], {"a1": "1/8"}),
     "s": _pr_doc(

@@ -1,5 +1,7 @@
 """Recognition of integration results and reconstruction of source pairs."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,22 +19,38 @@ from conftest import (
 from udbi import decompose
 from udbi.decompose import PrPair, build_pair, enumerate_pairs, partition, split
 from udbi.errors import NotIntegrated, ValidationError
+from udbi.gen import gen_pr_pair
 from udbi.logic import FALSE, TRUE, And, Not, Variable
 from udbi.prdb import EprRelation, PrRelation, PrTuple, integrate_pr
 
 
+def formulas_by_tuple(q: EprRelation) -> dict:
+    """Each tuple of a recognized q with the set of its formulas: its row's,
+    and the other side of the constraint that matches the row, if any."""
+    formulas = {row.tuple: {row.event} for row in q.rows}
+    for (lhs, rhs), (k, on_lhs) in zip(q.constraints, decompose._condition3(q)):
+        formulas[q.rows[k].tuple].add(rhs if on_lhs else lhs)
+    return formulas
+
+
 def canonical(q: EprRelation):
     """Form shared by integrations differing only in copy side and
-    constraint orientation: each constrained tuple maps to the unordered
-    pair of formulas, every other tuple to its own event."""
-    matched = {}
-    for lhs, rhs in q.constraints:
-        row = next(r for r in q.rows if r.event in (lhs, rhs))
-        matched[row.tuple] = frozenset((lhs, rhs))
-    rows = tuple(
-        sorted((row.tuple, matched.get(row.tuple, row.event)) for row in q.rows)
-    )
-    return rows, q.var_probs
+    constraint orientation: each tuple with the set of its formulas, the
+    constraints as unordered pairs, and the probabilities of its variables.
+    Each constraint is matched to its row as recognition matches it."""
+    probs = q.var_probs and {n: p for n, p in q.var_probs.items() if n in q.names}
+    return formulas_by_tuple(q), Counter(map(frozenset, q.constraints)), probs
+
+
+def reintegrated(pair: PrPair):
+    """canonical of integrate_pr(pair.r, pair.s), each tuple's formulas read
+    from the two sources: the integration may put one formula on two rows
+    and two constraints, and then formulas alone cannot match its rows."""
+    joint = integrate_pr(pair.r, pair.s)
+    formulas = {row.tuple: set() for row in joint.rows}
+    for row in pair.r.rows + pair.s.rows:
+        formulas[row.tuple].add(row.event)
+    return formulas, Counter(map(frozenset, joint.constraints)), joint.var_probs
 
 
 # --- partition -----------------------------------------------------------------------
@@ -255,9 +273,11 @@ def test_free_group_relation_has_two_pairs_in_counter_order():
 
 
 def test_every_pair_reintegrates_to_the_same_relation():
-    q = free_group_epr(FREE_GROUP_PROBS)
-    for pair in enumerate_pairs(q):
-        assert canonical(integrate_pr(pair.r, pair.s)) == canonical(q)
+    # The integration of gen_pr_pair(16) has the formula a1 | a1 on two
+    # constraints.
+    for q in (free_group_epr(FREE_GROUP_PROBS), integrate_pr(*gen_pr_pair(16))):
+        for pair in enumerate_pairs(q):
+            assert reintegrated(pair) == canonical(q)
 
 
 def test_constraint_free_relations_decompose_into_relation_and_empty():
@@ -306,7 +326,7 @@ def test_generated_integrations_decompose_and_reintegrate(seed):
     assert pairs
     for pair in pairs:
         assert not set(pair.r.variables()) & set(pair.s.variables())
-        assert canonical(integrate_pr(pair.r, pair.s)) == canonical(q)
+        assert reintegrated(pair) == canonical(q)
 
 
 @settings(max_examples=50, deadline=None)
@@ -318,20 +338,9 @@ def test_partition_accepts_generated_integrations(seed):
     assert pair == enumerate_pairs(q, limit=1)[0]
 
 
-def formulas_by_tuple(q: EprRelation) -> dict:
-    """Each tuple of a recognized q with the set of its formulas: its row's,
-    and the other side of the constraint that matches the row, if any."""
-    formulas = {row.tuple: {row.event} for row in q.rows}
-    for (lhs, rhs), (k, on_lhs) in zip(q.constraints, decompose._condition3(q)):
-        formulas[q.rows[k].tuple].add(rhs if on_lhs else lhs)
-    return formulas
-
-
 def test_pairs_merged_from_parts_are_the_pairs_of_their_splits():
     # Oracle: each pair merged from the parts is build_pair's pair for the
-    # same split, routed from q directly, and integrates back to q: the
-    # integration has q's tuples, one constraint per tuple common to both
-    # sides, and q's formulas and probabilities for each tuple.
+    # same split, routed from q directly, and integrates back to q.
     seen = set()
     for q in free_group_relations():
         part = partition(q)
@@ -343,14 +352,7 @@ def test_pairs_merged_from_parts_are_the_pairs_of_their_splits():
             for i, group in enumerate(part.free_groups):
                 v.update(group if k >> i & 1 else ())
             assert pair == build_pair(q, v, q.names - v)
-            joint = integrate_pr(pair.r, pair.s)
-            assert joint.tuples() == q.tuples()
-            assert len(joint.constraints) == len(q.constraints)
-            formulas = {row.tuple: set() for row in q.rows}
-            for row in pair.r.rows + pair.s.rows:
-                formulas[row.tuple].add(row.event)
-            assert formulas == formulas_by_tuple(q)
-            assert joint.var_probs == {n: p for n, p in q.var_probs.items() if n in q.names}
+            assert reintegrated(pair) == canonical(q)
     assert seen == {0, 1, 2, 3}
 
 

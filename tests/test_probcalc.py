@@ -1,5 +1,9 @@
 """End-to-end exact distributions for integrated epr-relations."""
 
+import io
+import json
+from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import reduce
 
@@ -17,7 +21,9 @@ from conftest import (
     office_pr_sources,
     roster_pr_sources,
 )
-from udbi import probcalc
+from reach import tracing
+from udbi import decompose, logic, prdb, probcalc, pwdb
+from udbi.cli import main
 from udbi.decompose import PrPair, enumerate_pairs, split
 from udbi.errors import ExpansionTooLarge, MissingVarProb, NotIntegrated, ProbConstraintViolation
 from udbi.gen import gen_pr_pair
@@ -66,22 +72,33 @@ def test_cross_check_accepts_the_office_relation():
 
 
 def test_cross_check_with_no_other_pair_accepts_a_recognized_relation():
+    # Without compare no pair is compared; office has no free group, so
+    # with compare there is no flip to compare either.
     for q in (office_epr(), free_group_epr(FREE_GROUP_PROBS)):
-        assert epr_distribution(q, limit=0).agreed is True
-        assert epr_distribution(q, limit=1).agreed is True
+        assert epr_distribution(q).agreed is True
+    assert epr_distribution(office_epr(), compare=True).agreed is True
 
 
-def test_distribution_without_a_limit_compares_every_pair(monkeypatch):
-    q = free_group_epr(FREE_GROUP_PROBS)
+def test_comparing_flips_each_free_group_alone(monkeypatch):
+    # With compare, pair 0 is compared with pair 1 << i for each free group
+    # i, in group order, and with no other pair.
     compared = []
     original = probcalc.integrate_pw_prob
     monkeypatch.setattr(
         probcalc, "integrate_pw_prob", lambda *sides: compared.append(sides) or original(*sides)
     )
-    result = epr_distribution(q, limit=None)
-    assert result.agreed is True and len(compared) == 1
-    assert result.distribution == epr_distribution(q).distribution
-    assert cross_check(q) is True and len(compared) == 2
+    relations = [free_group_epr(FREE_GROUP_PROBS)]
+    relations += [gen_integrated_epr(seed, blocks) for seed in range(2) for blocks in range(5)]
+    for q in relations:
+        pairs = enumerate_pairs(q)
+        flips = [pairs[1 << i] for i in range(len(split(q).free))]
+        compared.clear()
+        result = epr_distribution(q, compare=True)
+        assert result.agreed is True
+        assert compared == [(expand_pr(p.r)[0], expand_pr(p.s)[0]) for p in flips]
+        compared.clear()
+        assert epr_distribution(q) == result and compared == []
+        assert cross_check(q) is True and len(compared) == len(flips)
 
 
 def test_each_side_distribution_is_the_product_of_its_parts():
@@ -99,7 +116,7 @@ def test_distribution_matches_expanding_both_sides_of_every_pair():
     # Oracle: the distribution from parts, and the agreement of every pair,
     # against integrating the two expanded sides of each pair built whole.
     for q in free_group_relations():
-        got = outcome(epr_distribution, q, limit=None)
+        got = outcome(epr_distribution, q, compare=True)
         pairs = enumerate_pairs(q)
         want = outcome(integrate_pw_prob, expand_pr(pairs[0].r)[0], expand_pr(pairs[0].s)[0])
         if isinstance(want, tuple):
@@ -113,8 +130,8 @@ def test_distribution_matches_expanding_both_sides_of_every_pair():
 
 def test_the_cap_counts_a_whole_side_of_each_pair_in_order():
     # A 3-variable core against a 1-variable one and two 1-variable free
-    # groups: pair 0 splits 3 + 3 variables, pairs 1 and 2 split 4 + 2, and
-    # pair 3 puts 5 on r.
+    # groups: pair 0 splits 3 + 3 variables, and each flip (pairs 1 and 2)
+    # 4 + 2.  Pair 3, which puts 5 on r, is never built.
     a1, f1, g1 = Variable("a1"), Variable("f1"), Variable("g1")
     b = And(And(Variable("b1"), Variable("b2")), Variable("b3"))
     q = EprRelation.of(
@@ -122,13 +139,12 @@ def test_the_cap_counts_a_whole_side_of_each_pair_in_order():
         [(a1, b)],
         {"a1": "1/8", "b1": "1/2", "b2": "1/2", "b3": "1/2", "f1": "1/3", "g1": "2/5"},
     )
-    assert epr_distribution(q, cap=4).agreed is True
-    for cap, limit in ((4, None), (4, 4), (2, 1)):
+    assert epr_distribution(q, cap=4, compare=True).agreed is True
+    assert epr_distribution(q, cap=3).agreed is True
+    for cap, compare, size in ((3, True, 4), (2, False, 3), (2, True, 3)):
         with pytest.raises(ExpansionTooLarge) as err:
-            epr_distribution(q, cap=cap, limit=limit)
-        assert (err.value.num_vars, err.value.cap) == ((5, 4) if cap == 4 else (3, 2))
-    assert epr_distribution(q, cap=4, limit=3).agreed is True
-    assert epr_distribution(q, cap=5, limit=None).agreed is True
+            epr_distribution(q, cap=cap, compare=compare)
+        assert (err.value.num_vars, err.value.cap) == (size, cap)
 
 
 def test_missing_probabilities_are_reported_before_recognition_fails():
@@ -207,3 +223,57 @@ def test_generated_distributions_sum_to_one(seed):
     result = epr_distribution(q)
     assert sum(result.distribution.probs, Fraction(0)) == 1
     assert all(c.balanced for c in result.components)
+
+
+# --- the check work law --------------------------------------------------------------
+#
+# On k independent rows (k free groups, both cores empty), single-relation
+# check compares pair 0 with each free group flipped alone: k comparisons,
+# where comparing every pair would take 2^k - 1.  Its line events in the
+# modules below stay within k times prob's on the same document, which
+# builds pair 0 alone.
+
+WORK_MODULES = (probcalc, pwdb, decompose, prdb, logic)
+
+
+def independent_rows(tmp_path, k: int) -> str:
+    path = tmp_path / f"rows{k}.json"
+    rows = [{"tuple": [f"t{i}"], "event": f"x{i}"} for i in range(k)]
+    probs = {f"x{i}": f"1/{i + 2}" for i in range(k)}
+    path.write_text(json.dumps({"model": "pr", "rows": rows, "var_probs": probs}))
+    return str(path)
+
+
+def run_quietly(*argv) -> int:
+    with redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+
+def test_check_compares_each_free_group_once(tmp_path, monkeypatch):
+    calls = {"integrate_pw_prob": [], "expand_pr": []}
+    for name, log in calls.items():
+        fn = getattr(probcalc, name)
+        monkeypatch.setattr(probcalc, name, lambda *a, fn=fn, log=log: log.append(a) or fn(*a))
+    for k in range(2, 9):
+        for log in calls.values():
+            log.clear()
+        assert run_quietly("check", independent_rows(tmp_path, k)) == 0
+        assert len(calls["integrate_pw_prob"]) == k
+        # Each part is expanded at most once.  The empty W core is left out
+        # of every side that holds a free group, and from k = 2 on every s
+        # side does, so the parts expanded are the V core and the k groups.
+        expanded = [id(part) for part, *_ in calls["expand_pr"]]
+        assert len(expanded) == len(set(expanded)) == 1 + k
+
+
+def test_check_work_stays_within_k_times_prob(tmp_path):
+    files = {m.__file__ for m in WORK_MODULES}
+    for k in (4, 6, 8):
+        path = independent_rows(tmp_path, k)
+        work = {}
+        for command in ("prob", "check"):
+            counts = Counter()
+            with tracing(files, counts):
+                assert run_quietly(command, path) == 0
+            work[command] = counts.total()
+        assert work["check"] <= k * work["prob"], (k, work)
