@@ -99,6 +99,14 @@ _DEEP = {
     "parens": _deep("(" * 3_000 + "x" + ")" * 3_000, ["x"]),
 }
 
+# A 2,000-term chain on each side of the one constraint, in the printer's
+# form, the row holding the second: an integration of two deep sources.
+_DEEP_EPR = _pr_doc(
+    [("t", " | ".join(f"y{i}" for i in range(2_000)))],
+    {f"{base}{i}": "1/2" for base in "xy" for i in range(2_000)},
+    [(" & ".join(f"x{i}" for i in range(2_000)), " | ".join(f"y{i}" for i in range(2_000)))],
+)
+
 # Documents whose form the reader rejects, as JSON text, one message each.
 _FORM_FAULTS = {
     "not_object": "[]",
@@ -138,6 +146,39 @@ _FORM_FAULTS = {
     "tuple_item": '{"model": "pw", "tuples": [[1]], "worlds": []}',
     "event_type": '{"model": "pr", "rows": [{"tuple": ["t"], "event": 1}]}',
     "lhs_type": '{"model": "epr", "rows": [], "constraints": [{"lhs": true, "rhs": "a"}]}',
+    "missing_event": '{"model": "pr", "rows": [{"tuple": ["t"]}]}',
+    "pw_tuples_first": '{"model": "pw", "tuples": [["t"], [], 5], "worlds": []}',
+    # Relation documents with several faults, the first faulty entry's fault
+    # of a kind checked after a later entry's: the message names the first.
+    "first_row_parse": '{"model": "pr", "rows": [{"tuple": ["t"], "event": "a &"}, []]}',
+    "first_lhs_parse": (
+        '{"model": "epr", "rows": [{"tuple": "t", "event": "a"}],'
+        ' "constraints": [{"lhs": "a $", "rhs": "b"}]}'
+    ),
+    "first_rhs_parse": (
+        '{"model": "epr", "rows": [],'
+        ' "constraints": [{"lhs": "a", "rhs": "(b"}, {"lhs": 2, "rhs": "a"}]}'
+    ),
+    "lhs_parse_rhs_type": '{"model": "epr", "rows": [], "constraints": [{"lhs": "a &", "rhs": 5}]}',
+    "first_rhs_type": '{"model": "epr", "rows": [], "constraints": [{"lhs": "a", "rhs": 1}, "x"]}',
+    "first_row_tuple": (
+        '{"model": "pr", "rows": [{"tuple": [], "event": "a"}, {"tuple": ["u"], "event": "b", "p": "1"}]}'
+    ),
+    "first_row_event": (
+        '{"model": "pr", "rows": [{"tuple": ["t"], "event": null}, {"tuple": [1], "event": "a"}]}'
+    ),
+    "row_tuple_then_parse": '{"model": "pr", "rows": [{"tuple": ["t", 2], "event": "a &"}]}',
+    "first_tuple_later_parse": (
+        '{"model": "pr", "rows": [{"tuple": [1], "event": "a"}, {"tuple": ["u"], "event": "b |"}]}'
+    ),
+    "constraint_parse_first": (
+        '{"model": "epr", "rows": [{"tuple": ["t"], "event": "a $"}],'
+        ' "constraints": [{"lhs": "c", "rhs": "b &"}]}'
+    ),
+    "constraint_before_row": '{"model": "epr", "rows": [1], "constraints": [{"rhs": "a"}]}',
+    "parse_before_rows_type": (
+        '{"model": "epr", "rows": 5, "constraints": [{"lhs": "a &", "rhs": "b"}]}'
+    ),
 }
 
 # Documents of a valid form that a constructor or a command rejects.
@@ -351,6 +392,9 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
         path = save(f"{name}.json", doc)
         for command in ("expand", "prob", "check", "decompose"):
             cases.append((f"{name}/{command}", [command, path]))
+    deep_epr = save("deep_epr.json", _DEEP_EPR)
+    for command in ("expand", "prob", "check", "decompose"):
+        cases.append((f"deep_epr/{command}", [command, deep_epr]))
     arrays = save("json_arrays.json", "[" * 100_000 + "]" * 100_000)
     cases.append(("json_arrays/expand", ["expand", arrays]))
     long_int = save(
