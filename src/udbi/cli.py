@@ -14,10 +14,12 @@ Python's recursion limit exits 2 with "error: input nested too deeply"
 until the remaining traversals are iterative: deeply nested JSON under
 every command, a long run of "!" under expand, prob and check, and that
 run or a long chain of one connective under decompose when the text is not
-in the printer's form; decompose prints a formula read in that form by its
-text, so it exits 0 on either.  expand, prob and check read such a chain
-without recursion and exit 3 at the cap.  A result with a number too long
-to print also exits 2.
+in the printer's form, and under prob and check too when the relation has
+a constraint, since recognition then renders it.  decompose prints a
+formula read in that form by its text, and recognition matches formulas by
+that text, so it exits 0 on either, with or without constraints.  expand,
+prob and check read such a chain without recursion and exit 3 at the cap.
+A result with a number too long to print also exits 2.
 The cyclic garbage collector is paused while a command runs and ``main``
 restores the caller's state; a document shares one variable node per name.
 """

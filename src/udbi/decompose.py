@@ -21,13 +21,14 @@ from itertools import chain
 from operator import attrgetter
 
 from .errors import MissingVarProb, NotIntegrated, ValidationError
-from .logic import Formula, iter_vars
+from .logic import Formula, iter_vars, to_text
 from .prdb import EprRelation, PrRelation, PrTuple
 from .pwdb import format_tuple
 
 VarSet = tuple[str, ...]
 
 _row_tuple = attrgetter("tuple")
+_row_event = attrgetter("event")
 
 
 @dataclass(frozen=True)
@@ -98,20 +99,25 @@ def _variable_groups(formula_vars) -> list[VarSet]:
 
 
 def _condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
-    """Each constraint must match exactly one row's formula structurally.
+    """Each constraint must match exactly one row's formula syntactically.
 
     Returns, per constraint, the position in q.rows of the row it matches and
     whether that row's formula is the lhs; None when some constraint matches
-    no row or several.  Without constraints no formula is hashed, so rows too
-    deep to hash still decompose.
+    no row or several.  Formulas are matched by their text (to_text), which
+    parses back to the formula, so two formulas are equal exactly when their
+    texts are.  No formula is hashed, and one read in the printer's form
+    keeps its text, so it is not walked either; any other is rendered.
+    Without constraints no text is taken, so rows too deep to render still
+    decompose.
     """
     if not q.constraints:
         return []
-    index: dict[Formula, list[int]] = {}
-    for k, row in enumerate(q.rows):
-        index.setdefault(row.event, []).append(k)
+    index: dict[str, list[int]] = {}
+    for k, text in enumerate(map(to_text, map(_row_event, q.rows))):
+        index.setdefault(text, []).append(k)
     matches = []
     for lhs, rhs in q.constraints:
+        lhs, rhs = to_text(lhs), to_text(rhs)
         on_lhs = index.get(lhs, ())
         on_rhs = index.get(rhs, ()) if rhs != lhs else ()
         if len(on_lhs) + len(on_rhs) != 1:

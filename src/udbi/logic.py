@@ -122,6 +122,10 @@ _INFIX = {
 }
 _SYNTAX = {row[0]: (symbol, *row[1:3]) for symbol, row in {**_PREFIX, **_INFIX}.items()}
 _TRUTH = {node: truth for node, _, _, truth in _INFIX.values()}
+# Each infix symbol's _INFIX row, and the binding level down to which the
+# stacked operators apply before it: an operand on the side the symbol
+# associates to may bind as loosely as the symbol.
+_BINDING = {symbol: (entry, entry[1] + entry[2]) for symbol, entry in _INFIX.items()}
 
 # A match is one token, after the whitespace and comments that lead up to it;
 # m.lastindex names its kind, and m.start(m.lastindex) is where it begins.
@@ -163,26 +167,38 @@ def parse_formula(text: str, names: dict[str, Variable] | None = None) -> Formul
     Shunting-yard: an infix operator first applies the stacked operators that
     may stand unparenthesized as its left operand.  Nothing recurses.  Text
     in the printer's form (_PLAIN_RE) is split on its spaces, and the root
-    keeps the text for to_text; any other text is read token by token.
+    keeps the text for to_text; any other text is read token by token.  In
+    that form each "!" stands before a name, so an operand "!*name" is
+    built whole, and a name already read is one lookup in ``names``.
     """
     if names is None:
         names = {}
     if not _PLAIN_RE.match(text):
         return _parse_tokens(text, names)
-    operands: list[Formula] = []
+    parts = iter(text.split(" "))
+    first = next(parts)
+    operands: list[Formula] = [names.get(first) or _operand(first, names)]
     operators: list[tuple] = []
-    for k, part in enumerate(text.split(" ")):
-        if k & 1:
-            entry = _INFIX[part]
-            _reduce(operands, operators, entry[1] + entry[2])
-            operators.append(entry)
-        else:
-            name = part.lstrip("!")
-            operators += [_PREFIX["!"]] * (len(part) - len(name))
-            operands.append(_leaf(name, names))
+    for symbol, part in zip(parts, parts):
+        entry, min_level = _BINDING[symbol]
+        if operators and operators[-1][1] >= min_level:
+            _reduce(operands, operators, min_level)
+        operators.append(entry)
+        operands.append(names.get(part) or _operand(part, names))
     _reduce(operands, operators, 1)
     _set_text(operands[0], text)
     return operands[0]
+
+
+def _operand(part: str, names: dict[str, Variable]) -> Formula:
+    """The operand "!*name" of printer-form text: its leaf under one Not per "!"."""
+    name = part.lstrip("!")
+    node = _leaf(name, names)
+    for _ in range(len(part) - len(name)):
+        outer = _new(Not)
+        _set_child(outer, node)
+        node = outer
+    return node
 
 
 def _leaf(name: str, names: dict[str, Variable]) -> Formula:
@@ -210,8 +226,8 @@ def _parse_tokens(text: str, names: dict[str, Variable]) -> Formula:
             else:
                 raise _unexpected(m, tokens, _ATOM_EXPECTED)
         elif kind == _INFIX_TOKEN:
-            entry = _INFIX[m[kind]]
-            _reduce(operands, operators, entry[1] + entry[2])
+            entry, min_level = _BINDING[m[kind]]
+            _reduce(operands, operators, min_level)
             operators.append(entry)
             want_operand = True
         else:

@@ -396,6 +396,25 @@ def gen_integrated_epr(seed, blocks: int | None = None) -> EprRelation:
         return q
 
 
+def structural_condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
+    """decompose._condition3 by structural equality: the rows indexed by
+    their formula trees as dict keys, and constraint sides compared by ==.
+    The oracle for matching by text."""
+    if not q.constraints:
+        return []
+    index: dict = {}
+    for k, row in enumerate(q.rows):
+        index.setdefault(row.event, []).append(k)
+    matches = []
+    for lhs, rhs in q.constraints:
+        on_lhs = index.get(lhs, ())
+        on_rhs = index.get(rhs, ()) if rhs != lhs else ()
+        if len(on_lhs) + len(on_rhs) != 1:
+            return None
+        matches.append((on_lhs[0], True) if on_lhs else (on_rhs[0], False))
+    return matches
+
+
 def free_group_relations() -> list[EprRelation]:
     """Recognized integrations with 0 to 3 free groups: those of the golden
     corpus's gen_pr_pair seeds, and generated ones with 0 to 3 blocks."""

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     FREE_GROUP_PROBS,
+    formula_texts,
     free_group_epr,
     free_group_relations,
     gen_integrated_epr,
@@ -15,13 +16,15 @@ from conftest import (
     office_pr_sources,
     roster_pr_sources,
     row_text,
+    structural_condition3,
 )
 from udbi import decompose
 from udbi.decompose import PrPair, build_pair, enumerate_pairs, partition, split
-from udbi.errors import NotIntegrated, ValidationError
-from udbi.gen import gen_pr_pair
+from udbi.documents import document_of, parse_document
+from udbi.errors import NotIntegrated, ParseError, ValidationError
+from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
 from udbi.logic import FALSE, TRUE, And, Not, Variable
-from udbi.prdb import EprRelation, PrRelation, PrTuple, integrate_pr
+from udbi.prdb import EprRelation, PrRelation, PrTuple, encode_pw, integrate_pr
 
 
 def formulas_by_tuple(q: EprRelation) -> dict:
@@ -54,6 +57,57 @@ def reintegrated(pair: PrPair):
 
 
 # --- partition -----------------------------------------------------------------------
+
+def _epr_doc(rows, constraints) -> dict:
+    return {
+        "model": "epr",
+        "rows": [{"tuple": [f"t{k}"], "event": event} for k, event in enumerate(rows)],
+        "constraints": [{"lhs": lhs, "rhs": rhs} for lhs, rhs in constraints],
+    }
+
+
+def test_condition_three_by_text_agrees_with_the_structural_index():
+    # Oracle: matching formulas by to_text gives the matches that indexing
+    # the trees themselves gives.  Relations built in memory keep no text
+    # and are rendered; read back from their documents, they keep theirs.
+    relations = []
+    for seed in range(60):
+        a, b = gen_consistent_pw_pair(seed, max_common=6, max_private=6, max_scenarios=4 << seed % 3)
+        relations.append(integrate_pr(encode_pw(a, "x"), encode_pw(b, "y")))
+        relations.append(integrate_pr(*gen_pr_pair(seed)))
+    relations += [parse_document(document_of(q)) for q in relations]
+    # Texts outside the printer's form keep no text and are rendered:
+    # "(a & b)" is "a & b", and "a & (b & c)" is not "a & b & c".
+    relations += [
+        parse_document(_epr_doc(rows, constraints))
+        for rows, constraints in [
+            (["a & b", "c"], [("(a & b)", "c")]),
+            (["(a & b)", "c"], [("c", "a & b")]),
+            (["a & b", "(a & b)", "c"], [("a & b", "c")]),
+            (["a & (b & c)", "d"], [("a & b & c", "d")]),
+            (["a", "b"], [("a", "(a)")]),
+        ]
+    ]
+    found = Counter()
+    for q in relations:
+        expected = structural_condition3(q)
+        assert decompose._condition3(q) == expected
+        found[expected is None] += 1
+    assert found[True] and found[False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(formula_texts(), min_size=1, max_size=5),
+    st.lists(st.tuples(formula_texts(), formula_texts()), max_size=3),
+)
+def test_condition_three_by_text_agrees_on_any_formula_text(rows, constraints):
+    try:
+        q = parse_document(_epr_doc(rows, constraints))
+    except ParseError:
+        return
+    assert decompose._condition3(q) == structural_condition3(q)
+
 
 def test_partition_of_the_office_relation_has_no_free_groups():
     part = partition(office_epr())

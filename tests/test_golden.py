@@ -27,3 +27,21 @@ def test_differences_name_the_case_and_the_first_stream():
         "c: missing from the run",
         "d: not in golden_digests.txt",
     ]
+
+
+def test_no_command_hashes_a_formula(monkeypatch):
+    # Commands match formulas by text and share nodes by id: with every node
+    # class's __hash__ raising, the corpus still gives its digests.
+    from udbi.logic import Binary, Const, Not, Variable
+
+    hashed = []
+
+    def refuse(node):
+        hashed.append(type(node).__name__)
+        raise RuntimeError("a formula was hashed")
+
+    for kind in (Variable, Const, Not, Binary):
+        monkeypatch.setattr(kind, "__hash__", refuse)
+    expected = golden.DIGESTS.read_text(encoding="utf-8").splitlines()
+    report = golden.differences(expected, golden.run_corpus())
+    assert not hashed and not report, f"{len(report)} cases differ; first: {report[:1]}"
