@@ -293,23 +293,20 @@ def _load_relation(path) -> EprRelation:
 def _cmd_prob(args) -> _Result:
     q = _load_relation(args.input)
     result = epr_distribution(q, args.cap)
-    joint = result.distribution
+    joint, pair = result.distribution, result.parts.pair(0)
 
     def document() -> dict:
         return {
             "distribution": document_of(joint),
             "components": [_component_doc(c) for c in result.components],
-            "pair": {
-                "r": document_of(result.pair_used.r),
-                "s": document_of(result.pair_used.s),
-            },
+            "pair": {"r": document_of(pair.r), "s": document_of(pair.s)},
         }
 
     def table() -> str:
         lines = [_distribution_table(joint)]
         lines.extend(_component_lines([(c, None) for c in result.components]))
-        lines.extend(_titled("pair r:", _relation_table(result.pair_used.r)))
-        lines.extend(_titled("pair s:", _relation_table(result.pair_used.s)))
+        lines.extend(_titled("pair r:", _relation_table(pair.r)))
+        lines.extend(_titled("pair s:", _relation_table(pair.s)))
         return "\n".join(lines)
 
     return document, table, EXIT_OK

@@ -6,17 +6,17 @@ every constraint bridges the two sides, and every constraint matches exactly
 one row syntactically.  Variable groups touched by no constraint are free:
 either side works, and every choice yields the same distribution, since a
 free group shares no variable and no tuple with the rest of its side.
-partition finds the forced split or raises NotIntegrated at the first fault;
-build_pair rebuilds the source pair of a given split.  split routes q's rows
-once into parts, the two cores and each free group.  enumerate_pairs merges
-all 2^k pairs of k free groups from those parts, as many as its limit allows:
-they are the output of decompose --all.  probcalc needs only pair 0 and each
-group flipped alone."""
+partition finds the forced split, or raises at the first fault, and routes
+q's rows once into parts: the two cores and each free group.  build_pair
+rebuilds the source pair of a given split.  enumerate_pairs merges all 2^k
+pairs of k free groups from the parts, as many as its limit allows: they are
+the output of decompose --all.  probcalc needs only pair 0 and each group
+flipped alone."""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 
@@ -29,21 +29,6 @@ VarSet = tuple[str, ...]
 
 _row_tuple = attrgetter("tuple")
 _row_event = attrgetter("event")
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    """Outcome of the variable-grouping and 2-coloring pass.
-
-    v1/w1 are the side labels forced by constraints; free_groups are variable
-    groups no constraint touches.  ``scan`` is _scan(q), kept so that
-    enumerate_pairs builds every pair without scanning q again.
-    """
-
-    v1: VarSet
-    w1: VarSet
-    free_groups: tuple[VarSet, ...]
-    scan: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -127,7 +112,7 @@ def _condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
 
 
 def _scan(q: EprRelation):
-    """The one pass over q's formulas that partition and every pair build share.
+    """The one pass over q's formulas that recognition and routing share.
 
     Returns the variable sets of each row formula and of each constraint's
     two sides, and _condition3(q).  Each distinct formula object is walked
@@ -145,54 +130,6 @@ def _scan(q: EprRelation):
     row_vars = [variables(row.event) for row in q.rows]
     constraint_vars = [(variables(lhs), variables(rhs)) for lhs, rhs in q.constraints]
     return row_vars, constraint_vars, _condition3(q)
-
-
-def partition(q: EprRelation) -> PartitionResult:
-    """Group co-occurring variables and 2-color the groups across constraints.
-
-    Groups linked by a constraint must take opposite side labels.  Raises
-    NotIntegrated at the first fault, in this order: a constraint linking a
-    group to itself, a group forced onto both sides, then a constraint that
-    does not match exactly one row (condition 3).  Groups no constraint
-    touches are reported as free.
-    """
-    scan = row_vars, constraint_vars, matches = _scan(q)
-    groups = _variable_groups(chain(row_vars, *constraint_vars))
-    index = {name: k for k, group in enumerate(groups) for name in group}
-    adjacency: dict[int, set[int]] = {k: set() for k in range(len(groups))}
-    for lv, rv in constraint_vars:
-        if not lv or not rv:
-            continue
-        a, b = index[next(iter(lv))], index[next(iter(rv))]
-        if a == b:
-            raise NotIntegrated(
-                f"constraint links variable group {{{', '.join(groups[a])}}} to itself"
-            )
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    labels: dict[int, str] = {}
-    for seed in range(len(groups)):
-        if seed in labels or not adjacency[seed]:
-            continue
-        labels[seed] = "V"
-        queue = deque([seed])
-        while queue:
-            node = queue.popleft()
-            want = "W" if labels[node] == "V" else "V"
-            for nxt in sorted(adjacency[node]):
-                if nxt not in labels:
-                    labels[nxt] = want
-                    queue.append(nxt)
-                elif labels[nxt] != want:
-                    raise NotIntegrated(
-                        f"variable group {{{', '.join(groups[nxt])}}} would be labeled both sides"
-                    )
-    if matches is None:
-        raise NotIntegrated("some constraint does not match exactly one row")
-    v1 = sorted(n for k, g in enumerate(groups) if labels.get(k) == "V" for n in g)
-    w1 = sorted(n for k, g in enumerate(groups) if labels.get(k) == "W" for n in g)
-    free = tuple(g for k, g in enumerate(groups) if k not in labels)
-    return PartitionResult(tuple(v1), tuple(w1), free, scan)
 
 
 def build_pair(q: EprRelation, v, w) -> PrPair:
@@ -274,7 +211,8 @@ def _route(q: EprRelation, scan, slot_of: dict[str, int], slots: int) -> list[Pr
 
 @dataclass(frozen=True)
 class Parts:
-    """q split once into the relations its source pairs are merged from.
+    """partition's result: q split once into the relations its source pairs
+    are merged from.
 
     ``v`` and ``w`` are the cores: the rows of the variables that the
     constraints force onto each side, the rows the constraints add, and the
@@ -307,6 +245,11 @@ class Parts:
                 r.append(across)
         return [p for p in r if p.rows] or r[:1], [p for p in s if p.rows] or s[:1]
 
+    @property
+    def free_groups(self) -> tuple[VarSet, ...]:
+        """The sorted variables of each free group, in group order."""
+        return tuple(tuple(sorted(own.names)) for own, _ in self.free)
+
     def pair(self, k: int) -> PrPair:
         """Pair k, each side merged from its parts."""
         r, s = self.sides(k)
@@ -325,22 +268,67 @@ def _merge(parts: list[PrRelation]) -> PrRelation:
     return PrRelation(rows, var_probs=var_probs, names=frozenset().union(*(p.names for p in parts)))
 
 
-def split(q: EprRelation) -> Parts:
-    """q's cores and free groups, from one partition and one routing pass.
+def _slot_of(formula_vars, constraint_vars) -> tuple[dict[str, int], int]:
+    """Each variable's slot, and the number of free groups.
 
-    Raises MissingVarProb first, before recognition, for the variables of q
-    without a probability when q carries any; then partition raises
-    NotIntegrated when recognition fails, and routing when two constraints
-    match one row.
+    Co-occurring variables form groups, and groups linked by a constraint
+    take opposite slots, 0 (the V side) and 1 (the W side); free group i,
+    which no constraint touches, takes slot 2 + 2i.  Raises NotIntegrated
+    for a constraint linking a group to itself, then for a group forced
+    onto both sides.
+    """
+    groups = _variable_groups(formula_vars)
+    index = {name: k for k, group in enumerate(groups) for name in group}
+    adjacency: dict[int, set[int]] = {k: set() for k in range(len(groups))}
+    for lv, rv in constraint_vars:
+        if not lv or not rv:
+            continue
+        a, b = index[next(iter(lv))], index[next(iter(rv))]
+        if a == b:
+            raise NotIntegrated(
+                f"constraint links variable group {{{', '.join(groups[a])}}} to itself"
+            )
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    slots: dict[int, int] = {}  # group -> its slot
+    for seed in range(len(groups)):
+        if seed in slots or not adjacency[seed]:
+            continue
+        slots[seed] = 0
+        queue = deque([seed])
+        while queue:
+            node = queue.popleft()
+            want = slots[node] ^ 1
+            for nxt in sorted(adjacency[node]):
+                if nxt not in slots:
+                    slots[nxt] = want
+                    queue.append(nxt)
+                elif slots[nxt] != want:
+                    raise NotIntegrated(
+                        f"variable group {{{', '.join(groups[nxt])}}} would be labeled both sides"
+                    )
+    free = [k for k in range(len(groups)) if k not in slots]
+    slots.update((k, 2 + 2 * i) for i, k in enumerate(free))
+    return {name: slots[k] for name, k in index.items()}, len(free)
+
+
+def partition(q: EprRelation) -> Parts:
+    """q's cores and free groups, from one recognition and one routing pass.
+
+    Raises MissingVarProb first, for the variables of q without a
+    probability when q carries any; then NotIntegrated at the first fault,
+    in this order: a constraint linking a group to itself, a group forced
+    onto both sides, a constraint that does not match exactly one row
+    (condition 3), then two constraints that match one row.
     """
     if q.var_probs is not None and not q.var_probs.keys() >= q.names:
         raise MissingVarProb(q.names - q.var_probs.keys())
-    part = partition(q)
-    slot_of = dict.fromkeys(part.v1, 0) | dict.fromkeys(part.w1, 1)
-    for i, group in enumerate(part.free_groups):
-        slot_of.update(dict.fromkeys(group, 2 + 2 * i))
-    v, w, *free = _route(q, part.scan, slot_of, 2 + 2 * len(part.free_groups))
-    return Parts(v, w, tuple(zip(free[::2], free[1::2])))
+    scan = row_vars, constraint_vars, matches = _scan(q)
+    slot_of, free = _slot_of(chain(row_vars, *constraint_vars), constraint_vars)
+    if matches is None:
+        raise NotIntegrated("some constraint does not match exactly one row")
+    v, w, *rest = _route(q, scan, slot_of, 2 + 2 * free)
+    return Parts(v, w, tuple(zip(rest[::2], rest[1::2])))
 
 
 def enumerate_pairs(q: EprRelation, limit: int | None = None) -> list[PrPair]:
@@ -348,9 +336,9 @@ def enumerate_pairs(q: EprRelation, limit: int | None = None) -> list[PrPair]:
 
     Pair k sends free group i to the V side iff bit i of k is set, so pair 0
     (every free group on the W side) is the deterministic default.  Raises
-    as split does; every pair is merged from the one split.
+    as partition does; every pair is merged from the one partition.
     """
-    parts = split(q)
+    parts = partition(q)
     total = 1 << len(parts.free)
     count = total if limit is None else min(limit, total)
     return [parts.pair(k) for k in range(count)]

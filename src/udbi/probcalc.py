@@ -1,13 +1,14 @@
 """Exact distribution of an integrated epr-relation.
 
-The relation is decomposed into a source pair, both sides are expanded to
-possible worlds, and the integrated probabilities follow the closed form
-P(D_i) * P(D'_j) / P per compatibility component.  Pairs differ only in the
-side each free group sits on, and a free group shares no variable and no
-tuple with the rest of either side, so each side's distribution is the
-product of its parts' (the decomposable-conjunction rule) and every pair
-gives the identical distribution.  epr_distribution expands each part once,
-the two cores and each free group; asked to compare, it checks pair 0
+The relation is partitioned once into its parts, both sides of a source
+pair are expanded to possible worlds, and the integrated probabilities
+follow the closed form P(D_i) * P(D'_j) / P per compatibility component.
+Pairs differ only in the side each free group sits on, and a free group
+shares no variable and no tuple with the rest of either side, so each
+side's distribution is the product of its parts' (the
+decomposable-conjunction rule) and every pair gives the identical
+distribution.  epr_distribution expands each part once, the two cores and
+each free group, and merges no pair; asked to compare, it checks pair 0
 against each free group flipped alone, which puts every part on both sides.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import pwdb
-from .decompose import PrPair, split
+from .decompose import Parts, partition
 from .logic import DEFAULT_VAR_CAP
 from .errors import ExpansionTooLarge, MissingVarProb
 from .prdb import EprRelation, PrRelation, expand_pr
@@ -33,16 +34,18 @@ from .pwdb import (
 
 @dataclass(frozen=True)
 class IntegratedDistribution:
-    """Distribution plus the component balance report, the pair that produced
-    it, and whether the other decompositions checked agree with it.
+    """Distribution plus the component balance report, the parts of q whose
+    pair 0 produced it, and whether the other decompositions checked agree
+    with it.
 
     The distribution is integrate_checked's UncertainDB: worlds in canonical
-    order, probabilities summing to 1.
+    order, probabilities summing to 1.  ``parts.pair(0)`` merges the pair
+    used, for a caller that shows it.
     """
 
     distribution: UncertainDB
     components: tuple[ComponentSummary, ...]
-    pair_used: PrPair
+    parts: Parts
     agreed: bool
 
 
@@ -51,8 +54,8 @@ def epr_distribution(
 ) -> IntegratedDistribution:
     """Exact world probabilities of q under partial independence.
 
-    Pipeline: split q once into its parts, expand each part of pair 0 (the
-    default partition) once, take each side's distribution as the product
+    Pipeline: partition q once into its parts, expand each part of pair 0
+    (the default pair) once, take each side's distribution as the product
     of its parts', check the per-component probability balance, then
     weight each compatible world pair by P(D_i) * P(D'_j) / P and merge
     duplicates.  Every distribution is an UncertainDB, valid once built.
@@ -61,15 +64,15 @@ def epr_distribution(
     model, each compared as it is produced from the same parts; without it
     no pair is compared and ``agreed`` is True.  Raises MissingVarProb
     first, before the cap and recognition, for the variables of q without a
-    probability: an EprRelation may leave some out.  The cap counts the
+    probability: when q carries none here, and through partition when it
+    carries some, as an EprRelation may.  The cap counts the
     variables of a whole side, checked for pair 0's r side, then its s side,
     then each flip's r and s side in group order, each before that side is
     expanded or multiplied out.
     """
-    missing = q.names - (q.var_probs or {}).keys()
-    if missing:
-        raise MissingVarProb(missing)
-    parts = split(q)
+    if q.var_probs is None and q.names:
+        raise MissingVarProb(q.names)
+    parts = partition(q)
     expanded: dict[int, UncertainDB] = {}  # id of a part -> its worlds
 
     def distribution(side: list[PrRelation]) -> UncertainDB:
@@ -92,7 +95,7 @@ def epr_distribution(
         integrate_pw_prob(*map(distribution, parts.sides(1 << i))) == joint
         for i in range(len(parts.free))
     )
-    return IntegratedDistribution(joint, tuple(c for c, _ in checks), parts.pair(0), agreed)
+    return IntegratedDistribution(joint, tuple(c for c, _ in checks), parts, agreed)
 
 
 def cross_check(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> bool:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from reach import tracing
 from udbi import logic
-from udbi.decompose import partition
+from udbi.decompose import Parts, partition
 from udbi.errors import ExpansionTooLarge, MissingVarProb, NoValidAssignment, NotIntegrated
 from udbi.logic import (
     DEFAULT_VAR_CAP,
@@ -394,6 +394,13 @@ def gen_integrated_epr(seed, blocks: int | None = None) -> EprRelation:
         except NotIntegrated:
             continue
         return q
+
+
+def forced_sides(parts: Parts) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The sorted variables that constraints force onto the V and W sides:
+    the names of the two cores, since every constraint side ends up as a
+    row of one core."""
+    return tuple(sorted(parts.v.names)), tuple(sorted(parts.w.names))
 
 
 def structural_condition3(q: EprRelation) -> list[tuple[int, bool]] | None:

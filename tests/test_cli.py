@@ -787,9 +787,9 @@ def with_free_groups(q: EprRelation, k: int) -> EprRelation:
 
 def test_single_relation_check_decomposes_once(tmp_path, capsys, monkeypatch):
     # Each part is expanded once: the two cores and each free group, not
-    # both sides of all 2^k pairs.
+    # both sides of all 2^k pairs.  check merges no pair, prob merges pair 0
+    # to print it, and decompose --all merges each of the 2^k pairs.
     calls = {}
-    partition, route, expand = decompose.partition, decompose._route, probcalc.expand_pr
 
     def counted(name, fn):
         def wrapper(*args):
@@ -797,15 +797,23 @@ def test_single_relation_check_decomposes_once(tmp_path, capsys, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(decompose, "partition", counted("partition", partition))
-    monkeypatch.setattr(decompose, "_route", counted("route", route))
-    monkeypatch.setattr(probcalc, "expand_pr", counted("expand", expand))
+    partition = counted("partition", decompose.partition)
+    monkeypatch.setattr(decompose, "partition", partition)
+    monkeypatch.setattr(probcalc, "partition", partition)
+    monkeypatch.setattr(decompose, "_route", counted("route", decompose._route))
+    monkeypatch.setattr(probcalc, "expand_pr", counted("expand", probcalc.expand_pr))
+    monkeypatch.setattr(decompose.Parts, "pair", counted("pair", decompose.Parts.pair))
     for k in range(5):
-        q = with_free_groups(office_epr(), k)
-        calls.update(partition=0, route=0, expand=0)
-        code, out, _ = run(capsys, "check", save(tmp_path, "q.json", q))
-        assert code == 0 and "cross-check: ok" in out
-        assert calls == {"partition": 1, "route": 1, "expand": 2 + k}
+        path = save(tmp_path, "q.json", with_free_groups(office_epr(), k))
+        for argv, shown, expand, pairs in (
+            (["check"], "cross-check: ok", 2 + k, 0),
+            (["prob"], "pair r:", 2 + k, 1),
+            (["decompose", "--all"], f"pair {(1 << k) - 1} r:", 0, 1 << k),
+        ):
+            calls.update(partition=0, route=0, expand=0, pair=0)
+            code, out, _ = run(capsys, *argv, path)
+            assert code == 0 and shown in out
+            assert calls == {"partition": 1, "route": 1, "expand": expand, "pair": pairs}
 
 
 def test_prob_of_a_pr_document_matches_the_epr_document_of_its_rows(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     FREE_GROUP_PROBS,
+    forced_sides,
     formula_texts,
     free_group_epr,
     free_group_relations,
@@ -19,9 +20,9 @@ from conftest import (
     structural_condition3,
 )
 from udbi import decompose
-from udbi.decompose import PrPair, build_pair, enumerate_pairs, partition, split
+from udbi.decompose import PrPair, build_pair, enumerate_pairs, partition
 from udbi.documents import document_of, parse_document
-from udbi.errors import NotIntegrated, ParseError, ValidationError
+from udbi.errors import MissingVarProb, NotIntegrated, ParseError, ValidationError
 from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
 from udbi.logic import FALSE, TRUE, And, Not, Variable
 from udbi.prdb import EprRelation, PrRelation, PrTuple, encode_pw, integrate_pr
@@ -110,25 +111,23 @@ def test_condition_three_by_text_agrees_on_any_formula_text(rows, constraints):
 
 
 def test_partition_of_the_office_relation_has_no_free_groups():
-    part = partition(office_epr())
-    assert part.v1 == ("b1", "b2", "b3")
-    assert part.w1 == ("c1", "c2")
-    assert part.free_groups == ()
+    parts = partition(office_epr())
+    assert forced_sides(parts) == (("b1", "b2", "b3"), ("c1", "c2"))
+    assert parts.free_groups == ()
 
 
 def test_partition_reports_the_free_group():
-    part = partition(free_group_epr())
-    assert part.v1 == ("a",)
-    assert part.w1 == ("c", "d")
-    assert part.free_groups == (("b",),)
+    parts = partition(free_group_epr())
+    assert forced_sides(parts) == (("a",), ("c", "d"))
+    assert parts.free_groups == (("b",),)
 
 
 def test_constraint_free_relations_are_entirely_free():
     r1, _ = office_pr_sources()
     q = EprRelation.of(r1.rows, (), r1.var_probs)
-    part = partition(q)
-    assert (part.v1, part.w1) == ((), ())
-    assert part.free_groups == (("c1", "c2"),)
+    parts = partition(q)
+    assert forced_sides(parts) == ((), ())
+    assert parts.free_groups == (("c1", "c2"),)
 
 
 def test_constraint_touching_one_group_is_a_self_loop():
@@ -180,6 +179,33 @@ def test_a_coloring_fault_is_reported_before_condition_three():
     odd_cycle = EprRelation.of(rows, [(a, b), (b, c), (c, a), unmatched])
     with pytest.raises(NotIntegrated, match=r"^variable group \{c\} would be labeled both"):
         partition(odd_cycle)
+
+
+def test_two_constraints_on_one_tuple_are_rejected():
+    a, b, c = Variable("a"), Variable("b"), Variable("c")
+    q = EprRelation.of([(("t",), a)], [(a, b), (a, c)])
+    for recognize in (partition, enumerate_pairs):
+        with pytest.raises(
+            NotIntegrated,
+            match=r"^two constraints resolve to the same tuple \(t\); no source pair can produce that$",
+        ):
+            recognize(q)
+
+
+def test_missing_probabilities_are_reported_before_any_recognition_fault():
+    a, b, c = Variable("a"), Variable("b"), Variable("c")
+    faulty = [
+        ([(("t",), a), (("u",), b), (("v",), c)], [(a, And(a, b))]),
+        ([(("t1",), a), (("t2",), b), (("t3",), c)], [(a, b), (b, c), (c, a)]),
+        ([(("t",), a), (("u",), b), (("v",), c)], [(Not(a), Not(b))]),
+        ([(("t",), a)], [(a, b), (a, c)]),
+    ]
+    for rows, constraints in faulty:
+        with pytest.raises(NotIntegrated):
+            partition(EprRelation.of(rows, constraints, dict.fromkeys("abc", "1/2")))
+        partial = EprRelation.of(rows, constraints, {"a": "1/2"})
+        with pytest.raises(MissingVarProb, match="^missing probabilities for variables: b, c$"):
+            partition(partial)
 
 
 # --- build_pair checks a given split ------------------------------------------------------
@@ -261,16 +287,6 @@ def test_pair_sides_share_the_relations_probabilities():
 def test_build_pair_rejects_unrecognizable_partitions():
     with pytest.raises(NotIntegrated, match="not recognized"):
         build_pair(office_epr(), {"b1", "b2", "b3", "c1"}, {"c2"})
-
-
-def test_two_constraints_on_one_tuple_are_rejected():
-    a, b = Variable("a"), Variable("b")
-    q = EprRelation.of(
-        [(("t",), a), (("u",), b)],
-        [(a, Variable("d")), (a, Variable("e"))],
-    )
-    with pytest.raises(NotIntegrated, match=r"same tuple \(t\);"):
-        enumerate_pairs(q)
 
 
 def test_variable_free_row_goes_opposite_a_v_side_partner():
@@ -387,8 +403,8 @@ def test_generated_integrations_decompose_and_reintegrate(seed):
 @given(st.integers(0, 10**9))
 def test_partition_accepts_generated_integrations(seed):
     q = gen_integrated_epr(seed)
-    part = partition(q)
-    pair = build_pair(q, set(part.v1), set(part.w1) | {n for g in part.free_groups for n in g})
+    v1, _ = forced_sides(partition(q))
+    pair = build_pair(q, set(v1), q.names - set(v1))
     assert pair == enumerate_pairs(q, limit=1)[0]
 
 
@@ -397,13 +413,13 @@ def test_pairs_merged_from_parts_are_the_pairs_of_their_splits():
     # same split, routed from q directly, and integrates back to q.
     seen = set()
     for q in free_group_relations():
-        part = partition(q)
+        parts = partition(q)
         pairs = enumerate_pairs(q)
-        assert len(pairs) == 1 << len(part.free_groups)
-        seen.add(len(part.free_groups))
+        assert len(pairs) == 1 << len(parts.free_groups)
+        seen.add(len(parts.free_groups))
         for k, pair in enumerate(pairs):
-            v = set(part.v1)
-            for i, group in enumerate(part.free_groups):
+            v = set(forced_sides(parts)[0])
+            for i, group in enumerate(parts.free_groups):
                 v.update(group if k >> i & 1 else ())
             assert pair == build_pair(q, v, q.names - v)
             assert reintegrated(pair) == canonical(q)
@@ -412,7 +428,7 @@ def test_pairs_merged_from_parts_are_the_pairs_of_their_splits():
 
 def test_parts_share_no_variable_and_no_tuple():
     for q in free_group_relations():
-        parts = split(q)
+        parts = partition(q)
         every = [parts.v, parts.w, *(p for group in parts.free for p in group)]
         names = [n for p in every for n in p.names]
         assert len(names) == len(set(names)) and set(names) == q.names
@@ -445,9 +461,8 @@ def test_partition_work_grows_linearly():
 def test_build_pair_work_grows_linearly():
     work = []
     for q in (chain_relation(1000), chain_relation(2000)):
-        part = partition(q)
-        v = set(part.v1) | {n for g in part.free_groups for n in g}
-        work.append(lines_run(decompose, build_pair, q, v, set(part.w1)))
+        _, w1 = forced_sides(partition(q))
+        work.append(lines_run(decompose, build_pair, q, q.names - set(w1), set(w1)))
     assert work[1] <= 2.5 * work[0]
 
 
@@ -475,10 +490,9 @@ def tuple_tests_in_build_pair(n: int) -> int:
         [PrTuple(CountedTuple(row.tuple), row.event) for row in chain.rows],
         chain.constraints,
     )
-    part = partition(q)
-    v = set(part.v1) | {name for group in part.free_groups for name in group}
+    _, w1 = forced_sides(partition(q))
     tests = 0
-    build_pair(q, v, set(part.w1))
+    build_pair(q, q.names - set(w1), set(w1))
     return tests
 
 

@@ -24,7 +24,7 @@ from conftest import (
 from reach import tracing
 from udbi import decompose, logic, prdb, probcalc, pwdb
 from udbi.cli import main
-from udbi.decompose import PrPair, enumerate_pairs, split
+from udbi.decompose import PrPair, enumerate_pairs, partition
 from udbi.errors import ExpansionTooLarge, MissingVarProb, NotIntegrated, ProbConstraintViolation
 from udbi.gen import gen_pr_pair
 from udbi.logic import And, Variable
@@ -44,7 +44,7 @@ def test_office_components_and_pair_are_reported():
     result = epr_distribution(office_epr())
     assert [c.constant for c in result.components] == [Fraction(4, 5), Fraction(1, 5)]
     assert all(c.balanced for c in result.components)
-    assert result.pair_used == PrPair(r2, r1)
+    assert result.parts.pair(0) == PrPair(r2, r1)
 
 
 def test_distribution_support_equals_the_valid_assignment_worlds():
@@ -91,7 +91,7 @@ def test_comparing_flips_each_free_group_alone(monkeypatch):
     relations += [gen_integrated_epr(seed, blocks) for seed in range(2) for blocks in range(5)]
     for q in relations:
         pairs = enumerate_pairs(q)
-        flips = [pairs[1 << i] for i in range(len(split(q).free))]
+        flips = [pairs[1 << i] for i in range(len(partition(q).free))]
         compared.clear()
         result = epr_distribution(q, compare=True)
         assert result.agreed is True
@@ -105,7 +105,7 @@ def test_each_side_distribution_is_the_product_of_its_parts():
     # A free group shares no variable and no tuple with the rest of its
     # side, so the side's worlds are the products of its parts' worlds.
     for q in free_group_relations():
-        parts = split(q)
+        parts = partition(q)
         for k, pair in enumerate(enumerate_pairs(q)):
             for side, merged in zip(parts.sides(k), (pair.r, pair.s)):
                 product = reduce(integrate_pw_prob, [expand_pr(p)[0] for p in side])
@@ -123,7 +123,7 @@ def test_distribution_matches_expanding_both_sides_of_every_pair():
             assert got == want
             continue
         assert got.distribution == want and got.agreed is True
-        assert got.pair_used == pairs[0]
+        assert got.parts.pair(0) == pairs[0]
         for pair in pairs[1:]:
             assert integrate_pw_prob(expand_pr(pair.r)[0], expand_pr(pair.s)[0]) == want
 
