@@ -40,9 +40,10 @@ def _pr_doc(rows, var_probs=None, constraints=None) -> dict:
 
 
 # Recognition faults: a self-linked group, an odd constraint cycle, and
-# constraints matching no row or two rows; the last relation breaks both the
+# constraints matching no row or two rows; both_faults breaks both the
 # 2-colouring and condition 3.
 _HALVES = {"a": "1/2", "b": "1/2", "c": "1/2"}
+_FREE_PROBS = {"a": "1/3", "b": "2/5", "c": "1/3", "d": "1/2"}
 _RECOGNITION = {
     "self_link": _pr_doc([("t", "a"), ("u", "b")], _HALVES, [("a", "a & b")]),
     "odd_cycle": _pr_doc(
@@ -51,12 +52,31 @@ _RECOGNITION = {
     "no_match": _pr_doc([("t", "a"), ("u", "b")], _HALVES, [("!a", "!b")]),
     "two_matches": _pr_doc([("t", "a"), ("u", "a"), ("v", "b")], _HALVES, [("a", "b")]),
     "both_faults": _pr_doc([("t", "a"), ("u", "b")], _HALVES, [("a", "a & b"), ("!a", "!b")]),
-    "free_group": _pr_doc(
-        [("t1", "a"), ("t2", "b"), ("t3", "!c | d")],
-        {"a": "1/3", "b": "2/5", "c": "1/3", "d": "1/2"},
-        [("a", "c")],
+    "free_group": _pr_doc([("t1", "a"), ("t2", "b"), ("t3", "!c | d")], _FREE_PROBS, [("a", "c")]),
+    # The faulty group has two variables, and groups are numbered by first
+    # use, not by name: {y, z} comes first, so the cycle's BFS starts there
+    # and names {b, c}; numbered by name it would start at {a} and name {y, z}.
+    "self_link_named": _pr_doc(
+        [("t", "z & y"), ("u", "a")], {"a": "1/2", "y": "1/2", "z": "1/2"},
+        [("a", "z & y"), ("y", "z & y")],
+    ),
+    "odd_cycle_named": _pr_doc(
+        [("t1", "z & y"), ("t2", "a"), ("t3", "c | b")],
+        {name: "1/2" for name in "abcyz"},
+        [("z & y", "a"), ("a", "c | b"), ("c | b", "z & y")],
     ),
 }
+
+# A variable-free row whose partner, the other side of its constraint, is
+# variable-free too: the row and the one its constraint adds have no
+# variable to route them by.
+_CONSTANT_PARTNER = _pr_doc(
+    [("t", "b"), ("u", "true")], {"a": "1/2", "b": "1/2"}, [("a", "b"), ("false", "true")]
+)
+
+# The free-group relation with a probability for a variable that no formula
+# uses: no part takes it.
+_UNUSED_PROB = {**_RECOGNITION["free_group"], "var_probs": {**_FREE_PROBS, "e": "1/7"}}
 
 # The worked example of the README.
 _OFFICE = {
@@ -363,6 +383,14 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
         q = save(f"{name}.json", doc)
         for command in (["prob"], ["check"], ["decompose", "--all"]):
             cases.append((f"{name}/{command[0]}", command + [q]))
+
+    constant_partner = save("constant_partner.json", _CONSTANT_PARTNER)
+    for name, command in (("prob", ["prob"]), ("check", ["check"]), ("decompose", ["decompose"]),
+                          ("decompose-all", ["decompose", "--all"])):
+        cases.append((f"constant_partner/{name}", command + [constant_partner]))
+    unused_prob = save("unused_prob.json", _UNUSED_PROB)
+    rendered("unused_prob/prob", ["prob", unused_prob])
+    rendered("unused_prob/decompose-all", ["decompose", "--all", unused_prob])
 
     for k, value in enumerate(_PROB_TEXTS):
         pr = save(f"prob{k:02d}-pr.json", _pr_doc([("t", "x")], {"x": value}))
