@@ -1,17 +1,18 @@
 """Recognizing integrated epr-relations and rebuilding source pairs.
 
-A relation q is recognized as an integration result when its event variables
-split into two sides such that every row formula lives wholly on one side,
-every constraint bridges the two sides, and every constraint matches exactly
-one row syntactically.  Variable groups touched by no constraint are free:
-either side works, and every choice yields the same distribution, since a
-free group shares no variable and no tuple with the rest of its side.
-partition finds the forced split, or raises at the first fault, and routes
-q's rows once into parts: the two cores and each free group.  build_pair
-rebuilds the source pair of a given split.  enumerate_pairs merges all 2^k
-pairs of k free groups from the parts, as many as its limit allows: they are
-the output of decompose --all.  probcalc needs only pair 0 and each group
-flipped alone."""
+A relation q is recognized as an integration result when its formulas split
+into two sides such that every row formula lives on one side, every
+constraint bridges the two sides, and every constraint matches exactly one
+row syntactically.  Recognition labels formulas, not variables: a group is
+the formulas linked by shared variables, and a constraint links two groups.
+Groups touched by no constraint are free: either side works, and every
+choice yields the same distribution, since a free group shares no variable
+and no tuple with the rest of its side.  partition finds the forced split,
+or raises at the first fault, and routes q's rows once into parts: the two
+cores and each free group.  build_pair rebuilds the source pair of a given
+split.  enumerate_pairs merges all 2^k pairs of k free groups from the
+parts, as many as its limit allows: they are the output of decompose --all.
+probcalc needs only pair 0 and each group flipped alone."""
 
 from __future__ import annotations
 
@@ -49,40 +50,6 @@ class PrPair:
             )
 
 
-def _variable_groups(formula_vars) -> list[VarSet]:
-    """Groups of variables co-occurring in some formula, each sorted.
-
-    ``formula_vars`` lists each formula's variable set.  The groups are the
-    connected components of the formula-variable incidence, found by one
-    walk each; a walk starts at the first formula with variables that no
-    earlier walk reached, so groups come out ordered by first use.
-    """
-    formula_vars = list(formula_vars)
-    uses: dict[str, list[int]] = {}
-    for k, used in enumerate(formula_vars):
-        for name in used:
-            uses.setdefault(name, []).append(k)
-    reached = [False] * len(formula_vars)
-    grouped: set[str] = set()
-    groups = []
-    for start, used in enumerate(formula_vars):
-        if reached[start] or not used:
-            continue
-        reached[start] = True
-        stack, members = [start], []
-        while stack:
-            for name in formula_vars[stack.pop()]:
-                if name not in grouped:
-                    grouped.add(name)
-                    members.append(name)
-                    for k in uses[name]:
-                        if not reached[k]:
-                            reached[k] = True
-                            stack.append(k)
-        groups.append(tuple(sorted(members)))
-    return groups
-
-
 def _condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
     """Each constraint must match exactly one row's formula syntactically.
 
@@ -114,10 +81,12 @@ def _condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
 def _scan(q: EprRelation):
     """The one pass over q's formulas that recognition and routing share.
 
-    Returns the variable sets of each row formula and of each constraint's
-    two sides, and _condition3(q).  Each distinct formula object is walked
-    once: a document shares one object among equal formula texts, so a
-    constraint side is often the very object of its row's formula.
+    Returns the variable sets of q's formulas in one list, and
+    _condition3(q).  The list holds the n rows' formulas first, then each
+    constraint's two sides: constraint j's lhs at n + 2j and its rhs at
+    n + 2j + 1.  Each distinct formula object is walked once: a document
+    shares one object among equal formula texts, so a constraint side is
+    often the very object of its row's formula.
     """
     walked: dict[int, frozenset[str]] = {}  # id of a formula of q -> its variables
 
@@ -127,9 +96,8 @@ def _scan(q: EprRelation):
             used = walked[id(f)] = frozenset(iter_vars(f))
         return used
 
-    row_vars = [variables(row.event) for row in q.rows]
-    constraint_vars = [(variables(lhs), variables(rhs)) for lhs, rhs in q.constraints]
-    return row_vars, constraint_vars, _condition3(q)
+    formulas = chain(map(_row_event, q.rows), chain.from_iterable(q.constraints))
+    return list(map(variables, formulas)), _condition3(q)
 
 
 def build_pair(q: EprRelation, v, w) -> PrPair:
@@ -144,65 +112,62 @@ def build_pair(q: EprRelation, v, w) -> PrPair:
     plus constraints.
     """
     v, w = frozenset(v), frozenset(w)
-    scan = row_vars, constraint_vars, matches = _scan(q)
+    scan = formula_vars, matches = _scan(q)
     if (v & w) or (v | w) != q.names:
         raise ValidationError("v and w must partition the variables of the relation")
-    if not (
-        all(used <= v or used <= w for used in row_vars)
-        and all((lv <= v and rv <= w) or (lv <= w and rv <= v) for lv, rv in constraint_vars)
-        and matches is not None
-    ):
+    # Each formula's side: None without variables, -1 spanning both.
+    slot = [None if not f else 0 if f <= v else 1 if f <= w else -1 for f in formula_vars]
+    n = len(q.rows)
+    bridged = zip(slot[n::2], slot[n + 1 :: 2])
+    if -1 in slot or matches is None or any(a is not None and a == b for a, b in bridged):
         raise NotIntegrated("the relation is not recognized as an integration result")
-    r, s = _route(q, scan, dict.fromkeys(v, 0) | dict.fromkeys(w, 1), 2)
+    r, s = _route(q, scan, slot, 2)
     return PrPair(r, s)
 
 
-def _route(q: EprRelation, scan, slot_of: dict[str, int], slots: int) -> list[PrRelation]:
+def _route(q: EprRelation, scan, slot: list[int | None], slots: int) -> list[PrRelation]:
     """q's rows routed in one pass to ``slots`` relations, for a split known
     to meet the three conditions.
 
-    ``scan`` is _scan(q), and ``slot_of`` gives each variable's slot.  Slots
-    come in opposite pairs 2j and 2j + 1, which always sit on opposite sides
-    of a source pair.  A row with variables goes to their slot; a
-    variable-free row goes opposite the slot of its partner, the other side
-    of the first constraint that matches it, or to slot 0 when it has no
-    partner or the partner has no variables.  A constraint matching the row t@f in one slot adds t@g
-    to the opposite slot.  Each slot takes q's probabilities of its
-    variables.  Raises NotIntegrated when two constraints match one row.
+    ``scan`` is _scan(q), and ``slot`` gives the slot of each formula in
+    its list, None for a formula without variables.  Slots come in opposite
+    pairs 2j and 2j + 1, which always sit on opposite sides of a source
+    pair.  Row k goes to slot[k]; a variable-free row goes opposite the slot
+    of its partner, the other side of the one constraint that matches it,
+    or to slot 0 when it has no partner or the partner has no variables.  A
+    constraint matching the row t@f in one slot adds t@g to the opposite
+    slot.  Each slot takes q's probabilities of its own variables, so a
+    variable that no formula uses goes nowhere.  Raises NotIntegrated when
+    two constraints match one row.
     """
-    row_vars, constraint_vars, matches = scan
-    partners: dict[int, frozenset[str]] = {}
-    for (k, on_lhs), (lv, rv) in zip(matches, constraint_vars):
-        if k in partners:
+    formula_vars, matches = scan
+    n = len(q.rows)
+    partner: dict[int, int] = {}  # row -> position of the other side of its constraint
+    for j, (k, on_lhs) in enumerate(matches):
+        if k in partner:
             raise NotIntegrated(
                 "two constraints resolve to the same tuple "
                 f"{format_tuple(q.rows[k].tuple)}; no source pair can produce that"
             )
-        partners[k] = rv if on_lhs else lv
+        partner[k] = n + 2 * j + on_lhs
     rows = [[] for _ in range(slots)]
     names = [set() for _ in range(slots)]
     where = []
-    for k, (row, used) in enumerate(zip(q.rows, row_vars)):
-        if used:
-            slot = slot_of[next(iter(used))]
-        else:
-            partner = partners.get(k)
-            slot = slot_of[next(iter(partner))] ^ 1 if partner else 0
-        where.append(slot)
-        rows[slot].append(row)
-        names[slot] |= used
-    for (lhs, rhs), (lv, rv), (k, on_lhs) in zip(q.constraints, constraint_vars, matches):
-        other, other_vars = (rhs, rv) if on_lhs else (lhs, lv)
+    for k, row in enumerate(q.rows):
+        at = slot[k]
+        if at is None:
+            across = slot[partner[k]] if k in partner else None
+            at = 0 if across is None else across ^ 1
+        where.append(at)
+        rows[at].append(row)
+        names[at] |= formula_vars[k]
+    for j, (k, on_lhs) in enumerate(matches):
         target = where[k] ^ 1
-        rows[target].append(PrTuple(q.rows[k].tuple, other))
-        names[target] |= other_vars
+        rows[target].append(PrTuple(q.rows[k].tuple, q.constraints[j][on_lhs]))
+        names[target] |= formula_vars[n + 2 * j + on_lhs]
     probs = [None] * slots
     if q.var_probs is not None:
-        probs = [{} for _ in range(slots)]
-        for name, p in q.var_probs.items():
-            slot = slot_of.get(name)
-            if slot is not None:
-                probs[slot][name] = p
+        probs = [{name: q.var_probs[name] for name in used & q.var_probs.keys()} for used in names]
     return [
         PrRelation(tuple(sorted(held, key=_row_tuple)), var_probs=p, names=used)
         for held, p, used in zip(rows, probs, names)
@@ -268,48 +233,68 @@ def _merge(parts: list[PrRelation]) -> PrRelation:
     return PrRelation(rows, var_probs=var_probs, names=frozenset().union(*(p.names for p in parts)))
 
 
-def _slot_of(formula_vars, constraint_vars) -> tuple[dict[str, int], int]:
-    """Each variable's slot, and the number of free groups.
+def _slots(formula_vars: list[frozenset[str]], n: int) -> tuple[list[int | None], int]:
+    """Each formula's slot (None without variables), and the number of free groups.
 
-    Co-occurring variables form groups, and groups linked by a constraint
-    take opposite slots, 0 (the V side) and 1 (the W side); free group i,
-    which no constraint touches, takes slot 2 + 2i.  Raises NotIntegrated
-    for a constraint linking a group to itself, then for a group forced
-    onto both sides.
+    ``formula_vars`` is _scan's list, with n rows.  A group is the formulas
+    linked by shared variables, found by one walk each from the first
+    formula no earlier walk reached, so groups are numbered by first use.
+    Constraint j links the groups of its two sides, and linked groups take
+    opposite slots, 0 (the V side) and 1 (the W side); free group i, which
+    no constraint touches, takes slot 2 + 2i.  Raises NotIntegrated for a
+    constraint linking a group to itself, then for a group forced onto both
+    sides, naming the group by its sorted variables.
     """
-    groups = _variable_groups(formula_vars)
-    index = {name: k for k, group in enumerate(groups) for name in group}
-    adjacency: dict[int, set[int]] = {k: set() for k in range(len(groups))}
-    for lv, rv in constraint_vars:
-        if not lv or not rv:
+    uses: dict[str, list[int]] = {}
+    for k, used in enumerate(formula_vars):
+        for name in used:
+            uses.setdefault(name, []).append(k)
+    group: list[int | None] = [None] * len(formula_vars)
+    count = 0
+    for start, used in enumerate(formula_vars):
+        if group[start] is not None or not used:
             continue
-        a, b = index[next(iter(lv))], index[next(iter(rv))]
+        group[start] = count
+        stack = [start]
+        while stack:
+            for name in formula_vars[stack.pop()]:
+                for k in uses.pop(name, ()):
+                    if group[k] is None:
+                        group[k] = count
+                        stack.append(k)
+        count += 1
+
+    def named(g: int) -> str:
+        return ", ".join(sorted(set().union(*(u for u, h in zip(formula_vars, group) if h == g))))
+
+    adjacency: list[set[int]] = [set() for _ in range(count)]
+    for a, b in zip(group[n::2], group[n + 1 :: 2]):
+        if a is None or b is None:
+            continue
         if a == b:
-            raise NotIntegrated(
-                f"constraint links variable group {{{', '.join(groups[a])}}} to itself"
-            )
+            raise NotIntegrated(f"constraint links variable group {{{named(a)}}} to itself")
         adjacency[a].add(b)
         adjacency[b].add(a)
-    slots: dict[int, int] = {}  # group -> its slot
-    for seed in range(len(groups)):
-        if seed in slots or not adjacency[seed]:
+    side: dict[int, int] = {}  # group -> its slot
+    for seed in range(count):
+        if seed in side or not adjacency[seed]:
             continue
-        slots[seed] = 0
+        side[seed] = 0
         queue = deque([seed])
         while queue:
             node = queue.popleft()
-            want = slots[node] ^ 1
+            want = side[node] ^ 1
             for nxt in sorted(adjacency[node]):
-                if nxt not in slots:
-                    slots[nxt] = want
+                if nxt not in side:
+                    side[nxt] = want
                     queue.append(nxt)
-                elif slots[nxt] != want:
+                elif side[nxt] != want:
                     raise NotIntegrated(
-                        f"variable group {{{', '.join(groups[nxt])}}} would be labeled both sides"
+                        f"variable group {{{named(nxt)}}} would be labeled both sides"
                     )
-    free = [k for k in range(len(groups)) if k not in slots]
-    slots.update((k, 2 + 2 * i) for i, k in enumerate(free))
-    return {name: slots[k] for name, k in index.items()}, len(free)
+    free = [g for g in range(count) if g not in side]
+    side.update((g, 2 + 2 * i) for i, g in enumerate(free))
+    return [None if g is None else side[g] for g in group], len(free)
 
 
 def partition(q: EprRelation) -> Parts:
@@ -323,11 +308,11 @@ def partition(q: EprRelation) -> Parts:
     """
     if q.var_probs is not None and not q.var_probs.keys() >= q.names:
         raise MissingVarProb(q.names - q.var_probs.keys())
-    scan = row_vars, constraint_vars, matches = _scan(q)
-    slot_of, free = _slot_of(chain(row_vars, *constraint_vars), constraint_vars)
+    scan = formula_vars, matches = _scan(q)
+    slot, free = _slots(formula_vars, len(q.rows))
     if matches is None:
         raise NotIntegrated("some constraint does not match exactly one row")
-    v, w, *rest = _route(q, scan, slot_of, 2 + 2 * free)
+    v, w, *rest = _route(q, scan, slot, 2 + 2 * free)
     return Parts(v, w, tuple(zip(rest[::2], rest[1::2])))
 
 

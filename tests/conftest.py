@@ -422,6 +422,94 @@ def structural_condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
     return matches
 
 
+def _variable_groups(formula_vars) -> list[tuple[str, ...]]:
+    """Groups of variables co-occurring in some formula, each sorted, in
+    order of first use: the connected components of the formula-variable
+    incidence, one walk each from the first formula with variables that no
+    earlier walk reached."""
+    formula_vars = list(formula_vars)
+    uses: dict[str, list[int]] = {}
+    for k, used in enumerate(formula_vars):
+        for name in used:
+            uses.setdefault(name, []).append(k)
+    reached = [False] * len(formula_vars)
+    grouped: set[str] = set()
+    groups = []
+    for start, used in enumerate(formula_vars):
+        if reached[start] or not used:
+            continue
+        reached[start] = True
+        stack, members = [start], []
+        while stack:
+            for name in formula_vars[stack.pop()]:
+                if name not in grouped:
+                    grouped.add(name)
+                    members.append(name)
+                    for k in uses[name]:
+                        if not reached[k]:
+                            reached[k] = True
+                            stack.append(k)
+        groups.append(tuple(sorted(members)))
+    return groups
+
+
+def reference_slots(q: EprRelation) -> dict[str, int]:
+    """Each variable's slot as a name-level recognizer assigns it: 0 and 1
+    for the V and W cores, 2 + 2i for free group i.
+
+    Groups of variables, indexed by name, are 2-coloured over the
+    constraints in group order; then condition 3 is checked by structural
+    equality and each row may be matched once.  Raises NotIntegrated with
+    partition's message at the first fault, in partition's order.  The
+    oracle for partition's grouping of formulas."""
+    row_vars = [frozenset(iter_vars(row.event)) for row in q.rows]
+    constraint_vars = [
+        (frozenset(iter_vars(lhs)), frozenset(iter_vars(rhs))) for lhs, rhs in q.constraints
+    ]
+    groups = _variable_groups(itertools.chain(row_vars, *constraint_vars))
+    index = {name: k for k, group in enumerate(groups) for name in group}
+    adjacency: dict[int, set[int]] = {k: set() for k in range(len(groups))}
+    for lv, rv in constraint_vars:
+        if not lv or not rv:
+            continue
+        a, b = index[next(iter(lv))], index[next(iter(rv))]
+        if a == b:
+            raise NotIntegrated(f"constraint links variable group {{{', '.join(groups[a])}}} to itself")
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    slots: dict[int, int] = {}
+    for seed in range(len(groups)):
+        if seed in slots or not adjacency[seed]:
+            continue
+        slots[seed] = 0
+        queue = deque([seed])
+        while queue:
+            node = queue.popleft()
+            want = slots[node] ^ 1
+            for nxt in sorted(adjacency[node]):
+                if nxt not in slots:
+                    slots[nxt] = want
+                    queue.append(nxt)
+                elif slots[nxt] != want:
+                    raise NotIntegrated(
+                        f"variable group {{{', '.join(groups[nxt])}}} would be labeled both sides"
+                    )
+    free = [k for k in range(len(groups)) if k not in slots]
+    slots.update((k, 2 + 2 * i) for i, k in enumerate(free))
+    matches = structural_condition3(q)
+    if matches is None:
+        raise NotIntegrated("some constraint does not match exactly one row")
+    matched = set()
+    for k, _ in matches:
+        if k in matched:
+            raise NotIntegrated(
+                "two constraints resolve to the same tuple "
+                f"{format_tuple(q.rows[k].tuple)}; no source pair can produce that"
+            )
+        matched.add(k)
+    return {name: slots[k] for name, k in index.items()}
+
+
 def free_group_relations() -> list[EprRelation]:
     """Recognized integrations with 0 to 3 free groups: those of the golden
     corpus's gen_pr_pair seeds, and generated ones with 0 to 3 blocks."""

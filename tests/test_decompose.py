@@ -1,5 +1,7 @@
 """Recognition of integration results and reconstruction of source pairs."""
 
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -12,9 +14,12 @@ from conftest import (
     free_group_epr,
     free_group_relations,
     gen_integrated_epr,
+    gen_pw_db,
     lines_run,
     office_epr,
     office_pr_sources,
+    outcome,
+    reference_slots,
     roster_pr_sources,
     row_text,
     structural_condition3,
@@ -26,6 +31,7 @@ from udbi.errors import MissingVarProb, NotIntegrated, ParseError, ValidationErr
 from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
 from udbi.logic import FALSE, TRUE, And, Not, Variable
 from udbi.prdb import EprRelation, PrRelation, PrTuple, encode_pw, integrate_pr
+from udbi.pwdb import UncertainDB
 
 
 def formulas_by_tuple(q: EprRelation) -> dict:
@@ -206,6 +212,71 @@ def test_missing_probabilities_are_reported_before_any_recognition_fault():
         partial = EprRelation.of(rows, constraints, {"a": "1/2"})
         with pytest.raises(MissingVarProb, match="^missing probabilities for variables: b, c$"):
             partition(partial)
+
+
+def placed(parts) -> dict[str, int]:
+    """Each variable's slot in partition's parts: 0 and 1 for the V and W
+    cores, 2 + 2i for free group i."""
+    owners = [parts.v, parts.w, *(own for own, _ in parts.free)]
+    slots = [0, 1, *range(2, 2 + 2 * len(parts.free), 2)]
+    return {name: slot for part, slot in zip(owners, slots) for name in part.names}
+
+
+def two_block_relations() -> list[EprRelation]:
+    """Integrations of one chain-encoded source against two independent
+    ones over its tuples: the first core is one group, and constraints link
+    it to both groups of the second."""
+    relations = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        t, u = gen_pw_db(rng, base="t"), gen_pw_db(rng, base="u")
+        pairs = list(itertools.product(range(len(t.worlds)), range(len(u.worlds))))
+        joint = UncertainDB.of(
+            t.tuple_set | u.tuple_set,
+            [t.worlds[i] | u.worlds[j] for i, j in pairs],
+            [t.probs[i] * u.probs[j] for i, j in pairs],
+        )
+        b, d = encode_pw(gen_pw_db(rng, base="t"), "b"), encode_pw(gen_pw_db(rng, base="u"), "d")
+        right = PrRelation.of(b.rows + d.rows, {**b.var_probs, **d.var_probs})
+        relations.append(integrate_pr(encode_pw(joint, "a"), right))
+    return relations
+
+
+def swapped(q: EprRelation) -> list[EprRelation]:
+    """q with one side of one of its first two constraints replaced by the
+    formula of one of its first eight rows.  A constraint then links a
+    group to itself, or, where a core has two groups, one to the other."""
+    found = []
+    for j, constraint in enumerate(q.constraints[:2]):
+        for side in (0, 1):
+            for row in q.rows[:8]:
+                sides = list(constraint)
+                sides[side] = row.event
+                constraints = (*q.constraints[:j], tuple(sides), *q.constraints[j + 1 :])
+                found.append(EprRelation(q.rows, constraints, q.var_probs))
+    return found
+
+
+def test_partition_places_each_variable_where_a_name_level_grouping_does():
+    # Oracle: grouping variables by name, as reference_slots does, puts
+    # each variable in the slot that grouping formulas puts it in, or
+    # raises the same fault.
+    relations = free_group_relations() + two_block_relations()
+    relations += [integrate_pr(*gen_pr_pair(seed)) for seed in range(50)]
+    relations += [variant for q in relations for variant in swapped(q)]
+    found = Counter()
+    for q in relations:
+        expected = outcome(reference_slots, q)
+        got = outcome(partition, q)
+        if isinstance(expected, dict):
+            assert placed(got) == expected
+            found["recognized"] += 1
+        else:
+            assert got == expected
+            found[expected[1].split()[1]] += 1
+    # Recognized, then a self-link, an odd cycle, condition 3 and a twice
+    # matched row, each named by the second word of its message.
+    assert found.keys() == {"recognized", "links", "group", "constraint", "constraints"}
 
 
 # --- build_pair checks a given split ------------------------------------------------------
