@@ -100,6 +100,30 @@ _UNBALANCED = {
     },
 }
 
+# A pw pair over the tuples s and t with one component of each kind: left
+# world 1 and right world 1 have no partner, the traces {t} balance at 1/3,
+# and the empty traces do not (1/2 against 1/3).
+_PARTNERLESS = {
+    "a": {
+        "model": "pw", "tuples": [["s"], ["t"]],
+        "worlds": [
+            {"tuples": [1], "prob": "1/3"}, {"tuples": [0], "prob": "1/6"},
+            {"tuples": [], "prob": "1/2"},
+        ],
+    },
+    "b": {
+        "model": "pw", "tuples": [["s"], ["t"]],
+        "worlds": [
+            {"tuples": [1], "prob": "1/3"}, {"tuples": [0, 1], "prob": "1/3"},
+            {"tuples": [], "prob": "1/3"},
+        ],
+    },
+}
+
+# An epr without probabilities in which two Shannon leaves reach the world
+# {t, u}: b = c true with a false, and a, b and c all true.
+_SHARED_WORLD = _pr_doc([("t", "a | b"), ("u", "c")], constraints=[("b", "c")])
+
 _PROB_TEXTS = [
     "3/7", "06/08", "0", "1", "2/4", "5/4", "1/0", "0/0", "+1/2", "-1/2", " 1/2",
     "1_0/3", "", "/", "1/2/3", "٣/٧", "0.5", ".5", "1e-3", "1E3", "1e-5000",
@@ -371,6 +395,13 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     ]
     rendered("unbalanced/integrate-plain", ["integrate", *unbalanced_plain, "--model", "pw"])
     rendered("unbalanced/check-plain", ["check", *unbalanced_plain])
+
+    partnerless = [save(f"partnerless-{side}.json", doc) for side, doc in _PARTNERLESS.items()]
+    rendered("partnerless/check", ["check", *partnerless])
+    cases.append(("partnerless/integrate", ["integrate", *partnerless, "--model", "pw"]))
+    shared_world = save("shared_world.json", _SHARED_WORLD)
+    rendered("shared_world/expand", ["expand", shared_world])
+    rendered("shared_world/expand-worlds-only", ["expand", "--worlds-only", shared_world])
 
     office = {name: save(f"{name}.json", doc) for name, doc in _OFFICE.items()}
     rendered("office/integrate", ["integrate", *office.values(), "--model", "pr"])
