@@ -197,7 +197,7 @@ def _titled(title: str, table: str) -> list[str]:
     return [title, *("  " + line for line in table.splitlines())]
 
 
-def _component_doc(summary, reason=None) -> dict:
+def _component_doc(summary) -> dict:
     balanced = summary.balanced
     doc = {
         "left": list(summary.left),
@@ -208,14 +208,14 @@ def _component_doc(summary, reason=None) -> dict:
     }
     if balanced:
         doc["constant"] = str(summary.constant)
-    if reason is not None:
-        doc["violation"] = reason
+    if summary.violation is not None:
+        doc["violation"] = summary.violation
     return doc
 
 
-def _component_lines(checks) -> list[str]:
+def _component_lines(summaries) -> list[str]:
     lines = ["components:"]
-    for k, (summary, reason) in enumerate(checks):
+    for k, summary in enumerate(summaries):
         left = ",".join(map(str, summary.left)) or "-"
         right = ",".join(map(str, summary.right)) or "-"
         verdict = (
@@ -225,8 +225,8 @@ def _component_lines(checks) -> list[str]:
             f"  {k}: left=[{left}] right=[{right}] "
             f"left_sum={summary.left_sum} right_sum={summary.right_sum} {verdict}"
         )
-        if reason is not None:
-            lines.append(f"     {reason}")
+        if summary.violation is not None:
+            lines.append(f"     {summary.violation}")
     return lines
 
 
@@ -259,8 +259,7 @@ def _cmd_expand(args) -> _Result:
     if isinstance(value, (UncertainDB, PrRelation)):
         expanded = _to_udb(value, args.cap)
     else:
-        worlds = [w for w, _ in expand_epr(value, args.cap)]
-        expanded = UncertainDB(value.tuples(), tuple(worlds))
+        expanded = expand_epr(value, args.cap)
     if args.worlds_only and expanded.probs is not None:
         expanded = UncertainDB(expanded.tuple_set, expanded.worlds)
     return (*_shown(expanded), EXIT_OK)
@@ -304,7 +303,7 @@ def _cmd_prob(args) -> _Result:
 
     def table() -> str:
         lines = [_distribution_table(joint)]
-        lines.extend(_component_lines([(c, None) for c in result.components]))
+        lines.extend(_component_lines(result.components))
         lines.extend(_titled("pair r:", _relation_table(pair.r)))
         lines.extend(_titled("pair s:", _relation_table(pair.s)))
         return "\n".join(lines)
@@ -329,14 +328,14 @@ def _cmd_check(args) -> _Result:
     graph = compatibility_graph(u1, u2)
     have_probs = u1.probs is not None and u2.probs is not None
     checks = check_prob_constraints(u1, u2, graph) if have_probs else None
-    balanced = None if checks is None else all(r is None for _, r in checks)
+    balanced = None if checks is None else all(c.violation is None for c in checks)
 
     def document() -> dict:
         return {
             # Constant, kept for its readers: each component is one trace class.
             "complete_bipartite": True,
             "balanced": balanced,
-            "components": None if checks is None else [_component_doc(c, r) for c, r in checks],
+            "components": None if checks is None else [_component_doc(c) for c in checks],
         }
 
     def table() -> str:
@@ -369,7 +368,7 @@ def _check_single(args) -> _Result:
         }
 
     def table() -> str:
-        lines = _component_lines([(c, None) for c in result.components])
+        lines = _component_lines(result.components)
         lines.append(f"cross-check: {'ok' if result.agreed else 'FAILED'}")
         return "\n".join(lines)
 
@@ -441,7 +440,7 @@ def main(argv=None) -> int:
         return code
     except UdbError as err:
         if isinstance(err, ProbConstraintViolation):
-            reasons = "".join(f"\n  {reason}" for _, reason in err.failures)
+            reasons = "".join(f"\n  {c.violation}" for c in err.failures)
             message = f"probabilistic constraints violated{reasons}"
         elif isinstance(err, NotIntegrated):
             message = f"not recognized as integrated: {err}"

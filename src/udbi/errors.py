@@ -60,12 +60,13 @@ class EmptyIntegration(UdbError):
 class ProbConstraintViolation(UdbError):
     """Raised when source probabilities break the balance required for integration.
 
-    ``failures`` holds (component, reason) pairs for every unbalanced component.
+    ``failures`` holds the ComponentSummary of every unbalanced component,
+    each naming its violation.
     """
 
     def __init__(self, failures):
         self.failures = list(failures)
-        lines = [reason for _, reason in self.failures]
+        lines = [c.violation for c in self.failures]
         super().__init__("; ".join(lines) if lines else "probabilistic constraints violated")
 
 

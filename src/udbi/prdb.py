@@ -233,29 +233,23 @@ def expand_pr(
     return udb, tuple(zip(udb.worlds, udb.probs))
 
 
-def expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> list[tuple[World, dict[str, bool]]]:
-    """Worlds reachable by constraint-respecting assignments, with one witness each.
+def expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> UncertainDB:
+    """The worlds reachable by constraint-respecting assignments, without
+    probabilities: an UncertainDB over q's tuples, worlds in canonical order.
 
-    Walks logic.shannon_leaves over the rows under the constraints lhs <-> rhs.
-    The witness of a world is its first valid assignment in binary-counter
-    order over the sorted variables (false first): each leaf's least
-    assignment sets the variables off its path to false, and the world keeps
-    the least of its leaves'.  Raises NoValidAssignment when the constraints
-    rule out every assignment.
+    Walks logic.shannon_leaves over the rows under the constraints lhs <-> rhs;
+    leaves reaching the same world give it once.  Raises ExpansionTooLarge
+    when the variable count exceeds the cap, and then NoValidAssignment when
+    the constraints rule out every assignment.
     """
-    names = q.variables()
-    if len(names) > cap:
-        raise ExpansionTooLarge(len(names), cap)
-    found: dict = {}
+    if len(q.names) > cap:
+        raise ExpansionTooLarge(len(q.names), cap)
     rows = ((row.tuple, row.event) for row in q.rows)
-    for chosen, path in shannon_leaves(rows, [Iff(lhs, rhs) for lhs, rhs in q.constraints]):
-        branched = dict(path)
-        values = tuple(branched.get(name, False) for name in names)
-        world = frozenset(chosen)
-        found[world] = min(found.get(world, values), values)
-    if not found:
+    constraints = [Iff(lhs, rhs) for lhs, rhs in q.constraints]
+    worlds = {frozenset(chosen) for chosen, _ in shannon_leaves(rows, constraints)}
+    if not worlds:
         raise NoValidAssignment()
-    return [(w, dict(zip(names, found[w]))) for w in sorted(found, key=world_key)]
+    return UncertainDB(q.tuples(), tuple(sorted(worlds, key=world_key)))
 
 
 # --- integration ---------------------------------------------------------------

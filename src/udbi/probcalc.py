@@ -95,7 +95,7 @@ def epr_distribution(
         integrate_pw_prob(*map(distribution, parts.sides(1 << i))) == joint
         for i in range(len(parts.free))
     )
-    return IntegratedDistribution(joint, tuple(c for c, _ in checks), parts, agreed)
+    return IntegratedDistribution(joint, tuple(checks), parts, agreed)
 
 
 def cross_check(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> bool:

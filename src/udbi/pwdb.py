@@ -7,10 +7,11 @@ when they agree on every tuple both sources know about; integration keeps
 exactly the unions of compatible world pairs.
 
 Probabilistic integration is three steps: compatibility_graph finds the
-components (the trace classes), check_prob_constraints checks that each
-component's two sides carry equal mass, and integrate_checked weights each
-compatible pair by P(D_i) * P(D'_j) / P.  integrate_pw_prob chains the
-three, and integrate_pw unions the pairs of each component, unweighted.
+components (the trace classes), check_prob_constraints sums each
+component's two sides into a ComponentSummary, which names its violation
+when the masses differ, and integrate_checked weights each compatible pair
+by P(D_i) * P(D'_j) / P.  integrate_pw_prob chains the three, and
+integrate_pw unions the pairs of each component, unweighted.
 
 An UncertainDB checks its own invariants when it is built (validate_udb
 lists them), so the functions below take their arguments as valid; only
@@ -257,12 +258,17 @@ def compatibility_graph(s1: UncertainDB, s2: UncertainDB) -> CompatibilityGraph:
 
 @dataclass(frozen=True)
 class ComponentSummary:
-    """Probability balance of one connected component."""
+    """Probability balance of one connected component.
+
+    ``violation`` says why an unbalanced component breaks integration, and
+    is None for a balanced one.
+    """
 
     left: tuple[int, ...]
     right: tuple[int, ...]
     left_sum: Fraction
     right_sum: Fraction
+    violation: str | None = None
 
     @property
     def balanced(self) -> bool:
@@ -276,13 +282,14 @@ class ComponentSummary:
 
 def check_prob_constraints(
     s1: UncertainDB, s2: UncertainDB, graph: CompatibilityGraph
-) -> list[tuple[ComponentSummary, str | None]]:
+) -> list[ComponentSummary]:
     """Per component of ``graph``, compare the two sides' probability mass.
 
-    Integration requires the sums to agree exactly; a world with no
-    compatible partner strands its mass and is reported too.  This is the
-    one step of the layer that checks for probabilities: it raises
-    ValidationError naming the first source that carries none.
+    Integration requires the sums to agree exactly, and each unbalanced
+    summary names its violation; a world with no compatible partner strands
+    its mass and is reported too.  This is the one step of the layer that
+    checks for probabilities: it raises ValidationError naming the first
+    source that carries none.
     """
     for u, role in ((s1, "first source"), (s2, "second source")):
         if u.probs is None:
@@ -293,25 +300,20 @@ def check_prob_constraints(
     for k, (left, right) in enumerate(graph.components):
         left_sum = Fraction(sum(map(n1.__getitem__, left)), d1)
         right_sum = Fraction(sum(map(n2.__getitem__, right)), d2)
-        summary = ComponentSummary(left, right, left_sum, right_sum)
-        if summary.balanced:
-            reason = None
-        elif not right:
-            reason = (
-                f"component {k}: left worlds {list(left)} carry mass {left_sum} "
-                "but have no compatible partner"
-            )
-        elif not left:
-            reason = (
-                f"component {k}: right worlds {list(right)} carry mass {right_sum} "
-                "but have no compatible partner"
-            )
-        else:
-            reason = (
+        if left_sum == right_sum:
+            violation = None
+        elif left and right:
+            violation = (
                 f"component {k}: left worlds {list(left)} sum to {left_sum}, "
                 f"right worlds {list(right)} sum to {right_sum}"
             )
-        out.append((summary, reason))
+        else:
+            side, worlds, mass = ("left", left, left_sum) if left else ("right", right, right_sum)
+            violation = (
+                f"component {k}: {side} worlds {list(worlds)} carry mass {mass} "
+                "but have no compatible partner"
+            )
+        out.append(ComponentSummary(left, right, left_sum, right_sum, violation))
     return out
 
 
@@ -345,18 +347,18 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
     tuples in T1 and in T2 are the pair's two worlds, so each output world
     gets one numerator and one Fraction.
     """
-    failures = [(c, reason) for c, reason in checks if reason is not None]
+    failures = [c for c in checks if c.violation is not None]
     if failures:
         raise ProbConstraintViolation(failures)
     n1, d1 = s1.integer_probs
     n2, d2 = s2.integer_probs
-    m = lcm(*(summary.constant.numerator for summary, _ in checks))
+    m = lcm(*(summary.constant.numerator for summary in checks))
     # n1[i] * b * (m // a) for each left world i, a/b its component's constant
     shares = {}
-    for summary, _ in checks:
+    for summary in checks:
         scale = summary.constant.denominator * (m // summary.constant.numerator)
         shares.update(zip(summary.left, map(scale.__mul__, map(n1.__getitem__, summary.left))))
-    components = [(summary.left, summary.right) for summary, _ in checks]
+    components = [(summary.left, summary.right) for summary in checks]
     left, right = _pairs_in_world_order(s1, s2, components)
     numerators = list(map(mul, map(shares.__getitem__, left), map(n2.__getitem__, right)))
     # Equal masses share one Fraction.

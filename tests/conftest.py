@@ -269,13 +269,10 @@ def brute_expand_pr(r: PrRelation, cap: int = DEFAULT_VAR_CAP):
     return udb, tuple(ordered)
 
 
-def brute_expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP):
-    """expand_epr by enumerating all 2^n assignments, with the same checks.
-
-    Assignments run in binary-counter order over the sorted variables (false
-    first); the first one satisfying every constraint and reaching a world
-    is kept as its witness.
-    """
+def brute_expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> UncertainDB:
+    """expand_epr by enumerating all 2^n assignments, with the same checks:
+    the worlds of the assignments that satisfy every constraint, over q's
+    tuples and in canonical order."""
     names = q.variables()
     if len(names) > cap:
         raise ExpansionTooLarge(len(names), cap)
@@ -285,10 +282,10 @@ def brute_expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP):
         if not all(evaluate(lhs, mu) == evaluate(rhs, mu) for lhs, rhs in q.constraints):
             continue
         world = frozenset(row.tuple for row in q.rows if evaluate(row.event, mu))
-        found.setdefault(world_key(world), (world, mu))
+        found.setdefault(world_key(world), world)
     if not found:
         raise NoValidAssignment()
-    return [found[key] for key in sorted(found)]
+    return UncertainDB(q.tuples(), tuple(found[key] for key in sorted(found)))
 
 
 def brute_equivalent(f, g, cap: int = DEFAULT_VAR_CAP) -> bool:

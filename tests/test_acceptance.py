@@ -46,6 +46,7 @@ from udbi.prdb import (
 )
 from udbi.probcalc import cross_check, epr_distribution
 from udbi.pwdb import (
+    UncertainDB,
     check_prob_constraints,
     compatibility_graph,
     integrate_pw,
@@ -132,12 +133,12 @@ def test_criterion_3_roster_goldens_hold_on_both_routes(capsys):
         (Not(x), y),
         (parse_formula("false"), Not(y)),
     )
-    assert expand_epr(q) == [(world(CS101), {"x": False, "y": True})]
+    assert expand_epr(q) == UncertainDB(q.tuples(), (world(CS101),))
     s1, s2 = roster_pw_sources()
     assert integrate_pw(s1, s2).worlds == (world(CS101),)
 
     andy2, jane2 = roster_pr_sources(denial=False)
-    two = {w for w, _ in expand_epr(integrate_pr(andy2, jane2))}
+    two = set(expand_epr(integrate_pr(andy2, jane2)).worlds)
     assert two == {world(CS101), world(CS100, CS102)}
     s1, s2 = roster_pw_sources(denial=False)
     assert set(integrate_pw(s1, s2).worlds) == two
@@ -150,7 +151,7 @@ def oracle_world_sets(r: PrRelation, s: PrRelation):
     """World sets via the compact route and via brute-force expansion."""
     q = integrate_pr(r, s)
     try:
-        compact = frozenset(w for w, _ in expand_epr(q))
+        compact = frozenset(expand_epr(q).worlds)
     except NoValidAssignment:
         compact = None
     udb_r, _ = expand_pr(r)
@@ -215,7 +216,7 @@ def assert_exact_integration_invariants(udb_r, udb_s, with_probs: bool) -> None:
         assert sum(udb_r.probs, Fraction(0)) == 1
         assert sum(udb_s.probs, Fraction(0)) == 1
         checks = check_prob_constraints(udb_r, udb_s, graph)
-        assert all(reason is None for _, reason in checks)
+        assert all(c.violation is None for c in checks)
         joint = integrate_pw_prob(udb_r, udb_s)
         assert sum(joint.probs, Fraction(0)) == 1
 

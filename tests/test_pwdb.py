@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 from conftest import (
     CS100,
     CS101,
@@ -26,7 +27,8 @@ from conftest import (
 from udbi import documents, pwdb
 from udbi.documents import document_of, dumps_json, parse_document
 from udbi.errors import EmptyIntegration, ProbConstraintViolation, ValidationError
-from udbi.gen import gen_consistent_pw_pair
+from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
+from udbi.prdb import expand_pr
 from udbi.pwdb import (
     UncertainDB,
     check_prob_constraints,
@@ -301,16 +303,16 @@ def test_graph_isolated_worlds_form_singleton_components():
 def test_office_components_balance_at_known_constants():
     s1, s2 = office_pw_sources()
     checks = check_prob_constraints(s1, s2, compatibility_graph(s1, s2))
-    assert [reason for _, reason in checks] == [None, None]
-    assert [c.constant for c, _ in checks] == [Fraction(4, 5), Fraction(1, 5)]
-    assert all(c.balanced for c, _ in checks)
+    assert [c.violation for c in checks] == [None, None]
+    assert [c.constant for c in checks] == [Fraction(4, 5), Fraction(1, 5)]
+    assert all(c.balanced for c in checks)
 
 
 def test_reweighted_office_source_stays_balanced():
     s1, s2 = office_pw_sources()
     s1 = UncertainDB.of(sorted(s1.tuple_set), s1.worlds, ["9/25", "11/25", "1/5"])
     checks = check_prob_constraints(s1, s2, compatibility_graph(s1, s2))
-    assert all(reason is None for _, reason in checks)
+    assert all(c.violation is None for c in checks)
     result = integrate_pw_prob(s1, s2)
     assert sum(result.probs, Fraction(0)) == 1
 
@@ -321,14 +323,14 @@ def test_unbalanced_components_are_reported_with_both_sums():
         sorted(s2.tuple_set), s2.worlds, ["7/20", "2/5", "1/10", "3/20"]
     )
     checks = check_prob_constraints(s1, s2, compatibility_graph(s1, s2))
-    reasons = [reason for _, reason in checks if reason is not None]
+    reasons = [c.violation for c in checks if c.violation is not None]
     assert reasons == [
         "component 0: left worlds [0, 1] sum to 4/5, right worlds [0, 1] sum to 3/4",
         "component 1: left worlds [2] sum to 1/5, right worlds [2, 3] sum to 1/4",
     ]
     with pytest.raises(ProbConstraintViolation) as err:
         integrate_pw_prob(s1, s2)
-    assert [reason for _, reason in err.value.failures] == reasons
+    assert [c.violation for c in err.value.failures] == reasons
 
 
 def test_integration_rejects_checks_that_leave_out_a_component():
@@ -345,16 +347,44 @@ def test_stranded_mass_is_reported_as_partnerless():
         [CS100, CS201], [world(CS100), world(CS100, CS201)], ["1/2", "1/2"]
     )
     checks = check_prob_constraints(s1, s2, compatibility_graph(s1, s2))
-    reasons = [reason for _, reason in checks if reason is not None]
+    reasons = [c.violation for c in checks if c.violation is not None]
     assert reasons == [
         "component 0: left worlds [0] sum to 1/2, right worlds [0, 1] sum to 1",
         "component 1: left worlds [1] carry mass 1/2 but have no compatible partner",
     ]
     swapped = check_prob_constraints(s2, s1, compatibility_graph(s2, s1))
-    assert [reason for _, reason in swapped if reason is not None] == [
+    assert [c.violation for c in swapped if c.violation is not None] == [
         "component 0: right worlds [1] carry mass 1/2 but have no compatible partner",
         "component 1: left worlds [0, 1] sum to 1, right worlds [0] sum to 1/2",
     ]
+
+
+def _balance_cases():
+    """Source pairs whose components balance, and pairs with every kind of
+    violation: the pw pairs of the golden corpus, and the expanded sources
+    of generated pr pairs."""
+    for seed in range(20):
+        yield gen_consistent_pw_pair(seed)
+        yield tuple(expand_pr(r)[0] for r in gen_pr_pair(seed))
+    for pair in (golden._UNBALANCED, golden._PARTNERLESS):
+        yield tuple(map(parse_document, pair.values()))
+
+
+def test_a_summary_carries_a_violation_exactly_when_it_is_unbalanced():
+    kinds = set()
+    for s1, s2 in _balance_cases():
+        checks = check_prob_constraints(s1, s2, compatibility_graph(s1, s2))
+        assert all((c.violation is None) == c.balanced for c in checks)
+        failures = [c for c in checks if c.violation is not None]
+        try:
+            integrate_checked(s1, s2, checks)
+        except ProbConstraintViolation as err:
+            assert err.failures == failures
+        else:
+            assert failures == []
+        kinds.update((bool(c.left), bool(c.right)) for c in failures)
+    # Both sides unbalanced, and a partnerless side on the left and on the right.
+    assert kinds == {(True, True), (True, False), (False, True)}
 
 
 def test_prob_integration_requires_probabilities_on_both_sides():
@@ -398,7 +428,7 @@ def test_consistent_pairs_integrate_exactly(seed):
     graph = compatibility_graph(s1, s2)
     assert (graph.components, graph.edges) == pairwise_graph(s1, s2)
     checks = check_prob_constraints(s1, s2, graph)
-    assert all(reason is None for _, reason in checks)
+    assert all(c.violation is None for c in checks)
     result = integrate_pw_prob(s1, s2)
     assert sum(result.probs, Fraction(0)) == 1
     for t in s1.tuple_set:
@@ -457,7 +487,7 @@ def test_integer_integration_matches_the_fraction_oracle(seed, reweight):
     s1, s2 = gen_consistent_pw_pair(seed, max_scenarios=8)
     if reweight:
         s1, s2 = prime_reweighting(s1, s2)
-    for summary, _ in check_prob_constraints(s1, s2, compatibility_graph(s1, s2)):
+    for summary in check_prob_constraints(s1, s2, compatibility_graph(s1, s2)):
         assert summary.left_sum == sum((s1.probs[i] for i in summary.left), Fraction(0))
         assert summary.right_sum == sum((s2.probs[j] for j in summary.right), Fraction(0))
     result = integrate_pw_prob(s1, s2)
