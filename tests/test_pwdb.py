@@ -361,8 +361,8 @@ def test_stranded_mass_is_reported_as_partnerless():
 
 def _balance_cases():
     """Source pairs whose components balance, and pairs with every kind of
-    violation: the pw pairs of the golden corpus, and the expanded sources
-    of generated pr pairs."""
+    violation: consistent generated pw pairs, the expanded sources of
+    generated pr pairs, and the two unbalanced pw pairs of the golden corpus."""
     for seed in range(20):
         yield gen_consistent_pw_pair(seed)
         yield tuple(expand_pr(r)[0] for r in gen_pr_pair(seed))
