@@ -242,6 +242,13 @@ _VALUE_FAULTS = {
 # twice to the side opposite the row's.
 _SAME_TUPLE = _pr_doc([("t", "a")], _HALVES, [("a", "b"), ("a", "c")])
 
+# Only u holds a side of c = b, and a = b has a row for each of its sides: a
+# matching gives u to c = b and t to a = b, whichever constraint comes first.
+_AUGMENT = {
+    "augment": _pr_doc([("t", "a"), ("u", "b")], _HALVES, [("a", "b"), ("c", "b")]),
+    "augment_swapped": _pr_doc([("t", "a"), ("u", "b")], _HALVES, [("c", "b"), ("a", "b")]),
+}
+
 # Independent 2-world sources over their own two tuples, as (base, worlds by
 # tuple index, probabilities): chain-encoded, each has one variable, and
 # added to a source it becomes a free group of the integration.
@@ -522,6 +529,10 @@ def corpus() -> tuple[dict[str, str], list[tuple[str, list[str]]]]:
     same_tuple = save("same_tuple.json", _SAME_TUPLE)
     for command in ("decompose", "prob", "check"):
         cases.append((f"same_tuple/{command}", [command, same_tuple]))
+    for name, doc in _AUGMENT.items():
+        path = save(f"{name}.json", doc)
+        for command in ("prob", "check", "decompose"):
+            cases.append((f"{name}/{command}", [command, path]))
     cases.append(("office/expand-q-cap", ["--cap", "1", "expand", joint]))
     contradiction = [save(f"contradiction-{side}.json", doc) for side, doc in _CONTRADICTION.items()]
     cases.append(("contradiction/integrate", ["integrate", *contradiction, "--model", "pw"]))
