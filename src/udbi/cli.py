@@ -208,7 +208,7 @@ def _component_doc(summary) -> dict:
     }
     if balanced:
         doc["constant"] = str(summary.constant)
-    if summary.violation is not None:
+    else:
         doc["violation"] = summary.violation
     return doc
 
@@ -328,7 +328,7 @@ def _cmd_check(args) -> _Result:
     graph = compatibility_graph(u1, u2)
     have_probs = u1.probs is not None and u2.probs is not None
     checks = check_prob_constraints(u1, u2, graph) if have_probs else None
-    balanced = None if checks is None else all(c.violation is None for c in checks)
+    balanced = None if checks is None else all(c.balanced for c in checks)
 
     def document() -> dict:
         return {

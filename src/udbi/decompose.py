@@ -2,8 +2,9 @@
 
 A relation q is recognized as an integration result when its formulas split
 into two sides such that every row formula lives on one side, every
-constraint bridges the two sides, and every constraint matches exactly one
-row syntactically.  Recognition labels formulas, not variables: a group is
+constraint bridges the two sides, and every constraint takes a row of its
+own whose formula is syntactically one of its sides (any such matching gives
+one distribution).  Recognition labels formulas, not variables: a group is
 the formulas linked by shared variables, and a constraint links two groups.
 Groups touched by no constraint are free: either side works, and every
 choice yields the same distribution, since a free group shares no variable
@@ -16,7 +17,7 @@ probcalc needs only pair 0 and each group flipped alone."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -24,7 +25,6 @@ from operator import attrgetter
 from .errors import MissingVarProb, NotIntegrated, ValidationError
 from .logic import Formula, iter_vars, to_text
 from .prdb import EprRelation, PrRelation, PrTuple
-from .pwdb import format_tuple
 
 VarSet = tuple[str, ...]
 
@@ -50,44 +50,62 @@ class PrPair:
             )
 
 
-def _condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
-    """Each constraint must match exactly one row's formula syntactically.
+def _condition3(q: EprRelation) -> list[tuple[int, bool]]:
+    """Per constraint, the position in q.rows of a row of its own whose
+    formula is one of its sides, and whether that side is the lhs.
 
-    Returns, per constraint, the position in q.rows of the row it matches and
-    whether that row's formula is the lhs; None when some constraint matches
-    no row or several.  Formulas are matched by their text (to_text), which
-    parses back to the formula, so two formulas are equal exactly when their
-    texts are.  No formula is hashed, and one read in the printer's form
-    keeps its text, so it is not walked either; any other is rendered.
-    Without constraints no text is taken, so rows too deep to render still
-    decompose.
-    """
-    if not q.constraints:
+    Rows are classed by their formula's text (to_text), so no formula is
+    hashed.  Each constraint holds its rhs class while a row of it is spare,
+    else its lhs class, else the class _moved frees; then each class deals
+    its rows in document order to its constraints in order, so where each
+    constraint has one candidate row (the paper's condition 3), that row is
+    its match."""
+    if not q.constraints:  # no text is taken, so rows too deep to render still decompose
         return []
-    index: dict[str, list[int]] = {}
-    for k, text in enumerate(map(to_text, map(_row_event, q.rows))):
-        index.setdefault(text, []).append(k)
-    matches = []
-    for lhs, rhs in q.constraints:
-        lhs, rhs = to_text(lhs), to_text(rhs)
-        on_lhs = index.get(lhs, ())
-        on_rhs = index.get(rhs, ()) if rhs != lhs else ()
-        if len(on_lhs) + len(on_rhs) != 1:
-            return None
-        matches.append((on_lhs[0], True) if on_lhs else (on_rhs[0], False))
-    return matches
+    texts = list(map(to_text, map(_row_event, q.rows)))
+    spare = Counter(texts)  # class -> its rows that no constraint holds
+    sides = [(to_text(lhs), to_text(rhs)) for lhs, rhs in q.constraints]
+    held: list[str] = []  # the class of each constraint so far
+    for j, (lhs, rhs) in enumerate(sides):
+        held.append(rhs if spare[rhs] else lhs if spare[lhs] else _moved(j, sides, held, spare))
+        spare[held[j]] -= 1
+    rows: dict[str, list[int]] = {}  # class -> its rows, first row last
+    for k in reversed(range(len(texts))):
+        rows.setdefault(texts[k], []).append(k)
+    return [(rows[text].pop(), text == lhs) for text, (lhs, _) in zip(held, sides)]
 
 
-def _scan(q: EprRelation):
-    """The one pass over q's formulas that recognition and routing share.
+def _moved(j: int, sides: list[tuple[str, str]], held: list[str], spare: Counter) -> str:
+    """The full class constraint j holds once earlier constraints move, each
+    to its other class, along a shortest path to a class with a spare row,
+    found breadth first (Hopcroft and Karp's augmenting path, SIAM J.
+    Comput. 1973); else NotIntegrated naming constraint j."""
+    holders: dict[str, list[int]] = {}
+    for i, text in enumerate(held):
+        holders.setdefault(text, []).append(i)
+    came = dict.fromkeys(text for text in sides[j][::-1] if text in spare)  # class -> (mover, from)
+    for text in (queue := list(came)):
+        if spare[text]:
+            spare[text] -= 1  # one more holder here, and one fewer in j's class
+            while came[text]:
+                i, before = came[text]
+                held[i], text = text, before
+            spare[text] += 1
+            return text
+        for i in holders.get(text, ()):
+            other = sides[i][text == sides[i][0]]
+            if other in spare and other not in came:
+                came[other] = i, text
+                queue.append(other)
+    raise NotIntegrated(f"constraint {j} ({' = '.join(sides[j])}) is left without a row of its own")
 
-    Returns the variable sets of q's formulas in one list, and
-    _condition3(q).  The list holds the n rows' formulas first, then each
-    constraint's two sides: constraint j's lhs at n + 2j and its rhs at
-    n + 2j + 1.  Each distinct formula object is walked once: a document
-    shares one object among equal formula texts, so a constraint side is
-    often the very object of its row's formula.
-    """
+
+def _scan(q: EprRelation) -> list[frozenset[str]]:
+    """The variable sets of q's formulas, the one pass over them that
+    recognition and routing share: the n rows' formulas first, then
+    constraint j's lhs at n + 2j and its rhs at n + 2j + 1.  Each distinct
+    formula object is walked once: a document shares one object among equal
+    formula texts, so a constraint side is often its row's very formula."""
     walked: dict[int, frozenset[str]] = {}  # id of a formula of q -> its variables
 
     def variables(f: Formula) -> frozenset[str]:
@@ -97,7 +115,7 @@ def _scan(q: EprRelation):
         return used
 
     formulas = chain(map(_row_event, q.rows), chain.from_iterable(q.constraints))
-    return list(map(variables, formulas)), _condition3(q)
+    return list(map(variables, formulas))
 
 
 def build_pair(q: EprRelation, v, w) -> PrPair:
@@ -107,49 +125,41 @@ def build_pair(q: EprRelation, v, w) -> PrPair:
     constraint f = g adds the missing side's row: if t@f sits in r, t@g is
     added to s, and symmetrically.  Raises ValidationError unless v and w
     partition q's variables, and NotIntegrated when a row formula spans both
-    sides, a constraint stays on one side, or condition 3 fails.  Each
-    formula's variables are collected once, and the work is linear in rows
-    plus constraints.
+    sides, a constraint stays on one side, or a constraint is left without
+    a row (_condition3).  Each formula's variables are collected once, and
+    the work is linear in rows plus constraints.
     """
     v, w = frozenset(v), frozenset(w)
-    scan = formula_vars, matches = _scan(q)
+    formula_vars = _scan(q)
     if (v & w) or (v | w) != q.names:
         raise ValidationError("v and w must partition the variables of the relation")
     # Each formula's side: None without variables, -1 spanning both.
     slot = [None if not f else 0 if f <= v else 1 if f <= w else -1 for f in formula_vars]
     n = len(q.rows)
     bridged = zip(slot[n::2], slot[n + 1 :: 2])
-    if -1 in slot or matches is None or any(a is not None and a == b for a, b in bridged):
+    if -1 in slot or any(a is not None and a == b for a, b in bridged):
         raise NotIntegrated("the relation is not recognized as an integration result")
-    r, s = _route(q, scan, slot, 2)
+    r, s = _route(q, formula_vars, _condition3(q), slot, 2)
     return PrPair(r, s)
 
 
-def _route(q: EprRelation, scan, slot: list[int | None], slots: int) -> list[PrRelation]:
+def _route(q: EprRelation, formula_vars, matches, slot, slots: int) -> list[PrRelation]:
     """q's rows routed in one pass to ``slots`` relations, for a split known
     to meet the three conditions.
 
-    ``scan`` is _scan(q), and ``slot`` gives the slot of each formula in
-    its list, None for a formula without variables.  Slots come in opposite
-    pairs 2j and 2j + 1, which always sit on opposite sides of a source
-    pair.  Row k goes to slot[k]; a variable-free row goes opposite the slot
-    of its partner, the other side of the one constraint that matches it,
-    or to slot 0 when it has no partner or the partner has no variables.  A
-    constraint matching the row t@f in one slot adds t@g to the opposite
-    slot.  Each slot takes q's probabilities of its own variables, so a
-    variable that no formula uses goes nowhere.  Raises NotIntegrated when
-    two constraints match one row.
+    ``formula_vars`` is _scan(q), ``matches`` _condition3(q), and ``slot``
+    the slot of each formula in that list, None for a formula without
+    variables.  Slots come in opposite pairs 2j and 2j + 1, which always sit
+    on opposite sides of a source pair.  Row k goes to slot[k]; a
+    variable-free row goes opposite the slot of its partner, the other side
+    of the constraint matched to it, or to slot 0 when it has no partner or
+    the partner has no variables.  A constraint matched to the row t@f in
+    one slot adds t@g to the opposite slot.  Each slot takes q's
+    probabilities of its own variables, so a variable that no formula uses
+    goes nowhere.
     """
-    formula_vars, matches = scan
     n = len(q.rows)
-    partner: dict[int, int] = {}  # row -> position of the other side of its constraint
-    for j, (k, on_lhs) in enumerate(matches):
-        if k in partner:
-            raise NotIntegrated(
-                "two constraints resolve to the same tuple "
-                f"{format_tuple(q.rows[k].tuple)}; no source pair can produce that"
-            )
-        partner[k] = n + 2 * j + on_lhs
+    partner = {k: n + 2 * j + on_lhs for j, (k, on_lhs) in enumerate(matches)}  # row -> other side
     rows = [[] for _ in range(slots)]
     names = [set() for _ in range(slots)]
     where = []
@@ -303,16 +313,14 @@ def partition(q: EprRelation) -> Parts:
     Raises MissingVarProb first, for the variables of q without a
     probability when q carries any; then NotIntegrated at the first fault,
     in this order: a constraint linking a group to itself, a group forced
-    onto both sides, a constraint that does not match exactly one row
-    (condition 3), then two constraints that match one row.
+    onto both sides, then a constraint left without a row of its own
+    (_condition3).
     """
     if q.var_probs is not None and not q.var_probs.keys() >= q.names:
         raise MissingVarProb(q.names - q.var_probs.keys())
-    scan = formula_vars, matches = _scan(q)
+    formula_vars = _scan(q)
     slot, free = _slots(formula_vars, len(q.rows))
-    if matches is None:
-        raise NotIntegrated("some constraint does not match exactly one row")
-    v, w, *rest = _route(q, scan, slot, 2 + 2 * free)
+    v, w, *rest = _route(q, formula_vars, _condition3(q), slot, 2 + 2 * free)
     return Parts(v, w, tuple(zip(rest[::2], rest[1::2])))
 
 

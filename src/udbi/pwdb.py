@@ -258,17 +258,14 @@ def compatibility_graph(s1: UncertainDB, s2: UncertainDB) -> CompatibilityGraph:
 
 @dataclass(frozen=True)
 class ComponentSummary:
-    """Probability balance of one connected component.
+    """The two masses of component ``component`` of a compatibility graph;
+    ``balanced`` and ``violation`` are read off them, never passed in."""
 
-    ``violation`` says why an unbalanced component breaks integration, and
-    is None for a balanced one.
-    """
-
+    component: int
     left: tuple[int, ...]
     right: tuple[int, ...]
     left_sum: Fraction
     right_sum: Fraction
-    violation: str | None = None
 
     @property
     def balanced(self) -> bool:
@@ -279,15 +276,31 @@ class ComponentSummary:
         """The shared component probability P; meaningful only when balanced."""
         return self.left_sum
 
+    @property
+    def violation(self) -> str | None:
+        """Why an unbalanced component breaks integration; None if balanced."""
+        if self.balanced:
+            return None
+        k, left, right = self.component, self.left, self.right
+        if left and right:
+            return (
+                f"component {k}: left worlds {list(left)} sum to {self.left_sum}, "
+                f"right worlds {list(right)} sum to {self.right_sum}"
+            )
+        side, worlds = ("left", left) if left else ("right", right)
+        return (  # the side without worlds sums to 0
+            f"component {k}: {side} worlds {list(worlds)} carry mass "
+            f"{self.left_sum + self.right_sum} but have no compatible partner"
+        )
+
 
 def check_prob_constraints(
     s1: UncertainDB, s2: UncertainDB, graph: CompatibilityGraph
 ) -> list[ComponentSummary]:
-    """Per component of ``graph``, compare the two sides' probability mass.
+    """Per component of ``graph``, the two sides' probability mass.
 
     Integration requires the sums to agree exactly, and each unbalanced
-    summary names its violation; a world with no compatible partner strands
-    its mass and is reported too.  This is the one step of the layer that
+    summary names its violation.  This is the one step of the layer that
     checks for probabilities: it raises ValidationError naming the first
     source that carries none.
     """
@@ -300,20 +313,7 @@ def check_prob_constraints(
     for k, (left, right) in enumerate(graph.components):
         left_sum = Fraction(sum(map(n1.__getitem__, left)), d1)
         right_sum = Fraction(sum(map(n2.__getitem__, right)), d2)
-        if left_sum == right_sum:
-            violation = None
-        elif left and right:
-            violation = (
-                f"component {k}: left worlds {list(left)} sum to {left_sum}, "
-                f"right worlds {list(right)} sum to {right_sum}"
-            )
-        else:
-            side, worlds, mass = ("left", left, left_sum) if left else ("right", right, right_sum)
-            violation = (
-                f"component {k}: {side} worlds {list(worlds)} carry mass {mass} "
-                "but have no compatible partner"
-            )
-        out.append(ComponentSummary(left, right, left_sum, right_sum, violation))
+        out.append(ComponentSummary(k, left, right, left_sum, right_sum))
     return out
 
 
@@ -347,7 +347,7 @@ def integrate_checked(s1: UncertainDB, s2: UncertainDB, checks) -> UncertainDB:
     tuples in T1 and in T2 are the pair's two worlds, so each output world
     gets one numerator and one Fraction.
     """
-    failures = [c for c in checks if c.violation is not None]
+    failures = [c for c in checks if not c.balanced]
     if failures:
         raise ProbConstraintViolation(failures)
     n1, d1 = s1.integer_probs

@@ -370,27 +370,19 @@ def gen_integrated_epr(seed, blocks: int | None = None) -> EprRelation:
     source, whose variables end up as a free group in decomposition, and
     ``blocks``, when given, adds exactly that many (a block of one world
     has no variable, so it adds no group).
-    Instances where two rows happen to carry structurally equal formulas are
-    regenerated, since recognition requires constraints to match uniquely.
     """
-    for attempt in itertools.count():
-        rng = random.Random(f"{seed}:{attempt}")
-        left_db, right_db = gen_consistent_pw_pair(rng)
-        left = encode_pw(left_db, "a")
-        right = encode_pw(right_db, "b")
-        count = (rng.random() < 0.5) if blocks is None else blocks
-        for base, var_base in list(zip("xyzw", "efgh"))[:count]:
-            extra = encode_pw(gen_pw_db(rng, max_tuples=2, max_worlds=3, base=base), var_base)
-            left = PrRelation.of(
-                left.rows + extra.rows,
-                {**(left.var_probs or {}), **(extra.var_probs or {})},
-            )
-        q = integrate_pr(left, right)
-        try:
-            partition(q)
-        except NotIntegrated:
-            continue
-        return q
+    rng = random.Random(f"{seed}:0")
+    left_db, right_db = gen_consistent_pw_pair(rng)
+    left = encode_pw(left_db, "a")
+    right = encode_pw(right_db, "b")
+    count = (rng.random() < 0.5) if blocks is None else blocks
+    for base, var_base in list(zip("xyzw", "efgh"))[:count]:
+        extra = encode_pw(gen_pw_db(rng, max_tuples=2, max_worlds=3, base=base), var_base)
+        left = PrRelation.of(
+            left.rows + extra.rows,
+            {**(left.var_probs or {}), **(extra.var_probs or {})},
+        )
+    return integrate_pr(left, right)
 
 
 def forced_sides(parts: Parts) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -400,22 +392,54 @@ def forced_sides(parts: Parts) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(sorted(parts.v.names)), tuple(sorted(parts.w.names))
 
 
-def structural_condition3(q: EprRelation) -> list[tuple[int, bool]] | None:
-    """decompose._condition3 by structural equality: the rows indexed by
-    their formula trees as dict keys, and constraint sides compared by ==.
-    The oracle for matching by text."""
+def structural_condition3(q: EprRelation) -> list[tuple[int, bool]]:
+    """decompose._condition3 by structural equality: the rows classed by
+    their formula trees as dict keys, constraint sides compared by ==, and a
+    class's spare rows counted from the constraints that hold it.  Each
+    constraint takes its rhs class, else its lhs class, else the first class
+    a breadth-first search reaches with a row to spare, moving each
+    constraint on the path to its other class; each class then deals its
+    rows to its constraints in order.  Raises NotIntegrated with
+    _condition3's message.  The oracle for matching by text."""
     if not q.constraints:
         return []
-    index: dict = {}
+    rows: dict = {}
     for k, row in enumerate(q.rows):
-        index.setdefault(row.event, []).append(k)
+        rows.setdefault(row.event, []).append(k)
+    owner: list = []  # per constraint so far, the formula of the class it holds
+
+    def spare(f) -> bool:
+        return len(rows[f]) > sum(g == f for g in owner)
+
+    for j, (lhs, rhs) in enumerate(q.constraints):
+        options = [f for f in ([rhs, lhs] if rhs != lhs else [lhs]) if f in rows]
+        came = {f: None for f in options}
+        queue = list(options)
+        for f in queue:
+            if spare(f):
+                break
+            for i, g in enumerate(owner):
+                if g != f:
+                    continue
+                a, b = q.constraints[i]
+                other = b if f == a else a
+                if other in rows and other not in came:
+                    came[other] = (i, f)
+                    queue.append(other)
+        else:
+            raise NotIntegrated(
+                f"constraint {j} ({to_text(lhs)} = {to_text(rhs)}) is left without a row of its own"
+            )
+        while came[f] is not None:
+            i, before = came[f]
+            owner[i] = f
+            f = before
+        owner.append(f)
+    dealt = Counter()
     matches = []
-    for lhs, rhs in q.constraints:
-        on_lhs = index.get(lhs, ())
-        on_rhs = index.get(rhs, ()) if rhs != lhs else ()
-        if len(on_lhs) + len(on_rhs) != 1:
-            return None
-        matches.append((on_lhs[0], True) if on_lhs else (on_rhs[0], False))
+    for (lhs, _), f in zip(q.constraints, owner):
+        matches.append((rows[f][dealt[f]], f == lhs))
+        dealt[f] += 1
     return matches
 
 
@@ -455,8 +479,8 @@ def reference_slots(q: EprRelation) -> dict[str, int]:
     for the V and W cores, 2 + 2i for free group i.
 
     Groups of variables, indexed by name, are 2-coloured over the
-    constraints in group order; then condition 3 is checked by structural
-    equality and each row may be matched once.  Raises NotIntegrated with
+    constraints in group order; then each constraint is matched to a row of
+    its own by structural equality (structural_condition3).  Raises NotIntegrated with
     partition's message at the first fault, in partition's order.  The
     oracle for partition's grouping of formulas."""
     row_vars = [frozenset(iter_vars(row.event)) for row in q.rows]
@@ -493,17 +517,7 @@ def reference_slots(q: EprRelation) -> dict[str, int]:
                     )
     free = [k for k in range(len(groups)) if k not in slots]
     slots.update((k, 2 + 2 * i) for i, k in enumerate(free))
-    matches = structural_condition3(q)
-    if matches is None:
-        raise NotIntegrated("some constraint does not match exactly one row")
-    matched = set()
-    for k, _ in matches:
-        if k in matched:
-            raise NotIntegrated(
-                "two constraints resolve to the same tuple "
-                f"{format_tuple(q.rows[k].tuple)}; no source pair can produce that"
-            )
-        matched.add(k)
+    structural_condition3(q)
     return {name: slots[k] for name, k in index.items()}
 
 

@@ -39,9 +39,9 @@ def _pr_doc(rows, var_probs=None, constraints=None) -> dict:
     return doc
 
 
-# Recognition faults: a self-linked group, an odd constraint cycle, and
-# constraints matching no row or two rows; both_faults breaks both the
-# 2-colouring and condition 3.
+# Recognition faults: a self-linked group, an odd constraint cycle, and a
+# constraint matching no row; both_faults breaks both the 2-colouring and the
+# matching.  two_matches is recognized: its constraint takes the rhs row.
 _HALVES = {"a": "1/2", "b": "1/2", "c": "1/2"}
 _FREE_PROBS = {"a": "1/3", "b": "2/5", "c": "1/3", "d": "1/2"}
 _RECOGNITION = {
@@ -238,8 +238,8 @@ _VALUE_FAULTS = {
     "no_assignment": _pr_doc([("t", "a")], {"a": "1/2"}, [("a", "!a")]),
 }
 
-# Both constraints match the one row, so decomposition would give its tuple
-# twice to the side opposite the row's.
+# The one row is the only candidate of both constraints, so the second is
+# left without a row of its own.
 _SAME_TUPLE = _pr_doc([("t", "a")], _HALVES, [("a", "b"), ("a", "c")])
 
 # Only u holds a side of c = b, and a = b has a row for each of its sides: a

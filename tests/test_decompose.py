@@ -27,10 +27,17 @@ from conftest import (
 from udbi import decompose
 from udbi.decompose import PrPair, build_pair, enumerate_pairs, partition
 from udbi.documents import document_of, parse_document
-from udbi.errors import MissingVarProb, NotIntegrated, ParseError, ValidationError
+from udbi.errors import (
+    MissingVarProb,
+    NotIntegrated,
+    ParseError,
+    ProbConstraintViolation,
+    ValidationError,
+)
 from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
 from udbi.logic import FALSE, TRUE, And, Not, Variable
 from udbi.prdb import EprRelation, PrRelation, PrTuple, encode_pw, integrate_pr
+from udbi.probcalc import epr_distribution
 from udbi.pwdb import UncertainDB
 
 
@@ -93,13 +100,27 @@ def test_condition_three_by_text_agrees_with_the_structural_index():
             (["a & b", "(a & b)", "c"], [("a & b", "c")]),
             (["a & (b & c)", "d"], [("a & b & c", "d")]),
             (["a", "b"], [("a", "(a)")]),
+            # The search moves one earlier constraint, then two: a = b, then
+            # b = c as well.  In the third, a = c takes the a row that a = b
+            # was not moved to.
+            (["a", "b"], [("a", "b"), ("c", "b")]),
+            (["a", "b", "c"], [("a", "b"), ("b", "c"), ("d", "c")]),
+            (["a", "a", "b"], [("a", "b"), ("c", "b"), ("a", "c")]),
+            # One move frees a row of either class of a = b: the search
+            # moves d = b, the holder of the rhs class.
+            (["a", "b", "c", "d"], [("c", "a"), ("d", "b"), ("a", "b")]),
+            # Of the two holders of the a rows, only b = a can move.
+            (["a", "a", "b"], [("a", "c"), ("b", "a"), ("a", "d")]),
+            # No row is left for the last constraint.
+            (["a", "b"], [("!a", "b"), ("c", "(b)")]),
+            (["a & b", "c"], [("(a & b)", "c"), ("c", "a & b"), ("a & b", "c")]),
         ]
     ]
     found = Counter()
     for q in relations:
-        expected = structural_condition3(q)
-        assert decompose._condition3(q) == expected
-        found[expected is None] += 1
+        expected = outcome(structural_condition3, q)
+        assert outcome(decompose._condition3, q) == expected
+        found[isinstance(expected, list)] += 1
     assert found[True] and found[False]
 
 
@@ -113,7 +134,7 @@ def test_condition_three_by_text_agrees_on_any_formula_text(rows, constraints):
         q = parse_document(_epr_doc(rows, constraints))
     except ParseError:
         return
-    assert decompose._condition3(q) == structural_condition3(q)
+    assert outcome(decompose._condition3, q) == outcome(structural_condition3, q)
 
 
 def test_partition_of_the_office_relation_has_no_free_groups():
@@ -160,19 +181,34 @@ def test_constraint_matching_no_row_fails_condition_three():
     q = EprRelation.of([(("t",), a), (("u",), b)], [(Not(a), Not(b))])
     for recognize in (partition, enumerate_pairs):
         with pytest.raises(
-            NotIntegrated, match=r"^some constraint does not match exactly one row$"
+            NotIntegrated, match=r"^constraint 0 \(!a = !b\) is left without a row of its own$"
         ):
             recognize(q)
 
 
-def test_constraint_matching_two_rows_fails_condition_three():
+def test_constraint_matching_three_rows_takes_its_rhs_row():
+    # integrate_pr of {t@a, u@a, v@a} and {v@b}: a = b's lhs is the formula
+    # of three rows, and its rhs of v's alone.
     a, b = Variable("a"), Variable("b")
     q = EprRelation.of(
         [(("t",), a), (("u",), a), (("v",), b)],
         [(a, b)],
     )
-    with pytest.raises(NotIntegrated, match=r"^some constraint does not match exactly one row$"):
-        partition(q)
+    assert decompose._condition3(q) == [(2, False)]
+    [pair] = enumerate_pairs(q)
+    assert [row_text(row) for row in pair.r.rows] == ["(t)@a", "(u)@a", "(v)@a"]
+    assert [row_text(row) for row in pair.s.rows] == ["(v)@b"]
+
+
+def test_an_earlier_constraint_moves_to_its_other_row():
+    # c = b needs u, and a = b can take t instead, in either order.
+    a, b, c = Variable("a"), Variable("b"), Variable("c")
+    rows = [(("t",), a), (("u",), b)]
+    q = EprRelation.of(rows, [(a, b), (c, b)])
+    swapped = EprRelation.of(rows, [(c, b), (a, b)])
+    assert decompose._condition3(q) == [(0, True), (1, False)]
+    assert decompose._condition3(swapped) == [(1, False), (0, True)]
+    assert enumerate_pairs(q) == enumerate_pairs(swapped)
 
 
 def test_a_coloring_fault_is_reported_before_condition_three():
@@ -188,12 +224,12 @@ def test_a_coloring_fault_is_reported_before_condition_three():
 
 
 def test_two_constraints_on_one_tuple_are_rejected():
+    # The one row goes to a = b, and a = c is left without one.
     a, b, c = Variable("a"), Variable("b"), Variable("c")
     q = EprRelation.of([(("t",), a)], [(a, b), (a, c)])
     for recognize in (partition, enumerate_pairs):
         with pytest.raises(
-            NotIntegrated,
-            match=r"^two constraints resolve to the same tuple \(t\); no source pair can produce that$",
+            NotIntegrated, match=r"^constraint 1 \(a = c\) is left without a row of its own$"
         ):
             recognize(q)
 
@@ -273,10 +309,118 @@ def test_partition_places_each_variable_where_a_name_level_grouping_does():
             found["recognized"] += 1
         else:
             assert got == expected
-            found[expected[1].split()[1]] += 1
-    # Recognized, then a self-link, an odd cycle, condition 3 and a twice
-    # matched row, each named by the second word of its message.
-    assert found.keys() == {"recognized", "links", "group", "constraint", "constraints"}
+            found["unmatched" if "without a row" in expected[1] else expected[1].split()[1]] += 1
+    # Recognized, then a self-link and an odd cycle, each named by the
+    # second word of its message, and a constraint left without a row.
+    assert found.keys() == {"recognized", "links", "group", "unmatched"}
+
+
+# --- the matching against every matching ---------------------------------------------------
+
+def matchings(q: EprRelation):
+    """Every assignment of q's constraints to distinct rows whose formula is
+    one of their sides, each as _condition3 gives one: per constraint, its
+    row and whether the row's formula is the lhs."""
+    candidates = [
+        [(k, row.event == lhs) for k, row in enumerate(q.rows) if row.event in (lhs, rhs)]
+        for lhs, rhs in q.constraints
+    ]
+    for choice in itertools.product(*candidates):
+        if len({k for k, _ in choice}) == len(choice):
+            yield list(choice)
+
+
+def small_relations() -> list[EprRelation]:
+    """Relations of at most four constraints in which rows share formulas:
+    integrations of small chain-encoded pairs, sources integrated with
+    themselves, and random documents over five one-variable formulas."""
+    relations = []
+    for seed in range(40):
+        a, b = gen_consistent_pw_pair(seed, max_common=3, max_private=2, max_scenarios=4)
+        relations.append(integrate_pr(encode_pw(a, "x"), encode_pw(b, "y")))
+        r, _ = gen_pr_pair(seed)
+        relations.append(integrate_pr(r, r))
+    rng = random.Random(0)
+    pool = ["a", "!a", "b", "c", "d"]
+    for _ in range(300):
+        rows = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        sides = rows + pool  # a row's formula is drawn more often
+        doc = _epr_doc(rows, [(rng.choice(sides), rng.choice(sides)) for _ in range(rng.randint(1, 4))])
+        doc["var_probs"] = {name: rng.choice(["1/2", "1/3"]) for name in "abcd"}
+        relations.append(parse_document(doc))
+    return [q for q in relations if len(q.constraints) <= 4]
+
+
+def colouring_fault(q: EprRelation) -> bool:
+    """Whether q's groups fail to split into two sides, a fault partition
+    reports before any matching."""
+    try:
+        decompose._slots(decompose._scan(q), len(q.rows))
+    except NotIntegrated:
+        return True
+    return False
+
+
+def verdict(q: EprRelation):
+    """q's exact distribution, or the type of the error that refuses it."""
+    got = outcome(epr_distribution, q)
+    return got[0] if isinstance(got, tuple) else got.distribution
+
+
+def test_recognition_succeeds_exactly_when_a_matching_exists(monkeypatch):
+    # In every constraint order, so that the search for constraints to move
+    # both succeeds and fails.
+    searched = Counter()
+    moved = decompose._moved
+
+    def counted(*args):
+        got = outcome(moved, *args)
+        searched[isinstance(got, str)] += 1
+        if isinstance(got, tuple):
+            raise got[0](got[1])
+        return got
+
+    monkeypatch.setattr(decompose, "_moved", counted)
+    found = Counter()
+    for q in small_relations():
+        if colouring_fault(q):
+            continue
+        exists = next(matchings(q), None) is not None
+        for order in itertools.permutations(q.constraints):
+            got = outcome(partition, EprRelation(q.rows, order, q.var_probs))
+            assert isinstance(got, decompose.Parts) == exists
+            if not exists:
+                assert got[0] is NotIntegrated and got[1].endswith("is left without a row of its own")
+        found[exists] += 1
+    assert found[True] > 100 and found[False] > 50
+    assert searched[True] > 20 and searched[False] > 20
+
+
+def test_every_matching_gives_the_same_distribution(monkeypatch):
+    found = Counter()
+    for q in small_relations():
+        if colouring_fault(q):
+            continue
+        outcomes = []
+        for matching in matchings(q):
+            monkeypatch.setattr(decompose, "_condition3", lambda q, matching=matching: matching)
+            outcomes.append(verdict(q))
+        monkeypatch.undo()
+        assert all(got == outcomes[0] for got in outcomes)
+        if len(outcomes) > 1:
+            found[isinstance(outcomes[0], UncertainDB)] += 1
+    # Relations with several matchings, balanced and not.
+    assert found[True] > 20 and found[False] > 20
+
+
+def test_verdict_and_distribution_do_not_depend_on_constraint_order():
+    found = Counter()
+    for q in small_relations():
+        expected = verdict(q)
+        for order in itertools.permutations(q.constraints):
+            assert verdict(EprRelation(q.rows, order, q.var_probs)) == expected
+        found[expected if isinstance(expected, type) else "distribution"] += 1
+    assert found.keys() == {"distribution", NotIntegrated, ProbConstraintViolation}
 
 
 # --- build_pair checks a given split ------------------------------------------------------
@@ -301,7 +445,7 @@ def test_check_rejects_constraints_within_one_side():
 def test_check_rejects_a_split_that_fails_condition_three():
     a, b = Variable("a"), Variable("b")
     q = EprRelation.of([(("t",), a), (("u",), b)], [(Not(a), Not(b))])
-    with pytest.raises(NotIntegrated, match="^the relation is not recognized"):
+    with pytest.raises(NotIntegrated, match=r"^constraint 0 \(!a = !b\) is left without a row"):
         build_pair(q, {"a"}, {"b"})
 
 

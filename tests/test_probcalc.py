@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -26,9 +27,9 @@ from udbi import decompose, logic, prdb, probcalc, pwdb
 from udbi.cli import main
 from udbi.decompose import PrPair, enumerate_pairs, partition
 from udbi.errors import ExpansionTooLarge, MissingVarProb, NotIntegrated, ProbConstraintViolation
-from udbi.gen import gen_pr_pair
+from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
 from udbi.logic import And, Variable
-from udbi.prdb import EprRelation, expand_epr, expand_pr, integrate_pr
+from udbi.prdb import EprRelation, encode_pw, expand_epr, expand_pr, integrate_pr
 from udbi.pwdb import integrate_pw_prob
 from udbi.probcalc import cross_check, epr_distribution
 
@@ -189,22 +190,33 @@ def test_a_source_integrated_with_itself_keeps_its_own_distribution():
     # r shares every variable name with itself, so integration renames both
     # copies apart.  Under partial independence each world of r is its own
     # component, weighted P(D) * P(D) / P(D) = P(D).  Where two rows share
-    # a formula, a constraint matches both, and recognition refuses the
-    # result (condition 3).
-    kept = refused = 0
+    # a formula, a constraint has both rows as candidates, and each takes
+    # one of its own.
+    shared = 0
     for seed in range(200):
         r, _ = gen_pr_pair(seed)
         q = integrate_pr(r, r)
         assert q.names.isdisjoint(r.names)
+        assert epr_distribution(q).distribution == expand_pr(r)[0]
         events = [row.event for row in r.rows]
-        if len(set(events)) == len(events):
-            assert epr_distribution(q).distribution == expand_pr(r)[0]
-            kept += 1
-        else:
-            with pytest.raises(NotIntegrated):
-                epr_distribution(q)
-            refused += 1
-    assert (kept, refused) == (174, 26)
+        shared += len(set(events)) < len(events)
+    assert shared == 26
+
+
+def test_the_pr_route_gives_the_pw_route_on_chain_encoded_pairs():
+    # A source gives one chain formula to the tuples present in the same
+    # worlds, and a private row can share its text with a common one, so a
+    # constraint side is often the formula of several rows.
+    for m in (4, 8, 16):
+        for seed in range(200):
+            a, b = gen_consistent_pw_pair(
+                random.Random(seed), max_common=6, max_private=6, max_scenarios=m
+            )
+            result = epr_distribution(
+                integrate_pr(encode_pw(a, "x"), encode_pw(b, "y")), 400, compare=True
+            )
+            assert result.agreed, (m, seed)
+            assert result.distribution == integrate_pw_prob(a, b), (m, seed)
 
 
 @settings(max_examples=50, deadline=None)

@@ -30,6 +30,7 @@ from udbi.errors import EmptyIntegration, ProbConstraintViolation, ValidationErr
 from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
 from udbi.prdb import expand_pr
 from udbi.pwdb import (
+    ComponentSummary,
     UncertainDB,
     check_prob_constraints,
     compatibility_graph,
@@ -385,6 +386,27 @@ def test_a_summary_carries_a_violation_exactly_when_it_is_unbalanced():
         kinds.update((bool(c.left), bool(c.right)) for c in failures)
     # Both sides unbalanced, and a partnerless side on the left and on the right.
     assert kinds == {(True, True), (True, False), (False, True)}
+
+
+def test_a_summary_cannot_claim_a_balance_its_sums_lack():
+    # One tuple, masses 1/2, 1/2 on the left against 1/3, 2/3 on the right:
+    # both components are unbalanced.  A summary rebuilt by hand from its
+    # fields reads its balance and its violation off its sums, and takes no
+    # violation of its own.
+    s1 = UncertainDB.of([("t",)], [world(("t",)), world()], ["1/2", "1/2"])
+    s2 = UncertainDB.of([("t",)], [world(("t",)), world()], ["1/3", "2/3"])
+    checks = check_prob_constraints(s1, s2, compatibility_graph(s1, s2))
+    rebuilt = [ComponentSummary(c.component, c.left, c.right, c.left_sum, c.right_sum) for c in checks]
+    assert [c.balanced for c in rebuilt] == [False, False]
+    assert [c.violation for c in rebuilt] == [
+        "component 0: left worlds [0] sum to 1/2, right worlds [0] sum to 1/3",
+        "component 1: left worlds [1] sum to 1/2, right worlds [1] sum to 2/3",
+    ]
+    with pytest.raises(TypeError):
+        ComponentSummary(0, (0,), (0,), Fraction(1, 2), Fraction(2, 3), violation=None)
+    with pytest.raises(ProbConstraintViolation) as err:
+        integrate_checked(s1, s2, rebuilt)
+    assert err.value.failures == rebuilt == checks
 
 
 def test_prob_integration_requires_probabilities_on_both_sides():
