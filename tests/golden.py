@@ -223,6 +223,11 @@ _FORM_FAULTS = {
     "parse_before_rows_type": (
         '{"model": "epr", "rows": 5, "constraints": [{"lhs": "a &", "rhs": "b"}]}'
     ),
+    # Several repeats in one list: the first item to occur a second time is
+    # named, here the later of the two to occur first.
+    "repeated_tuples": '{"model": "pw", "tuples": [["a"], ["b"], ["b"], ["a"], ["a"]], "worlds": []}',
+    "repeated_keys": '{"rows": [], "model": "pr", "model": "pr", "rows": []}',
+    "repeated_indices": '{"model": "pw", "tuples": [["t"], ["u"]], "worlds": [{"tuples": [1, 0, 0, 1]}]}',
 }
 
 # Documents of a valid form that a constructor or a command rejects.
@@ -236,6 +241,15 @@ _VALUE_FAULTS = {
     "no_worlds": {"model": "pw", "tuples": [["t"]], "worlds": []},
     "same_worlds": {"model": "pw", "tuples": [["t"]], "worlds": [{"tuples": [0]}, {"tuples": [0]}]},
     "no_assignment": _pr_doc([("t", "a")], {"a": "1/2"}, [("a", "!a")]),
+    # Several repeats: the constructor lists every one, in item order.
+    "shared_tuples": _pr_doc(
+        [("t", "a"), ("u", "b"), ("t", "c"), ("u", "d"), ("t", "e")],
+        {name: "1/2" for name in "abcde"},
+    ),
+    "same_world_pairs": {
+        "model": "pw", "tuples": [["t"], ["u"]],
+        "worlds": [{"tuples": [0]}, {"tuples": [1]}, {"tuples": [0]}, {"tuples": [1]}],
+    },
 }
 
 # The one row is the only candidate of both constraints, so the second is
