@@ -187,9 +187,8 @@ def _relation_table(rel) -> str:
 
 def _shown(value) -> tuple[Callable[[], dict], Callable[[], str]]:
     """The renderers of a model value's document and of its table."""
-    if isinstance(value, UncertainDB):
-        return lambda: document_of(value), lambda: _distribution_table(value)
-    return lambda: document_of(value), lambda: _relation_table(value)
+    table = _distribution_table if isinstance(value, UncertainDB) else _relation_table
+    return lambda: document_of(value), lambda: table(value)
 
 
 def _titled(title: str, table: str) -> list[str]:
@@ -213,16 +212,20 @@ def _component_doc(summary) -> dict:
     return doc
 
 
+def _component_head(k: int, left, right) -> str:
+    """Component k's line as far as its worlds, "-" for a side without any."""
+    left, right = (",".join(map(str, side)) or "-" for side in (left, right))
+    return f"  {k}: left=[{left}] right=[{right}]"
+
+
 def _component_lines(summaries) -> list[str]:
     lines = ["components:"]
     for k, summary in enumerate(summaries):
-        left = ",".join(map(str, summary.left)) or "-"
-        right = ",".join(map(str, summary.right)) or "-"
         verdict = (
             f"P={summary.constant} balanced" if summary.balanced else "UNBALANCED"
         )
         lines.append(
-            f"  {k}: left=[{left}] right=[{right}] "
+            f"{_component_head(k, summary.left, summary.right)} "
             f"left_sum={summary.left_sum} right_sum={summary.right_sum} {verdict}"
         )
         if summary.violation is not None:
@@ -342,11 +345,7 @@ def _cmd_check(args) -> _Result:
         lines = []
         if checks is None:
             lines.append("components:")
-            lines.extend(
-                f"  {k}: left=[{','.join(map(str, left)) or '-'}]"
-                f" right=[{','.join(map(str, right)) or '-'}]"
-                for k, (left, right) in enumerate(graph.components)
-            )
+            lines.extend(_component_head(k, *sides) for k, sides in enumerate(graph.components))
             lines.append("balance: not checked (sources carry no probabilities)")
         else:
             lines.extend(_component_lines(checks))

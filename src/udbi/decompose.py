@@ -24,11 +24,8 @@ from operator import attrgetter
 
 from .errors import MissingVarProb, NotIntegrated, ValidationError
 from .logic import Formula, iter_vars, to_text
-from .prdb import EprRelation, PrRelation, PrTuple
+from .prdb import EprRelation, PrRelation, PrTuple, _row_tuple
 
-VarSet = tuple[str, ...]
-
-_row_tuple = attrgetter("tuple")
 _row_event = attrgetter("event")
 
 
@@ -124,10 +121,11 @@ def build_pair(q: EprRelation, v, w) -> PrPair:
     Rows route to r or s by which side owns their variables; then each
     constraint f = g adds the missing side's row: if t@f sits in r, t@g is
     added to s, and symmetrically.  Raises ValidationError unless v and w
-    partition q's variables, and NotIntegrated when a row formula spans both
-    sides, a constraint stays on one side, or a constraint is left without
-    a row (_condition3).  Each formula's variables are collected once, and
-    the work is linear in rows plus constraints.
+    partition q's variables, then NotIntegrated naming the first row formula
+    that spans both sides, else the first constraint with a side that does
+    or that lies on one side, else one left without a row (_condition3).
+    Each formula's variables are collected once, and the work is linear in
+    rows plus constraints.
     """
     v, w = frozenset(v), frozenset(w)
     formula_vars = _scan(q)
@@ -136,9 +134,14 @@ def build_pair(q: EprRelation, v, w) -> PrPair:
     # Each formula's side: None without variables, -1 spanning both.
     slot = [None if not f else 0 if f <= v else 1 if f <= w else -1 for f in formula_vars]
     n = len(q.rows)
-    bridged = zip(slot[n::2], slot[n + 1 :: 2])
-    if -1 in slot or any(a is not None and a == b for a, b in bridged):
-        raise NotIntegrated("the relation is not recognized as an integration result")
+    if -1 in slot[:n]:
+        k = slot.index(-1)
+        raise NotIntegrated(f"row {k} ({to_text(q.rows[k].event)}) has variables on both sides")
+    for j, (a, b) in enumerate(zip(slot[n::2], slot[n + 1 :: 2])):
+        if -1 in (a, b) or a is not None and a == b:
+            fault = "has a side spanning both sides" if -1 in (a, b) else "lies on one side"
+            lhs, rhs = map(to_text, q.constraints[j])
+            raise NotIntegrated(f"constraint {j} ({lhs} = {rhs}) {fault}")
     r, s = _route(q, formula_vars, _condition3(q), slot, 2)
     return PrPair(r, s)
 
@@ -221,7 +224,7 @@ class Parts:
         return [p for p in r if p.rows] or r[:1], [p for p in s if p.rows] or s[:1]
 
     @property
-    def free_groups(self) -> tuple[VarSet, ...]:
+    def free_groups(self) -> tuple[tuple[str, ...], ...]:
         """The sorted variables of each free group, in group order."""
         return tuple(tuple(sorted(own.names)) for own, _ in self.free)
 

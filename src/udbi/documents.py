@@ -11,7 +11,9 @@ in document order, with the message that item alone would give.  This holds
 although each check of a "pw" document's tuples and worlds, and of a "pr"
 or "epr" document's constraints and rows, is one pass over all of them
 (_parse_pw, _parse_relation).  No set's or dict's iteration order decides
-the order of worlds in an output or which error is raised.
+the order of worlds in an output or which error is raised.  pwdb.repeats
+finds a repeated tuple, index or key, and _entry_fault any unknown key of a
+document or an entry.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import ParseError, UdbError, ValidationError
 from .logic import parse_formula, to_text
 from .prdb import EprRelation, PrRelation, PrTuple
-from .pwdb import UncertainDB, format_tuple, world_ranks
+from .pwdb import UncertainDB, format_tuple, repeats, world_ranks
 
 # A larger exponent gives a numerator or denominator longer than Python prints
 # by default (4,300 digits), and a far larger one keeps Fraction() busy
@@ -100,29 +102,21 @@ def _event_fault(text, where: str) -> UdbError | None:
     return None
 
 
-def _repeated(items):
-    """The first item that occurs a second time in items."""
-    seen = set()
-    for item in items:
-        if item in seen:
-            return item
-        seen.add(item)
-
-
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's dict; a key given twice is an error, not overwritten."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        raise ValueError(f"repeated key {_repeated(key for key, _ in pairs)!r}")
+        _, i = repeats([key for key, _ in pairs])[0]
+        raise ValueError(f"repeated key {pairs[i][0]!r}")
     return obj
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
-
-
+# The keys a document of each model may have.
+_DOCUMENT_KEYS = {
+    "pw": frozenset({"model", "tuples", "worlds"}),
+    "pr": frozenset({"model", "rows", "var_probs"}),
+    "epr": frozenset({"model", "rows", "var_probs", "constraints"}),
+}
 # The keys an entry of each array of objects may have.
 _WORLD_KEYS = frozenset({"tuples", "prob"})
 _CONSTRAINT_KEYS = frozenset({"lhs", "rhs"})
@@ -151,8 +145,8 @@ def _index_list_fault(indices, n: int, where: str) -> str | None:
 
 
 def _repeated_index_fault(indices: list, where: str) -> str | None:
-    if len(set(indices)) < len(indices):
-        return f"{where} lists tuple {_repeated(indices)} twice"
+    for _, i in repeats(indices)[:1]:
+        return f"{where} lists tuple {indices[i]} twice"
     return None
 
 
@@ -205,7 +199,6 @@ def _parse_pw(obj: dict) -> UncertainDB:
     order, from the first of its fields at fault, whatever else is wrong
     after it.  Equal prob texts are read once and share one Fraction.
     """
-    _require_keys(obj, {"model", "tuples", "worlds"}, "pw document")
     raw_tuples = obj.get("tuples")
     if not isinstance(raw_tuples, list):
         raise ValidationError("pw document: \"tuples\" must be an array")
@@ -213,10 +206,8 @@ def _parse_pw(obj: dict) -> UncertainDB:
         faults = map(_tuple_fault, raw_tuples, map("tuples[{}]".format, range(len(raw_tuples))))
         raise ValidationError(next(filter(None, faults)))
     tuples = list(map(tuple, raw_tuples))
-    first: dict = {}
-    for i, t in enumerate(tuples):
-        if first.setdefault(t, i) != i:
-            raise ValidationError(f"tuples {first[t]} and {i} repeat the tuple {format_tuple(t)}")
+    for first, i in repeats(tuples)[:1]:
+        raise ValidationError(f"tuples {first} and {i} repeat the tuple {format_tuple(tuples[i])}")
     entries = obj.get("worlds")
     if not isinstance(entries, list):
         raise ValidationError("pw document: \"worlds\" must be an array")
@@ -279,11 +270,11 @@ def _relation_fault(constraints: list, rows, where: str) -> UdbError:
 def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
     """A "pr" or "epr" document's relation.
 
-    This reader checks the document's form: its keys, each tuple a nonempty
-    array of strings, each event a formula string, each probability a text
-    Fraction() reads.  The relation's constructor then checks the relation:
-    tuples two rows share, probability names and ranges, and for "pr" a
-    probability for every variable.
+    This reader checks the form of a document whose keys parse_document has
+    checked: each tuple a nonempty array of strings, each event a formula
+    string, each probability a text Fraction() reads.  The relation's
+    constructor then checks the relation: tuples two rows share, probability
+    names and ranges, and for "pr" a probability for every variable.
 
     Each check of the constraints and rows is one pass over all of them,
     field by field: each entry an object with known keys, each tuple a
@@ -297,8 +288,6 @@ def _parse_relation(obj: dict, model: str) -> PrRelation | EprRelation:
     is wrong after it.
     """
     where = f"{model} document"
-    keys = {"model", "rows", "var_probs"}
-    _require_keys(obj, (keys | {"constraints"}) if model == "epr" else keys, where)
     constraints = obj.get("constraints", [])
     if not isinstance(constraints, list):
         raise ValidationError(f"{where}: \"constraints\" must be an array")
@@ -354,11 +343,12 @@ def parse_document(obj) -> UncertainDB | PrRelation | EprRelation:
     if not isinstance(obj, dict):
         raise ValidationError("document must be a JSON object")
     model = obj.get("model")
-    if model == "pw":
-        return _parse_pw(obj)
-    if model in ("pr", "epr"):
-        return _parse_relation(obj, model)
-    raise ValidationError('document needs a "model" key of "pw", "pr" or "epr"')
+    if model not in ("pw", "pr", "epr"):  # compared, not hashed: a tag may be any JSON value
+        raise ValidationError('document needs a "model" key of "pw", "pr" or "epr"')
+    message = _entry_fault(obj, _DOCUMENT_KEYS[model], f"{model} document")
+    if message:
+        raise ValidationError(message)
+    return _parse_pw(obj) if model == "pw" else _parse_relation(obj, model)
 
 
 def load_document(path) -> UncertainDB | PrRelation | EprRelation:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .logic import And, FALSE, Formula, Iff, Implies, Not, Or, TRUE, Variable
 from .prdb import PrRelation, PrTuple
-from .pwdb import UncertainDB, world_key
+from .pwdb import UncertainDB
 
 
 def _rng(seed) -> random.Random:
@@ -101,34 +101,23 @@ def gen_consistent_pw_pair(
     common_pool = [(f"c{i}",) for i in range(max_common)]
     left_pool = [(f"l{i}",) for i in range(max_private)]
     right_pool = [(f"r{i}",) for i in range(max_private)]
-    scenarios = []
-    seen = set()
+    drawn = []
     for _ in range(rng.randint(1, max_scenarios)):
         shared = frozenset(t for t in common_pool if rng.random() < 0.5)
         left = frozenset(t for t in left_pool if rng.random() < 0.4)
         right = frozenset(t for t in right_pool if rng.random() < 0.4)
-        if (shared, left, right) not in seen:
-            seen.add((shared, left, right))
-            scenarios.append((shared, left, right))
+        drawn.append((shared, left, right))
+    scenarios = list(dict.fromkeys(drawn))  # each once, in the order first drawn
     masses = gen_prob_vector(rng, len(scenarios))
 
-    def marginal(world_of, pool) -> UncertainDB:
-        acc: dict = {}
+    def marginal(world_of, tuple_set) -> UncertainDB:
+        acc: dict = {}  # world -> its mass
         for (shared, left, right), mass in zip(scenarios, masses):
             world = world_of(shared, left, right)
-            key = world_key(world)
-            if key in acc:
-                acc[key] = (world, acc[key][1] + mass)
-            else:
-                acc[key] = (world, mass)
-        ordered = [acc[key] for key in sorted(acc)]
-        return UncertainDB(
-            frozenset(common_pool) | frozenset(pool),
-            tuple(w for w, _ in ordered),
-            tuple(p for _, p in ordered),
-        )
+            acc[world] = acc.get(world, 0) + mass
+        return UncertainDB.in_world_order(tuple_set, acc.keys(), acc)
 
     return (
-        marginal(lambda shared, left, right: shared | left, left_pool),
-        marginal(lambda shared, left, right: shared | right, right_pool),
+        marginal(lambda shared, left, right: shared | left, frozenset(common_pool + left_pool)),
+        marginal(lambda shared, left, right: shared | right, frozenset(common_pool + right_pool)),
     )

@@ -29,6 +29,10 @@ _NAME = rf"{_SEGMENT}(?:::{_SEGMENT})*"
 _NAME_RE = re.compile(rf"{_NAME}\Z")
 
 
+# A match, so true, for one segment of a qualified name: an identifier without "::".
+is_segment = re.compile(_SEGMENT).fullmatch
+
+
 def is_valid_name(name: str) -> bool:
     """True for identifiers the parser accepts as variables, qualified or not."""
     return bool(_NAME_RE.match(name)) and name not in _CONSTANTS
@@ -502,7 +506,7 @@ def equivalent(f: Formula, g: Formula, cap: int = DEFAULT_VAR_CAP) -> bool:
 
 def rename_vars(f: Formula, prefix: str) -> Formula:
     """Qualify every variable name with a prefix: x becomes prefix::x."""
-    if not re.fullmatch(_SEGMENT, prefix):
+    if not is_segment(prefix):
         raise ValueError(f"invalid prefix {prefix!r}")
     return _rename(f, prefix)
 

@@ -15,7 +15,6 @@ valid.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,14 +35,13 @@ from .logic import (
     Variable,
     conjoin,
     disjoin,
+    is_segment,
     is_valid_name,
     iter_vars,
     rename_vars,
     shannon_leaves,
 )
-from .pwdb import Tuple, UncertainDB, World, as_fraction, format_tuple, world_key
-
-_NAME_FRAGMENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from .pwdb import Tuple, UncertainDB, World, as_fraction, format_tuple, repeats
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,23 +93,19 @@ def _coerce_var_probs(var_probs) -> dict | None:
     return coerced
 
 
+_row_tuple = attrgetter("tuple")
+
+
 def _check_rows(rows: tuple[PrTuple, ...]) -> None:
-    seen = {}
+    shared = {i: first for first, i in repeats(list(map(_row_tuple, rows)))}
     bad = []
     for i, row in enumerate(rows):
         if len(row.tuple) == 0:
             bad.append(f"row {i} has an empty tuple")
-        if row.tuple in seen:
-            bad.append(
-                f"rows {seen[row.tuple]} and {i} share the tuple {format_tuple(row.tuple)}"
-            )
-        else:
-            seen[row.tuple] = i
+        if i in shared:
+            bad.append(f"rows {shared[i]} and {i} share the tuple {format_tuple(row.tuple)}")
     if bad:
         raise ValidationError(bad)
-
-
-_row_tuple = attrgetter("tuple")
 
 
 def _coerce_rows(rows) -> tuple[PrTuple, ...]:
@@ -224,12 +218,7 @@ def expand_pr(
         mass = Fraction(prod(f.numerator for f in factors), prod(f.denominator for f in factors))
         world = frozenset(chosen)
         acc[world] = acc.get(world, 0) + mass
-    ordered = sorted(acc.items(), key=lambda e: world_key(e[0]))
-    udb = UncertainDB(
-        frozenset(row.tuple for row in r.rows),
-        tuple(w for w, _ in ordered),
-        tuple(p for _, p in ordered),
-    )
+    udb = UncertainDB.in_world_order(r.tuples(), acc.keys(), acc)
     return udb, tuple(zip(udb.worlds, udb.probs))
 
 
@@ -249,7 +238,7 @@ def expand_epr(q: EprRelation, cap: int = DEFAULT_VAR_CAP) -> UncertainDB:
     worlds = {frozenset(chosen) for chosen, _ in shannon_leaves(rows, constraints)}
     if not worlds:
         raise NoValidAssignment()
-    return UncertainDB(q.tuples(), tuple(sorted(worlds, key=world_key)))
+    return UncertainDB.in_world_order(q.tuples(), worlds)
 
 
 # --- integration ---------------------------------------------------------------
@@ -335,7 +324,7 @@ def encode_pw(u: UncertainDB, var_base: str = "x") -> PrRelation:
     selector probability falls in (0, 1), which valid world probabilities
     guarantee; each failure raises ValidationError.
     """
-    if not _NAME_FRAGMENT.match(var_base):
+    if not is_segment(var_base):
         raise ValidationError(f"invalid variable base {var_base!r}")
     if u.probs is None:
         raise ValidationError("source carries no probabilities")

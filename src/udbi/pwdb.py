@@ -19,9 +19,11 @@ check_prob_constraints checks that both sources carry probabilities.
 
 Checks and conversions run one builtin pass per invariant or field over all
 worlds (map, zip, set, min, max, sum); a failing check alone is gone over
-again world by world, to name its worlds in world order.  No set's or
-dict's iteration order decides the order of worlds in a result or of the
-lines of a report.
+again world by world, to name its worlds in world order, and repeats is the
+one rule, here and in prdb and documents, that names what a list repeats.
+No set's or dict's iteration order decides the order of worlds in a result
+(UncertainDB.in_world_order, or _pairs_in_world_order for an integration)
+or of the lines of a report.
 """
 
 from __future__ import annotations
@@ -50,6 +52,15 @@ def world_ranks(worlds, tuples: list[Tuple]) -> list[list[int]]:
     tuples, so the lists compare as the worlds' world_key does."""
     rank = dict(zip(tuples, count()))
     return list(map(sorted, map(map, repeat(rank.__getitem__), worlds)))
+
+
+def repeats(items) -> list[tuple[int, int]]:
+    """(first, i) for each item i of a sequence that equals an earlier one,
+    in item order, first being that item's first index: the one repeat rule."""
+    if len(set(items)) == len(items):
+        return []
+    first: dict = {}
+    return [(first[item], i) for i, item in enumerate(items) if first.setdefault(item, i) != i]
 
 
 def format_tuple(t: Tuple) -> str:
@@ -102,6 +113,14 @@ class UncertainDB:
             None if probs is None else tuple(map(as_fraction, probs)),
         )
 
+    @classmethod
+    def in_world_order(cls, tuple_set, worlds, masses=None) -> "UncertainDB":
+        """A computed database: ``worlds`` in the canonical order of
+        world_key, each with its mass when ``masses`` maps it to one."""
+        worlds = tuple(sorted(worlds, key=world_key))
+        probs = None if masses is None else tuple(map(masses.__getitem__, worlds))
+        return cls(tuple_set, worlds, probs)
+
     @cached_property
     def integer_probs(self) -> tuple[tuple[int, ...], int]:
         """(n, d) with probs[i] == n[i] / d, d the lcm of the denominators.
@@ -136,13 +155,8 @@ def validate_udb(u: UncertainDB) -> list[str]:
                     f"world {i} uses tuples outside the tuple set: "
                     + ", ".join(format_tuple(t) for t in sorted(w - u.tuple_set))
                 )
-    if len(set(u.worlds)) < len(u.worlds):
-        seen = {}
-        for i, w in enumerate(u.worlds):
-            if w in seen:
-                report.append(f"worlds {seen[w]} and {i} are identical")
-            else:
-                seen[w] = i
+    for first, i in repeats(u.worlds):
+        report.append(f"worlds {first} and {i} are identical")
     if u.probs is None:
         return report
     if len(u.probs) != len(u.worlds):

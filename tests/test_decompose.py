@@ -433,13 +433,15 @@ def test_check_accepts_the_forced_partition_and_its_mirror():
 
 
 def test_check_rejects_rows_split_across_sides():
-    with pytest.raises(NotIntegrated, match="^the relation is not recognized"):
+    with pytest.raises(NotIntegrated) as err:
         build_pair(office_epr(), {"b1", "b2", "c1"}, {"b3", "c2"})
+    assert str(err.value) == "row 1 (c1 | c2) has variables on both sides"
 
 
 def test_check_rejects_constraints_within_one_side():
-    with pytest.raises(NotIntegrated, match="^the relation is not recognized"):
+    with pytest.raises(NotIntegrated) as err:
         build_pair(office_epr(), {"b1", "b2", "b3", "c1", "c2"}, set())
+    assert str(err.value) == "constraint 0 (!c1 = b1 | b2) lies on one side"
 
 
 def test_check_rejects_a_split_that_fails_condition_three():
@@ -500,8 +502,23 @@ def test_pair_sides_share_the_relations_probabilities():
 
 
 def test_build_pair_rejects_unrecognizable_partitions():
-    with pytest.raises(NotIntegrated, match="not recognized"):
-        build_pair(office_epr(), {"b1", "b2", "b3", "c1"}, {"c2"})
+    # Each split names its culprit by index and text: a row formula that
+    # spans both sides, and a constraint side that does.
+    a, b = Variable("a"), Variable("b")
+    spanning_side = EprRelation.of([(("t",), a), (("u",), b)], [(And(a, b), b)])
+    for q, v, w, message in (
+        (
+            office_epr(), {"b1", "b2", "b3", "c1"}, {"c2"},
+            "row 1 (c1 | c2) has variables on both sides",
+        ),
+        (
+            spanning_side, {"a"}, {"b"},
+            "constraint 0 (a & b = b) has a side spanning both sides",
+        ),
+    ):
+        with pytest.raises(NotIntegrated) as err:
+            build_pair(q, v, w)
+        assert str(err.value) == message
 
 
 def test_variable_free_row_goes_opposite_a_v_side_partner():

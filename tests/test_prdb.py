@@ -125,6 +125,24 @@ INVALID_RELATIONS = {
         ["rows 0 and 2 share the tuple (t)"],
         EVERY_ROUTE,
     ),
+    "three rows share a tuple": (
+        [(("t",), "a"), (("t",), "b"), (("t",), "c")],
+        None,
+        ("pr", "epr"),
+        ["rows 0 and 1 share the tuple (t)", "rows 0 and 2 share the tuple (t)"],
+        EVERY_ROUTE,
+    ),
+    "empty tuple between shared ones": (
+        [(("t",), "a"), (("t",), "b"), ((), "c"), (("t",), "d")],
+        None,
+        ("pr", "epr"),
+        [
+            "rows 0 and 1 share the tuple (t)",
+            "row 2 has an empty tuple",
+            "rows 0 and 3 share the tuple (t)",
+        ],
+        ("bare", "of"),
+    ),
     "invalid name": (
         [(("t",), "a")],
         {"a": HALF, "1x": HALF},
