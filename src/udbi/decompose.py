@@ -1,24 +1,25 @@
 """Recognizing integrated epr-relations and rebuilding source pairs.
 
 A relation q is recognized as an integration result when its formulas split
-into two sides such that every row formula lives on one side, every
-constraint bridges the two sides, and every constraint takes a row of its
-own whose formula is syntactically one of its sides (any such matching gives
-one distribution).  Recognition labels formulas, not variables: a group is
-the formulas linked by shared variables, and a constraint links two groups.
-Groups touched by no constraint are free: either side works, and every
-choice yields the same distribution, since a free group shares no variable
-and no tuple with the rest of its side.  partition finds the forced split,
-or raises at the first fault, and routes q's rows once into parts: the two
-cores and each free group.  build_pair rebuilds the source pair of a given
-split.  enumerate_pairs merges all 2^k pairs of k free groups from the
-parts, as many as its limit allows: they are the output of decompose --all.
-probcalc needs only pair 0 and each group flipped alone."""
+into two sides such that every row formula lives on one side, every constraint
+bridges the two sides, and every constraint takes a row of its own whose
+formula is syntactically one of its sides, found by one search per constraint
+(any such matching gives one distribution).  Recognition labels formulas, not
+variables: a group is the formulas linked by shared variables, and a
+constraint links two groups.  Groups touched by no constraint are free: either
+side works, and every choice yields the same distribution, since a free group
+shares no variable and no tuple with the rest of its side.  partition finds
+the forced split, or raises at the first fault, and routes q's rows once into
+parts: the two cores and each free group.  build_pair rebuilds the source pair
+of a given split.  enumerate_pairs merges all 2^k pairs of k free groups from
+the parts, as many as its limit allows: they are the output of
+decompose --all.  probcalc needs only pair 0 and each group flipped alone."""
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain
 from operator import attrgetter
 
@@ -51,11 +52,14 @@ def _condition3(q: EprRelation) -> list[tuple[int, bool]]:
     """Per constraint, the position in q.rows of a row of its own whose
     formula is one of its sides, and whether that side is the lhs.
 
-    Rows are classed by their formula's text (to_text), so no formula is
-    hashed.  Each constraint holds its rhs class while a row of it is spare,
-    else its lhs class, else the class _moved frees; then each class deals
-    its rows in document order to its constraints in order, so where each
-    constraint has one candidate row (the paper's condition 3), that row is
+    Rows are classed by formula text (to_text), so no formula is hashed.  Each
+    constraint searches breadth first for the nearest class with a spare row
+    from its rhs class, then its lhs class, or the lhs alone when only it has
+    one: it ends at its first step when either has one.  A full class reaches
+    its holders' other classes in order of their least holder, which moves
+    there (Hopcroft and Karp's augmenting path, SIAM J. Comput. 1973).  Each
+    class then deals its rows in document order to its constraints in order,
+    so under the paper's condition 3 each constraint's one candidate row is
     its match."""
     if not q.constraints:  # no text is taken, so rows too deep to render still decompose
         return []
@@ -63,38 +67,31 @@ def _condition3(q: EprRelation) -> list[tuple[int, bool]]:
     spare = Counter(texts)  # class -> its rows that no constraint holds
     sides = [(to_text(lhs), to_text(rhs)) for lhs, rhs in q.constraints]
     held: list[str] = []  # the class of each constraint so far
+    holders: dict[str, dict[str, list[int]]] = {}  # class -> other class -> heap of holders
     for j, (lhs, rhs) in enumerate(sides):
-        held.append(rhs if spare[rhs] else lhs if spare[lhs] else _moved(j, sides, held, spare))
-        spare[held[j]] -= 1
+        came: dict[str, str | None] = {rhs: None, lhs: None}  # class -> class it is reached from
+        for text in (queue := [lhs] if not spare[rhs] and spare[lhs] else list(came)):
+            if spare[text]:
+                break
+            for _, other in sorted((h[0], c) for c, h in holders.get(text, {}).items() if h):
+                if other not in came:
+                    came[other] = text
+                    queue.append(other)
+        else:
+            raise NotIntegrated(f"constraint {j} ({lhs} = {rhs}) is left without a row of its own")
+        spare[text] -= 1
+        while (before := came[text]) is not None:  # the least holder of before that can move here
+            i = heappop(holders[before][text])
+            heappush(holders.setdefault(text, {}).setdefault(before, []), i)
+            held[i], text = text, before
+        held.append(text)
+        other = rhs if text == lhs else lhs
+        if other in spare:  # j moves only to a class with rows; it is the greatest holder yet
+            holders.setdefault(text, {}).setdefault(other, []).append(j)
     rows: dict[str, list[int]] = {}  # class -> its rows, first row last
     for k in reversed(range(len(texts))):
         rows.setdefault(texts[k], []).append(k)
     return [(rows[text].pop(), text == lhs) for text, (lhs, _) in zip(held, sides)]
-
-
-def _moved(j: int, sides: list[tuple[str, str]], held: list[str], spare: Counter) -> str:
-    """The full class constraint j holds once earlier constraints move, each
-    to its other class, along a shortest path to a class with a spare row,
-    found breadth first (Hopcroft and Karp's augmenting path, SIAM J.
-    Comput. 1973); else NotIntegrated naming constraint j."""
-    holders: dict[str, list[int]] = {}
-    for i, text in enumerate(held):
-        holders.setdefault(text, []).append(i)
-    came = dict.fromkeys(text for text in sides[j][::-1] if text in spare)  # class -> (mover, from)
-    for text in (queue := list(came)):
-        if spare[text]:
-            spare[text] -= 1  # one more holder here, and one fewer in j's class
-            while came[text]:
-                i, before = came[text]
-                held[i], text = text, before
-            spare[text] += 1
-            return text
-        for i in holders.get(text, ()):
-            other = sides[i][text == sides[i][0]]
-            if other in spare and other not in came:
-                came[other] = i, text
-                queue.append(other)
-    raise NotIntegrated(f"constraint {j} ({' = '.join(sides[j])}) is left without a row of its own")
 
 
 def _scan(q: EprRelation) -> list[frozenset[str]]:

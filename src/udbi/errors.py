@@ -53,8 +53,9 @@ class ValidationError(UdbError):
 class EmptyIntegration(UdbError):
     """Raised when two sources admit no compatible pair of worlds."""
 
-    def __init__(self):
-        super().__init__("no pair of worlds is compatible; the sources contradict each other")
+    def __init__(self, culprit: str):
+        text = f"the sources contradict each other: their worlds 0 differ on the tuple {culprit}"
+        super().__init__(f"no pair of worlds is compatible; {text}")
 
 
 class ProbConstraintViolation(UdbError):

@@ -195,7 +195,8 @@ def integrate_pw(s1: UncertainDB, s2: UncertainDB) -> UncertainDB:
     """
     left, right = _pairs_in_world_order(s1, s2, compatibility_graph(s1, s2).components)
     if not left:
-        raise EmptyIntegration()
+        culprit = min((s1.worlds[0] ^ s2.worlds[0]) & s1.tuple_set & s2.tuple_set)
+        raise EmptyIntegration(format_tuple(culprit))
     return UncertainDB(s1.tuple_set | s2.tuple_set, _unions(s1, s2, left, right))
 
 

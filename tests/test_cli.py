@@ -1420,7 +1420,7 @@ def test_contradicting_pw_sources_exit_four(tmp_path, capsys):
         "pw",
     )
     assert code == 4
-    assert "contradict" in err
+    assert "contradict" in err and "on the tuple (Bob,CS100)" in err
 
 
 def test_unsatisfiable_constraints_exit_four(tmp_path, capsys):

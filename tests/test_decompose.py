@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from operator import ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +36,7 @@ from udbi.errors import (
     ValidationError,
 )
 from udbi.gen import gen_consistent_pw_pair, gen_pr_pair
-from udbi.logic import FALSE, TRUE, And, Not, Variable
+from udbi.logic import FALSE, TRUE, And, Not, Variable, to_text
 from udbi.prdb import EprRelation, PrRelation, PrTuple, encode_pw, integrate_pr
 from udbi.probcalc import epr_distribution
 from udbi.pwdb import UncertainDB
@@ -114,8 +115,21 @@ def test_condition_three_by_text_agrees_with_the_structural_index():
             # No row is left for the last constraint.
             (["a", "b"], [("!a", "b"), ("c", "(b)")]),
             (["a & b", "c"], [("(a & b)", "c"), ("c", "a & b"), ("a & b", "c")]),
+            # A class reaches its holders' other classes in order of their
+            # least holder, not in the order the index first met them.
+            (
+                ["b", "b", "d", "d", "a", "b", "c", "c"],
+                [("c", "b"), ("c", "d"), ("a", "b"), ("c", "b")]
+                + [("b", "b"), ("a", "d"), ("d", "b")],
+            ),
+            (
+                ["d", "d", "e", "a", "b", "c", "b", "a"],
+                [("d", "e"), ("a", "c"), ("e", "a"), ("c", "d")]
+                + [("b", "d"), ("d", "c"), ("b", "b"), ("a", "a")],
+            ),
         ]
     ]
+    relations += [parallel_chains(2, 3), parallel_chains(3, 2)]
     found = Counter()
     for q in relations:
         expected = outcome(structural_condition3, q)
@@ -367,33 +381,49 @@ def verdict(q: EprRelation):
     return got[0] if isinstance(got, tuple) else got.distribution
 
 
-def test_recognition_succeeds_exactly_when_a_matching_exists(monkeypatch):
-    # In every constraint order, so that the search for constraints to move
-    # both succeeds and fails.
-    searched = Counter()
-    moved = decompose._moved
+def rhs_then_lhs(q: EprRelation) -> list[str | None]:
+    """Per constraint, the class, by text, that the pick alone gives it: its
+    rhs while a row of that text is spare, else its lhs while one is, else
+    None, and then the constraint takes no row."""
+    spare = Counter(to_text(row.event) for row in q.rows)
+    picks = []
+    for lhs, rhs in q.constraints:
+        picks.append(next((t for t in (to_text(rhs), to_text(lhs)) if spare[t] > 0), None))
+        spare[picks[-1]] -= 1
+    return picks
 
-    def counted(*args):
-        got = outcome(moved, *args)
-        searched[isinstance(got, str)] += 1
-        if isinstance(got, tuple):
-            raise got[0](got[1])
-        return got
 
-    monkeypatch.setattr(decompose, "_moved", counted)
+def matched_classes(q: EprRelation) -> list[str | None]:
+    """Per constraint, the class, by text, of the row _condition3 matches to
+    it.  When a constraint is left without a row, the classes of those before
+    it, which its search read, and None for it."""
+    got = outcome(decompose._condition3, q)
+    if isinstance(got, tuple):
+        j = int(got[1].split()[1])
+        return matched_classes(EprRelation(q.rows, q.constraints[:j], q.var_probs)) + [None]
+    return [to_text(pair[not on_lhs]) for pair, (_, on_lhs) in zip(q.constraints, got)]
+
+
+def test_recognition_succeeds_exactly_when_a_matching_exists():
+    # In every constraint order, so that the search moves earlier
+    # constraints, or goes past its first step, both where it succeeds and
+    # where it fails: such a constraint's class is not the pick's.
+    moved = Counter()
     found = Counter()
     for q in small_relations():
         if colouring_fault(q):
             continue
         exists = next(matchings(q), None) is not None
         for order in itertools.permutations(q.constraints):
-            got = outcome(partition, EprRelation(q.rows, order, q.var_probs))
+            ordered = EprRelation(q.rows, order, q.var_probs)
+            got = outcome(partition, ordered)
             assert isinstance(got, decompose.Parts) == exists
             if not exists:
                 assert got[0] is NotIntegrated and got[1].endswith("is left without a row of its own")
+            moved[exists] += sum(map(ne, matched_classes(ordered), rhs_then_lhs(ordered)))
         found[exists] += 1
     assert found[True] > 100 and found[False] > 50
-    assert searched[True] > 20 and searched[False] > 20
+    assert moved[True] > 20 and moved[False] > 20, moved
 
 
 def test_every_matching_gives_the_same_distribution(monkeypatch):
@@ -680,6 +710,25 @@ def chain_relation(n: int) -> EprRelation:
         for k in range(n // 2)
     ]
     return EprRelation.of(rows, constraints)
+
+
+def parallel_chains(k: int, n: int) -> EprRelation:
+    """Rows a0 ... an, k of each; k copies of a_i = a_(i+1), from i = n - 1
+    down to 0, then a_n = z_c for c < k.  Each a_n = z_c finds a_n full and
+    moves one constraint of every a_i = a_(i+1) down to a_i."""
+    a = [Variable(f"a{i}") for i in range(n + 1)]
+    rows = [((f"t{i}_{c}",), a[i]) for i in range(n + 1) for c in range(k)]
+    constraints = [(a[i], a[i + 1]) for i in reversed(range(n)) for _ in range(k)]
+    constraints += [(a[n], Variable(f"z{c}")) for c in range(k)]
+    return EprRelation.of(rows, constraints)
+
+
+def test_matching_work_grows_linearly_with_the_moves():
+    # k searches, each along n + 1 classes: the index of holders is kept
+    # across constraints and grouped by other class, so each step of a
+    # search costs the same whatever k is.
+    work = [lines_run(decompose, decompose._condition3, parallel_chains(k, 16)) for k in (8, 16, 32, 64)]
+    assert all(large < 2.5 * small for small, large in zip(work, work[1:])), work
 
 
 def test_partition_work_grows_linearly():

@@ -257,7 +257,12 @@ def test_integrate_disjoint_sources_crosses_all_worlds():
 def test_integrate_contradicting_sources_raises():
     s1 = UncertainDB.of([CS100], [world(CS100)])
     s2 = UncertainDB.of([CS100], [world()])
-    with pytest.raises(EmptyIntegration):
+    with pytest.raises(EmptyIntegration, match=r"contradict.* on the tuple \(Bob,CS100\)$"):
+        integrate_pw(s1, s2)
+    # Worlds 0 differ on both common tuples, and the least one is named.
+    s1 = UncertainDB.of([CS100, CS201], [world(CS201), world()])
+    s2 = UncertainDB.of([CS100, CS201], [world(CS100), world(CS100, CS201)])
+    with pytest.raises(EmptyIntegration, match=r"worlds 0 differ on the tuple \(Bob,CS100\)$"):
         integrate_pw(s1, s2)
 
 
